@@ -23,16 +23,34 @@ two remaining clauses: image(1) is the full square and images respect
 complement.  Both verdicts come with a first-failure certificate naming
 the clause, the element pair and a witness point pair.
 
-All verifiers literally compare expected and computed relations for
-every element pair; they only share subcomputations (atom-level matrix
-products, incremental unions, block decompositions) that are exact
-identities of boolean matrix algebra.  For symmetric commutative
-algebras the ordered pair (y,x) check is the transpose of the (x,y)
-check once converse respect is established, so the pair loops run over
-unordered pairs; the verdict is unchanged.
+One clause loop, _verify, decides both.  It runs zero, identity,
+converse, then compose and meet over element pairs, then injective, and
+for verify_full top and complement.  It compares whole images, held as
+int bitsets in a fixed layout per kind: row-major d*d for AtomLabeling
+and Power; for Xi four d*d blocks D | D' | C | C^T (first copy, mirror
+copy, cross pairs (x,y'), pairs (y',x)), so that a failure names the
+block it was found in.  Products of images are formed in one of two
+ways, chosen from the structure:
 
-Matrices are row-major int bitsets; the boolean matrix product is the
-composition primitive.
+* additive images (AtomLabeling, and Xi over an AtomLabeling) are
+  unions of atom images, and both the matrix product and composition
+  distribute over unions, so the k^2 atom-pair products are formed once
+  and each pair's product is a union of them, grown one atom of y at a
+  time;
+* the other kinds (Power, and Xi over a Power) form the product of each
+  pair; Xi caches the products of inner-element and class-set parts.
+
+Compose and meet compare expected and computed relations for every
+element pair; the shared subcomputations are exact identities of
+boolean matrix algebra.  Transposition is additive, so converse is
+checked on the atoms of additive images, on the inner elements of other
+Xi images (their bridge blocks are transposes of each other by
+construction) and on every element of a Power.  For symmetric
+commutative algebras the ordered pair (y,x) check is the transpose of
+the (x,y) check once converse respect is established, so the pair loop
+runs over unordered pairs; the verdict is unchanged.  Before building
+any image, verification refuses (ResourceBudgetError) when the images of
+all 2^k elements would exceed 2^29 bytes.
 """
 
 from __future__ import annotations
@@ -377,12 +395,6 @@ class VerifyReport:
         return f"FAIL ({self.mode}): {self.failure.clause}"
 
 
-def _first_diff_point(expected: int, actual: int, cols: int) -> tuple[int, int]:
-    diff = expected ^ actual
-    low = diff & -diff
-    return divmod(low.bit_length() - 1, cols)
-
-
 def verify_weak(
     structure: LabeledStructure, *, max_base: int = DEFAULT_VERIFY_MAX_BASE
 ) -> VerifyReport:
@@ -396,542 +408,298 @@ def verify_full(
 
 
 def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> VerifyReport:
-    if structure.base_size > max_base:
-        raise ResourceBudgetError(
-            f"base {structure.base_size} exceeds verification budget {max_base}"
-        )
-    if isinstance(structure, Xi):
-        return _verify_xi(structure, full=full)
-    if isinstance(structure, AtomLabeling):
-        return _verify_additive(structure, full=full)
-    return _verify_dense(structure, full=full)
-
-
-def _verify_additive(structure: AtomLabeling, *, full: bool) -> VerifyReport:
-    alg = structure.algebra
     d = structure.base_size
+    if d > max_base:
+        raise ResourceBudgetError(f"base {d} exceeds verification budget {max_base}")
+    alg = structure.algebra
     k = alg.atom_count
     n_elems = 1 << k
-    mode = "full" if full else "weak"
-    atom_bits = structure.atom_image_bits()
-
-    def fail(clause, elements, point, detail, pairs=0):
-        return VerifyReport(
-            False, mode, VerifyFailure(clause, elements, point, detail), pairs
-        )
-
-    dg = diag_bits(d)
-    ident_img = 0
-    for i in alg.identity_atoms:
-        ident_img |= atom_bits[i]
-    if ident_img != dg:
-        return fail(
-            "identity",
-            (alg.identity_mask,),
-            _first_diff_point(dg, ident_img, d),
-            "image of 1' is not exactly the diagonal",
-        )
-
-    # converse on atoms decides it for all elements (transpose is additive)
-    atom_rows = [bits_to_rows(b, d) for b in atom_bits]
-    symmetric_ok = alg.is_symmetric
-    for a in range(k):
-        t = rows_to_bits(transpose_rows(atom_rows[a], d), d)
-        if t != atom_bits[alg.converse[a]]:
-            symmetric_ok = False
-            return fail(
-                "converse",
-                (1 << a,),
-                _first_diff_point(t, atom_bits[alg.converse[a]], d),
-                "transpose of atom image is not the converse atom's image",
-            )
-
-    img = [0] * n_elems
-    for x in range(1, n_elems):
-        low = x & (x - 1)
-        img[x] = img[low] | atom_bits[(x ^ low).bit_length() - 1]
-
-    prod_atom = [
-        [rows_to_bits(product_rows(atom_rows[a], atom_rows[b]), d) for b in range(k)]
-        for a in range(k)
-    ]
-    comp = alg.comp
-
-    # unordered-pair reduction: sound once images are symmetric and the
-    # composition table commutes (then the (y,x) check is the transpose
-    # of the (x,y) check)
-    half = symmetric_ok and alg.is_commutative
-    pairs = 0
-    rrow = [0] * n_elems
-    crow = [0] * n_elems
-    for x in range(n_elems):
-        qx = [0] * k
-        cx = [0] * k
-        for a in iter_bits(x):
-            pa = prod_atom[a]
-            ca = comp[a]
-            for b in range(k):
-                qx[b] |= pa[b]
-                cx[b] |= ca[b]
-        imgx = img[x]
-        y_start = x if half else 0
-        if y_start == 0:
-            pairs += 1  # (x, 0): both sides are empty by construction
-        for y in range(1, n_elems):
-            low = y & (y - 1)
-            b = (y ^ low).bit_length() - 1
-            prod = rrow[low] | qx[b]
-            rrow[y] = prod
-            cz = crow[low] | cx[b]
-            crow[y] = cz
-            if y >= y_start:
-                pairs += 1
-                expected = img[cz]
-                if expected != prod:
-                    return fail(
-                        "compose",
-                        (x, y),
-                        _first_diff_point(expected, prod, d),
-                        f"image of x;y differs from the matrix product "
-                        f"(x;y = {alg.format_mask(cz)})",
-                        pairs,
-                    )
-                mz = img[x & y]
-                if imgx & img[y] != mz:
-                    return fail(
-                        "meet",
-                        (x, y),
-                        _first_diff_point(mz, imgx & img[y], d),
-                        "image of x.y differs from intersection of images",
-                        pairs,
-                    )
-
-    seen: dict[int, int] = {}
-    for x in range(n_elems):
-        other = seen.setdefault(img[x], x)
-        if other != x:
-            return fail(
-                "injective", (other, x), None, "two elements share an image", pairs
-            )
-
-    if full:
-        full_m = full_bits(d, d)
-        if img[alg.top_mask] != full_m:
-            return fail(
-                "top",
-                (alg.top_mask,),
-                _first_diff_point(full_m, img[alg.top_mask], d),
-                "image of 1 does not cover the base square",
-                pairs,
-            )
-        for x in range(n_elems):
-            expected = full_m ^ img[x]
-            actual = img[x ^ alg.top_mask]
-            if expected != actual:
-                return fail(
-                    "complement",
-                    (x,),
-                    _first_diff_point(expected, actual, d),
-                    "image of complement(x) is not the complement of image(x)",
-                    pairs,
-                )
-
-    return VerifyReport(True, mode, None, pairs)
-
-
-def _verify_dense(structure: LabeledStructure, *, full: bool) -> VerifyReport:
-    """Whole-matrix verifier for non-additive kinds (Power)."""
-    alg = structure.algebra
-    d = structure.base_size
-    n_elems = 1 << alg.atom_count
-    mode = "full" if full else "weak"
-    # the all-pairs contract touches every element image; refuse workloads
-    # whose image cache cannot fit in memory
+    # every clause reads every element image; refuse before building them
     if n_elems * d * d // 8 > 1 << 29:
         raise ResourceBudgetError(
             f"verifying {n_elems} images of {d}x{d} bits needs too much memory"
         )
-
-    rows_of: dict[int, list[int]] = {}
-
-    def rows(mask: int) -> list[int]:
-        got = rows_of.get(mask)
-        if got is None:
-            got = _image_rows(structure, mask)
-            rows_of[mask] = got
-        return got
-
-    def fail(clause, elements, point, detail, pairs=0):
-        return VerifyReport(
-            False, mode, VerifyFailure(clause, elements, point, detail), pairs
-        )
-
-    def diff_point(exp_rows, act_rows):
-        for u, (er, ar) in enumerate(zip(exp_rows, act_rows)):
-            if er != ar:
-                diff = er ^ ar
-                return (u, (diff & -diff).bit_length() - 1)
-        return None
-
-    if any(rows(0)):
-        return fail("zero", (0,), None, "image of 0 is nonempty")
-    ident_rows = rows(alg.identity_mask)
-    if ident_rows != [1 << u for u in range(d)]:
-        exp = [1 << u for u in range(d)]
-        return fail(
-            "identity",
-            (alg.identity_mask,),
-            diff_point(exp, ident_rows),
-            "image of 1' is not exactly the diagonal",
-        )
-
-    symmetric_ok = alg.is_symmetric
-    for x in range(n_elems):
-        t = transpose_rows(rows(x), d)
-        cx = alg.converse_mask(x)
-        if t != rows(cx):
-            symmetric_ok = False
-            return fail(
-                "converse",
-                (x,),
-                diff_point(t, rows(cx)),
-                "transpose of image(x) is not image of converse(x)",
-            )
-
-    pairs = 0
-    half = symmetric_ok and alg.is_commutative
-    for x in range(n_elems):
-        rx = rows(x)
-        y_start = x if half else 0
-        for y in range(y_start, n_elems):
-            pairs += 1
-            ry = rows(y)
-            prod = product_rows(rx, ry)
-            cz = alg.compose_masks(x, y)
-            expected = rows(cz)
-            if expected != prod:
-                return fail(
-                    "compose",
-                    (x, y),
-                    diff_point(expected, prod),
-                    f"image of x;y differs from the matrix product "
-                    f"(x;y = {alg.format_mask(cz)})",
-                    pairs,
-                )
-            mrows = rows(x & y)
-            actual = [a & b for a, b in zip(rx, ry)]
-            if mrows != actual:
-                return fail(
-                    "meet",
-                    (x, y),
-                    diff_point(mrows, actual),
-                    "image of x.y differs from intersection of images",
-                    pairs,
-                )
-
-    seen: dict[tuple[int, ...], int] = {}
-    for x in range(n_elems):
-        key = tuple(rows(x))
-        other = seen.setdefault(key, x)
-        if other != x:
-            return fail(
-                "injective", (other, x), None, "two elements share an image", pairs
-            )
-
-    if full:
-        full_row = (1 << d) - 1
-        top = rows(alg.top_mask)
-        if top != [full_row] * d:
-            return fail(
-                "top",
-                (alg.top_mask,),
-                diff_point([full_row] * d, top),
-                "image of 1 does not cover the base square",
-                pairs,
-            )
-        for x in range(n_elems):
-            expected = [full_row ^ r for r in rows(x)]
-            actual = rows(x ^ alg.top_mask)
-            if expected != actual:
-                return fail(
-                    "complement",
-                    (x,),
-                    diff_point(expected, actual),
-                    "image of complement(x) is not the complement of image(x)",
-                    pairs,
-                )
-
-    return VerifyReport(True, mode, None, pairs)
-
-
-def _verify_xi(structure: Xi, *, full: bool) -> VerifyReport:
-    """Blockwise all-pairs verifier for Xi structures.
-
-    Images have the block form [[M, C], [C^T, M]] with M the inner image
-    of x restricted to 1'+A and C the union of the cross classes below x.
-    Boolean block multiplication turns each pair check into four block
-    equalities; the two lower blocks are transposes of conditions already
-    covered (given symmetric M, checked first), so each unordered pair
-    (x,y) is decided by the D-block, the D'-block and both orientations
-    of the cross block.
-    """
-    alg = structure.algebra
-    if not (alg.is_symmetric and alg.is_commutative):
-        raise ValueError("xi verification requires a symmetric commutative algebra")
-    inner_alg = structure.inner.algebra
-    p, _ = inner_alg.lpn_params
-    d = structure.inner.base_size
+    layout = (_XiBlocks if isinstance(structure, Xi) else _RowMajor)(structure)
+    img = layout.img
     mode = "full" if full else "weak"
-    inner_top = inner_alg.top_mask
-    inner_width = p + 2
-    s_width = structure.n
-    part = structure.partition
-
-    m_bits: dict[int, int] = {}
-    m_rows: dict[int, list[int]] = {}
-
-    def mbits(e: int) -> int:
-        got = m_bits.get(e)
-        if got is None:
-            got = _image_bits(structure.inner, e)
-            m_bits[e] = got
-            m_rows[e] = bits_to_rows(got, d)
-        return got
-
-    def mrows(e: int) -> list[int]:
-        mbits(e)
-        return m_rows[e]
-
-    class_rows = [
-        [part.row_bits(i + 1, x) for x in range(d)] for i in range(s_width)
-    ]
-    c_rows_cache: dict[int, list[int]] = {0: [0] * d}
-    c_bits_cache: dict[int, int] = {0: 0}
-    ct_rows_cache: dict[int, list[int]] = {0: [0] * d}
-
-    def crows(s: int) -> list[int]:
-        got = c_rows_cache.get(s)
-        if got is None:
-            low = s & (s - 1)
-            i = (s ^ low).bit_length() - 1
-            got = [a | b for a, b in zip(crows(low), class_rows[i])]
-            c_rows_cache[s] = got
-        return got
-
-    def cbits(s: int) -> int:
-        got = c_bits_cache.get(s)
-        if got is None:
-            got = rows_to_bits(crows(s), d)
-            c_bits_cache[s] = got
-        return got
-
-    def ctrows(s: int) -> list[int]:
-        got = ct_rows_cache.get(s)
-        if got is None:
-            got = transpose_rows(crows(s), d)
-            ct_rows_cache[s] = got
-        return got
-
-    def fail(clause, elements, point, detail, pairs=0):
-        return VerifyReport(
-            False, mode, VerifyFailure(clause, elements, point, detail), pairs
-        )
-
-    def split(mask: int) -> tuple[int, int]:
-        return mask & inner_top, mask >> inner_width
-
-    # block-local points mapped into the doubled base
-    def pt_dd(exp, act):
-        return _first_diff_point(exp, act, d)
-
-    def pt_ddp(exp, act):
-        u, v = _first_diff_point(exp, act, d)
-        return (u, d + v)
-
-    def pt_dpdp(exp, act):
-        u, v = _first_diff_point(exp, act, d)
-        return (d + u, d + v)
-
-    if mbits(0) != 0:
-        return fail("zero", (0,), None, "image of 0 is nonempty")
-    dgm = diag_bits(d)
-    if mbits(inner_alg.identity_mask) != dgm:
-        return fail(
-            "identity",
-            (alg.identity_mask,),
-            pt_dd(dgm, mbits(inner_alg.identity_mask)),
-            "inner image of 1' is not exactly the diagonal",
-        )
-
-    for e in range(inner_top + 1):
-        t = rows_to_bits(transpose_rows(mrows(e), d), d)
-        if t != mbits(e):
-            return fail(
-                "converse",
-                (e,),
-                pt_dd(t, mbits(e)),
-                "inner image is not symmetric",
-            )
-
-    mm: dict[tuple[int, int], int] = {}
-    cct: dict[tuple[int, int], int] = {}
-    ctc: dict[tuple[int, int], int] = {}
-    mc: dict[tuple[int, int], int] = {}
-    cm: dict[tuple[int, int], int] = {}
-
-    def prod_mm(e1, e2):
-        got = mm.get((e1, e2))
-        if got is None:
-            got = rows_to_bits(product_rows(mrows(e1), mrows(e2)), d)
-            mm[(e1, e2)] = got
-        return got
-
-    def prod_cct(s1, s2):
-        got = cct.get((s1, s2))
-        if got is None:
-            got = rows_to_bits(product_rows(crows(s1), ctrows(s2)), d)
-            cct[(s1, s2)] = got
-        return got
-
-    def prod_ctc(s1, s2):
-        got = ctc.get((s1, s2))
-        if got is None:
-            got = rows_to_bits(product_rows(ctrows(s1), crows(s2)), d)
-            ctc[(s1, s2)] = got
-        return got
-
-    def prod_mc(e, s):
-        got = mc.get((e, s))
-        if got is None:
-            got = rows_to_bits(product_rows(mrows(e), crows(s)), d)
-            mc[(e, s)] = got
-        return got
-
-    def prod_cm(s, e):
-        got = cm.get((s, e))
-        if got is None:
-            got = rows_to_bits(product_rows(crows(s), mrows(e)), d)
-            cm[(s, e)] = got
-        return got
-
-    n_elems = 1 << alg.atom_count
     pairs = 0
+
+    def fail(clause, elements, diff=0, z=None):
+        failure = layout.failure(clause, elements, diff, z)
+        return VerifyReport(False, mode, failure, pairs)
+
+    if img[0]:
+        return fail("zero", (0,))
+    ident = img[alg.identity_mask]
+    if ident != layout.diag:
+        return fail("identity", (alg.identity_mask,), ident ^ layout.diag)
+    for x in layout.converse_elements:
+        diff = layout.transpose(img[x]) ^ img[alg.converse_mask(x)]
+        if diff:
+            return fail("converse", (x,), diff)
+
+    comp = alg.comp
+    additive = layout.additive
+    if additive:
+        atom_img = [img[1 << a] for a in range(k)]
+        atom_prod = [[layout.product(p, q) for q in atom_img] for p in atom_img]
+    # unordered-pair reduction: sound once images are symmetric and the
+    # composition table commutes (then the (y,x) check is the transpose
+    # of the (x,y) check)
+    half = alg.is_symmetric and alg.is_commutative
     for x in range(n_elems):
-        e1, s1 = split(x)
-        mb1, cb1 = mbits(e1), cbits(s1)
-        for y in range(x, n_elems):
-            pairs += 1
-            e2, s2 = split(y)
-            z = alg.compose_masks(x, y)
-            ez, sz = split(z)
-
-            exp_m = mbits(ez)
-            act_d = prod_mm(e1, e2) | prod_cct(s1, s2)
-            if exp_m != act_d:
-                return fail(
-                    "compose",
-                    (x, y),
-                    pt_dd(exp_m, act_d),
-                    f"first-copy block of x;y (= {alg.format_mask(z)}) "
-                    "differs from the matrix product",
-                    pairs,
-                )
-            act_dp = prod_mm(e1, e2) | prod_ctc(s1, s2)
-            if exp_m != act_dp:
-                return fail(
-                    "compose",
-                    (x, y),
-                    pt_dpdp(exp_m, act_dp),
-                    f"mirror-copy block of x;y (= {alg.format_mask(z)}) "
-                    "differs from the matrix product",
-                    pairs,
-                )
-            exp_c = cbits(sz)
-            act_c = prod_mc(e1, s2) | prod_cm(s1, e2)
-            if exp_c != act_c:
-                return fail(
-                    "compose",
-                    (x, y),
-                    pt_ddp(exp_c, act_c),
-                    f"cross block of x;y (= {alg.format_mask(z)}) "
-                    "differs from the matrix product",
-                    pairs,
-                )
-            act_c_rev = prod_mc(e2, s1) | prod_cm(s2, e1)
-            if exp_c != act_c_rev:
-                return fail(
-                    "compose",
-                    (y, x),
-                    pt_ddp(exp_c, act_c_rev),
-                    f"cross block of y;x (= {alg.format_mask(z)}) "
-                    "differs from the matrix product",
-                    pairs,
-                )
-
-            em, sm = split(x & y)
-            if mbits(em) != mb1 & mbits(e2):
-                return fail(
-                    "meet",
-                    (x, y),
-                    pt_dd(mbits(em), mb1 & mbits(e2)),
-                    "inner block of x.y differs from intersection",
-                    pairs,
-                )
-            if cbits(sm) != cb1 & cbits(s2):
-                return fail(
-                    "meet",
-                    (x, y),
-                    pt_ddp(cbits(sm), cb1 & cbits(s2)),
-                    "cross block of x.y differs from intersection",
-                    pairs,
-                )
-
-    seen: dict[tuple[int, int], int] = {}
-    for x in range(n_elems):
-        e, s = split(x)
-        key = (mbits(e), cbits(s))
-        other = seen.setdefault(key, x)
-        if other != x:
-            return fail(
-                "injective", (other, x), None, "two elements share an image", pairs
+        start = x if half else 0
+        ys = range(start, n_elems)
+        xs = list(iter_bits(x))
+        # x;y, and for additive images image(x).image(y), distribute over
+        # the atoms of y
+        zs = _spans([_join(comp[a][b] for a in xs) for b in range(k)])[start:]
+        if additive:
+            prods = _spans([_join(atom_prod[a][b] for a in xs) for b in range(k)])[start:]
+        else:
+            prods = [layout.pair_product(x, y) for y in ys]
+        composed = list(map(img.__getitem__, zs))
+        meets = list(map(img[x].__and__, img[start:]))
+        met = list(map(img.__getitem__, map(x.__and__, ys)))
+        if prods != composed or meets != met:
+            i = next(
+                i for i in range(len(ys)) if prods[i] != composed[i] or meets[i] != met[i]
             )
+            pairs += i + 1
+            if prods[i] != composed[i]:
+                diff = prods[i] ^ composed[i]
+                return fail("compose", (x, ys[i]), diff, alg.format_mask(zs[i]))
+            return fail("meet", (x, ys[i]), meets[i] ^ met[i])
+        pairs += len(ys)
+
+    seen: dict[int, int] = {}
+    for x, bits in enumerate(img):
+        other = seen.setdefault(bits, x)
+        if other != x:
+            return fail("injective", (other, x))
 
     if full:
-        full_m = full_bits(d, d)
-        s_full = (1 << s_width) - 1
-        if mbits(inner_top) != full_m or cbits(s_full) != full_m:
-            exp, act = (
-                (full_m, mbits(inner_top))
-                if mbits(inner_top) != full_m
-                else (full_m, cbits(s_full))
-            )
-            return fail(
-                "top",
-                (alg.top_mask,),
-                pt_dd(exp, act),
-                "image of 1 does not cover the base square",
-                pairs,
-            )
+        top = img[alg.top_mask]
+        if top != layout.full:
+            return fail("top", (alg.top_mask,), top ^ layout.full)
         for x in range(n_elems):
-            e, s = split(x)
-            if mbits(inner_top ^ e) != full_m ^ mbits(e):
-                return fail(
-                    "complement",
-                    (x,),
-                    pt_dd(mbits(inner_top ^ e), full_m ^ mbits(e)),
-                    "inner block of complement(x) is not the complement",
-                    pairs,
-                )
-            if cbits(s_full ^ s) != full_m ^ cbits(s):
-                return fail(
-                    "complement",
-                    (x,),
-                    pt_ddp(cbits(s_full ^ s), full_m ^ cbits(s)),
-                    "cross block of complement(x) is not the complement",
-                    pairs,
-                )
+            diff = layout.full ^ img[x] ^ img[x ^ alg.top_mask]
+            if diff:
+                return fail("complement", (x,), diff)
 
     return VerifyReport(True, mode, None, pairs)
+
+
+def _join(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _spans(values: list[int]) -> list[int]:
+    """out[y] = union of values[b] over the set bits b of y."""
+    out = [0]
+    for v in values:
+        out += [o | v for o in out]
+    return out
+
+
+def _low_bit(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
+
+
+def _transpose_square(bits: int, d: int) -> int:
+    """Transpose of a row-major d*d bitset."""
+    if not bits:
+        return 0
+    s = format(bits, "b").zfill(d * d)[::-1]  # s[u*d+v] is bit (u,v)
+    return int("".join([s[v::d] for v in range(d)])[::-1], 2)
+
+
+def _square_product(a: int, b: int, d: int) -> int:
+    """Boolean product of two row-major d*d bitsets.
+
+    (a >> v) & column keeps bit u*d for every u with (u,v) in a; times
+    row v of b, that puts a copy of the row on each such row u, and the
+    copies sit in disjoint d-bit rows, so nothing carries.
+    """
+    if not a or not b:
+        return 0
+    row = (1 << d) - 1
+    column = full_bits(d, d) // row
+    out = 0
+    for v in range(d):
+        bv = b >> (v * d) & row
+        if bv:
+            out |= (a >> v & column) * bv
+    return out
+
+
+_DETAILS = {
+    "zero": "image of 0 is nonempty",
+    "identity": "image of 1' is not exactly the diagonal",
+    "converse": "transpose of image(x) is not image of converse(x)",
+    "compose": "image of x;y differs from the matrix product (x;y = {z})",
+    "meet": "image of x.y differs from intersection of images",
+    "injective": "two elements share an image",
+    "top": "image of 1 does not cover the base square",
+    "complement": "image of complement(x) is not the complement of image(x)",
+}
+
+
+class _RowMajor:
+    """Images of AtomLabeling and Power structures as row-major d*d bitsets.
+
+    Labeling images are unions of atom images (additive); power images
+    are not, so their products are formed pair by pair.
+    """
+
+    def __init__(self, structure: AtomLabeling | Power):
+        d = self.d = structure.base_size
+        k = structure.algebra.atom_count
+        self.additive = isinstance(structure, AtomLabeling)
+        self.img = [_image_bits(structure, x) for x in range(1 << k)]
+        self.diag = diag_bits(d)
+        self.full = full_bits(d, d)
+        # transposition is additive, so atoms decide converse for additive images
+        self.converse_elements = (
+            [1 << a for a in range(k)] if self.additive else range(1 << k)
+        )
+
+    def transpose(self, bits: int) -> int:
+        return _transpose_square(bits, self.d)
+
+    def product(self, xbits: int, ybits: int) -> int:
+        return _square_product(xbits, ybits, self.d)
+
+    def pair_product(self, x: int, y: int) -> int:
+        return self.product(self.img[x], self.img[y])
+
+    def failure(self, clause, elements, diff, z) -> VerifyFailure:
+        detail = _DETAILS[clause]
+        if clause == "converse" and self.additive:
+            detail = "transpose of atom image is not the converse atom's image"
+        point = divmod(_low_bit(diff), self.d) if diff else None
+        return VerifyFailure(clause, elements, point, detail.format(z=z))
+
+
+_XI_DETAILS = {
+    "identity": "inner image of 1' is not exactly the diagonal",
+    "converse": "inner image is not symmetric",
+    "compose": tuple(
+        f"{block} (= {{z}}) differs from the matrix product"
+        for block in (
+            "first-copy block of x;y",
+            "mirror-copy block of x;y",
+            "cross block of x;y",
+            "cross block of y;x",
+        )
+    ),
+    "meet": ("inner block of x.y differs from intersection",) * 2
+    + ("cross block of x.y differs from intersection",) * 2,
+    "complement": ("inner block of complement(x) is not the complement",) * 2
+    + ("cross block of complement(x) is not the complement",) * 2,
+}
+# (row, column) offset, in copies of D, of each block of the xi layout
+_XI_OFFSETS = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+
+class _XiBlocks:
+    """Images of an Xi structure as four d*d blocks, D | D' | C | C^T.
+
+    Bit b*d*d + u*d + v of an image is pair (u,v) of block b: D is the
+    first copy, D' the mirror copy, C the cross pairs (x,y') and C^T the
+    pairs (y',x).  The image of e + s, with e in the inner algebra and s
+    a set of bridge classes, is M(e) in both D and D', the union C(s) of
+    the classes in C and its transpose in C^T.  Over an AtomLabeling all
+    images are additive.  Otherwise the product of two images is the
+    union of the products of their inner and bridge parts, cached by
+    part pair (inner elements and class sets, not element pairs).
+    """
+
+    def __init__(self, structure: Xi):
+        alg = structure.algebra
+        if not (alg.is_symmetric and alg.is_commutative):
+            raise ValueError("xi verification requires a symmetric commutative algebra")
+        inner = structure.inner
+        d = self.d = inner.base_size
+        dd = self.dd = d * d
+        self.square = full_bits(d, d)
+        self.inner_top = inner.algebra.top_mask
+        self.additive = isinstance(inner, AtomLabeling)
+        inner_parts = [
+            m | m << dd
+            for m in (_image_bits(inner, e) for e in range(self.inner_top + 1))
+        ]
+        part = structure.partition
+        class_parts = [
+            rows_to_bits([part.row_bits(i, x) for x in range(d)], d) << 2 * dd
+            | rows_to_bits([part.col_bits(i, y) for y in range(d)], d) << 3 * dd
+            for i in range(1, structure.n + 1)
+        ]
+        self.img = [m | c for c in _spans(class_parts) for m in inner_parts]
+        dg = diag_bits(d)
+        self.diag = dg | dg << dd
+        self.full = full_bits(4, dd)
+        # the bridge blocks of every image are transposes of each other, so
+        # the inner elements decide converse
+        self.converse_elements = (
+            [1 << a for a in range(alg.atom_count)]
+            if self.additive
+            else range(self.inner_top + 1)
+        )
+        self._part_products: dict[tuple[int, int], int] = {}
+
+    def _blocks(self, bits: int) -> list[int]:
+        return [bits >> (b * self.dd) & self.square for b in range(4)]
+
+    def transpose(self, bits: int) -> int:
+        d, dd = self.d, self.dd
+        t = [_transpose_square(b, d) for b in self._blocks(bits)]
+        return t[0] | t[1] << dd | t[3] << 2 * dd | t[2] << 3 * dd
+
+    def product(self, xbits: int, ybits: int) -> int:
+        """Block product; D' = D in every image, so the D'.D' term is D.D."""
+        d, dd = self.d, self.dd
+        m1, _, c1, t1 = self._blocks(xbits)
+        m2, _, c2, t2 = self._blocks(ybits)
+        mm = _square_product(m1, m2, d)
+        first = mm | _square_product(c1, t2, d)
+        mirror = mm | _square_product(t1, c2, d)
+        cross = _square_product(m1, c2, d) | _square_product(c1, m2, d)
+        back = _square_product(t1, m2, d) | _square_product(m1, t2, d)
+        return first | mirror << dd | cross << 2 * dd | back << 3 * dd
+
+    def pair_product(self, x: int, y: int) -> int:
+        out = 0
+        for g in (x & self.inner_top, x & ~self.inner_top):
+            for h in (y & self.inner_top, y & ~self.inner_top):
+                if g and h:
+                    got = self._part_products.get((g, h))
+                    if got is None:
+                        got = self.product(self.img[g], self.img[h])
+                        self._part_products[(g, h)] = got
+                    out |= got
+        return out
+
+    def failure(self, clause, elements, diff, z) -> VerifyFailure:
+        detail = _XI_DETAILS.get(clause, _DETAILS[clause])
+        if not diff:
+            return VerifyFailure(clause, elements, None, detail)
+        d = self.d
+        block, local = divmod(_low_bit(diff), self.dd)
+        if not isinstance(detail, str):
+            detail = detail[block].format(z=z)
+        if clause == "compose" and block == 3:
+            # reported as the cross-block check of y;x, whose difference
+            # is the transpose of this block's
+            elements = elements[::-1]
+            local = _low_bit(_transpose_square(self._blocks(diff)[3], d))
+            block = 2
+        u, v = divmod(local, d)
+        du, dv = _XI_OFFSETS[block]
+        return VerifyFailure(clause, elements, (du * d + u, dv * d + v), detail)
 
 
 # -- the independent atom-level network oracle -------------------------------

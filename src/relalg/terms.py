@@ -378,23 +378,3 @@ def falsify(
         return FalsifyResult("unknown", None, trials, seed)
 
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def random_term(
-    rng: random.Random, max_depth: int, n_vars: int
-) -> Term:
-    """Random AST, used by property tests and the falsify fuzzing mode."""
-    if max_depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.7 and n_vars > 0:
-            return Var(rng.randrange(1, n_vars + 1))
-        return Const(rng.choice(["0", "1", "e"]))
-    kind = rng.randrange(5)
-    if kind == 0:
-        return Not(random_term(rng, max_depth - 1, n_vars))
-    if kind == 1:
-        return Conv(random_term(rng, max_depth - 1, n_vars))
-    cls = (Join, Meet, Comp)[kind - 2]
-    return cls(
-        random_term(rng, max_depth - 1, n_vars),
-        random_term(rng, max_depth - 1, n_vars),
-    )

@@ -3,12 +3,17 @@ import os
 import subprocess
 import sys
 
+import relalg
+
+# the package's parent directory, absolute, so that the subprocesses below
+# import this relalg whatever their working directory is
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(relalg.__file__)))
+
 
 def run(*args, cwd=None, env_extra=None):
-    env = None
-    if env_extra:
-        env = dict(os.environ)
-        env.update(env_extra)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, "-m", "relalg", *args],
         capture_output=True,
@@ -127,6 +132,8 @@ def test_exit_codes(tmp_path):
     run("construct", "--p", "3", "--n", "2", "-o", "l32.ra", cwd=tmp_path)
     out = run("falsify", "l32.ra", "x1;x2;x3;x4 = x4;x3;x2;x1", cwd=tmp_path)
     assert out.returncode == 4
+    run("affine", "--q", "16", "-o", "a16.rel", cwd=tmp_path)
+    assert run("verify", "--full", "a16.rel", cwd=tmp_path).returncode == 4
     # verification failure
     run("affine", "--q", "3", "-o", "a.rel", cwd=tmp_path)
     run("xi", "--inner", "a.rel", "--n", "2", "--seed", "0", "-o", "x.rel", cwd=tmp_path)

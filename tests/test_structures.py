@@ -262,6 +262,9 @@ def test_verify_budget_guard(aff3):
         verify_weak(build_power(aff3, 5))  # base 59049
     with pytest.raises(ResourceBudgetError):
         image(build_power(aff3, 5), 1)
+    # 2^18 images of 256x256 bits: refused before any image is built
+    with pytest.raises(ResourceBudgetError):
+        verify_full(build_affine(16))
 
 
 def test_labeling_validation(l30):

@@ -12,12 +12,13 @@ from relalg import (
     eval_bounds_power,
     image,
     montecarlo,
+    network_check,
     search_weakrep,
     sufficiency_thresholds,
     verify_full,
     verify_weak,
 )
-from relalg.structures import Xi, bits_to_rows, product_rows
+from relalg.structures import AtomLabeling, Xi, bits_to_rows, product_rows
 from relalg.xi import ExplicitPartition, PartitionRecipe, XiFastChecker, mix64
 
 
@@ -121,7 +122,8 @@ def test_xi_images_have_block_structure(aff3):
 
 
 def test_fast_checker_matches_generic_small_grid():
-    for (p, n, m) in [(3, 2, 1), (3, 3, 1), (4, 2, 1)]:
+    # n = 1 always passes, n >= 2 always fails at these sizes
+    for (p, n, m) in [(3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 1, 1), (4, 1, 1)]:
         theta = build_power(build_affine(p), m)
         checker = XiFastChecker(theta, n)
         for seed in range(8):
@@ -129,6 +131,25 @@ def test_fast_checker_matches_generic_small_grid():
             fast = checker.check(part)
             generic = verify_weak(Xi(theta, n, part, checker.algebra))
             assert fast.ok == generic.ok, (p, n, m, seed)
+
+
+def test_generic_matches_network_oracle_on_flattened_xi():
+    # over an atom labeling, xi images are unions of atom images, so the
+    # labeling read off the atom images has the same image for every
+    # element; network_check shares no code with the verifier
+    for q, seeds in ((3, (0, 1, 2)), (5, (0,))):
+        theta = build_affine(q)
+        for n in (1, 2):
+            for seed in seeds:
+                x = build_xi(theta, n, seed)
+                labels = {}
+                for a in range(1, x.algebra.atom_count):
+                    for u, v in image(x, 1 << a).pairs():
+                        labels[(u, v)] = a
+                flat = AtomLabeling(x.algebra, x.base_size, labels)
+                generic = verify_weak(x)
+                assert generic.ok == (n == 1), (q, n, seed)
+                assert network_check(flat).ok == generic.ok, (q, n, seed)
 
 
 def _replay_certificate(structure, cert):
