@@ -222,13 +222,17 @@ class FiniteRelationAlgebra:
         hit = cache.get(key)
         if hit is not None:
             return hit
+        out = cache[key] = self.compose_atoms(x, y)
+        return out
+
+    def compose_atoms(self, x: int, y: int) -> int:
+        """x;y by the atom-pair loop, without the cache."""
         out = 0
         comp = self.comp
         for a in iter_bits(x):
             row = comp[a]
             for b in iter_bits(y):
                 out |= row[b]
-        cache[key] = out
         return out
 
     def converse_mask(self, x: int) -> int:

@@ -4,8 +4,7 @@ Every command writes a deterministic text report to stdout (or a JSON
 object with --json; identical invocations give byte-identical output).
 Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 file or
 parse error, 4 resource budget exceeded.  Randomized commands always
-print the seeds they used.  --threads is accepted for compatibility;
-execution is single-process and results never depend on it.
+print the seeds they used.
 
 Budgets can also be set through environment variables
 RELALG_VERIFY_MAX_BASE and RELALG_FALSIFY_BUDGET.
@@ -588,12 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for finite symmetric integral relation algebras",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker hint; results are identical for every value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
@@ -718,8 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     if args.command == "embed":
         if args.kind == "fusion":
             missing = [f for f in ("p", "n", "i", "j", "q") if getattr(args, f) is None]

@@ -28,12 +28,13 @@ Only equations are supported; encode an inequality u <= v as u+v = v.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Union
+from itertools import cycle, product, repeat
+from operator import and_, lshift, or_, xor
+from typing import Callable, NamedTuple, Sequence, Union
 
-from .algebra import Element, FiniteRelationAlgebra
+from .algebra import Element, FiniteRelationAlgebra, iter_bits
 from .errors import ParseError, ResourceBudgetError
 
 DEFAULT_FALSIFY_BUDGET = 1 << 24
@@ -151,7 +152,7 @@ class _Parser:
         if ch == "x":
             self.pos += 1
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
                 self.pos += 1
             if self.pos == start:
                 raise self.error("variable needs a numeric index")
@@ -252,50 +253,258 @@ def equation_length(eq: Equation) -> int:
 
 
 # -- evaluation --------------------------------------------------------------
+#
+# A term compiles to one step per distinct subterm, vals[slot] =
+# fn(vals[a], vals[b]), with slots 0..m-1 holding the variables in index
+# order.  Each step sits at the level of the last variable its subterm
+# uses, and a search reruns a level's steps only when that variable
+# changes.  Composition and converse come from a kernel: falsify builds a
+# table-driven one per call, eval_term uses the algebra's own.
+
+# Entry limit of the composition tables.  The full 2^k x 2^k table fits up
+# to k = 10 atoms and the per-atom rows (k x 2^k) up to k = 16, so every
+# entry fits in 16 bits; beyond that falsify uses the atom-pair loop.
+_TABLE_ENTRIES = 1 << 20
+
+
+class _Kernel:
+    """A kernel's comp(x, y) = x;y and conv(x) = x~ on masks, extended to
+    whole rows and columns of the composition table and to vectors."""
+
+    size: int
+    comp: Callable[[int, int], int]
+    conv: Callable[[int], int]
+
+    def row(self, c: int) -> list[int]:
+        """c;y for every element y."""
+        comp = self.comp
+        return [comp(c, y) for y in range(self.size)]
+
+    def column(self, c: int) -> list[int]:
+        """x;c for every element x."""
+        comp = self.comp
+        return [comp(x, c) for x in range(self.size)]
+
+    def pair(self, xs: list[int], ys: list[int]) -> list[int]:
+        return list(map(self.comp, xs, ys))
+
+    def conv_all(self, xs: list[int]) -> list[int]:
+        return list(map(self.conv, xs))
+
+
+class _Direct(_Kernel):
+    """comp and conv given as functions, with no table."""
+
+    def __init__(self, algebra: FiniteRelationAlgebra, comp, conv):
+        self.size = algebra.top_mask + 1
+        self.comp = comp
+        self.conv = conv
+
+
+def _or_table(rows: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Flat array whose block x is the OR of rows[i] over the bits i of x.
+
+    Built by doubling: the blocks with bit i set are the blocks below 2^i
+    ORed with rows[i], one C-level pass per bit.
+    """
+    # imported here: the array extension adds about 150 KB to the resident
+    # size of every process that loads it, and only falsify builds tables
+    from array import array
+
+    out = array("H", [0] * len(rows[0]))
+    for row in rows:
+        out += array("H", map(or_, out, cycle(row)))
+    return out
+
+
+class _AtomRows(_Kernel):
+    """rows[a][y] = a;y for each atom a; x;y is the OR over the atoms of x."""
+
+    def __init__(self, algebra: FiniteRelationAlgebra):
+        self.size = algebra.top_mask + 1
+        self.rows = [_or_table([[m] for m in row]) for row in algebra.comp]
+        self.conv = _or_table([[1 << c] for c in algebra.converse]).__getitem__
+
+    def comp(self, x: int, y: int) -> int:
+        rows = self.rows
+        out = 0
+        while x:
+            low = x & -x
+            out |= rows[low.bit_length() - 1][y]
+            x ^= low
+        return out
+
+    def row(self, c: int) -> list[int]:
+        out = [0] * self.size
+        for a in iter_bits(c):
+            out = list(map(or_, out, self.rows[a]))
+        return out
+
+    def column(self, c: int) -> list[int]:
+        return _or_table([[row[c]] for row in self.rows]).tolist()
+
+
+class _Table(_AtomRows):
+    """The full table: table[x << k | y] = x;y."""
+
+    def __init__(self, algebra: FiniteRelationAlgebra):
+        super().__init__(algebra)
+        self.k = algebra.atom_count
+        self.table = _or_table(self.rows)
+        self.view = memoryview(self.table)
+
+    def comp(self, x: int, y: int) -> int:
+        return self.table[x << self.k | y]
+
+    def row(self, c: int) -> list[int]:
+        return self.view[c * self.size : (c + 1) * self.size].tolist()
+
+    def column(self, c: int) -> list[int]:
+        return self.view[c :: self.size].tolist()
+
+    def pair(self, xs: list[int], ys: list[int]) -> list[int]:
+        keys = map(or_, map(lshift, xs, repeat(self.k)), ys)
+        return list(map(self.table.__getitem__, keys))
+
+
+def _kernel(algebra: FiniteRelationAlgebra) -> _Kernel:
+    """The largest composition kernel whose table fits _TABLE_ENTRIES."""
+    k = algebra.atom_count
+    if 1 << 2 * k <= _TABLE_ENTRIES:
+        return _Table(algebra)
+    if k << k <= _TABLE_ENTRIES:
+        return _AtomRows(algebra)
+    return _Direct(algebra, algebra.compose_atoms, algebra.converse_mask)
+
+
+def _lift(op: Callable[[int, int], int], xv: bool, yv: bool) -> Callable:
+    """op on masks, mapped over whichever operands are vectors."""
+    if xv and yv:
+        return lambda xs, ys: list(map(op, xs, ys))
+    if xv:
+        return lambda xs, c: list(map(op, xs, repeat(c)))
+    if yv:
+        return lambda c, ys: list(map(op, repeat(c), ys))
+    return op
+
+
+def _gather(table: list[int], index: list[int]) -> list[int]:
+    return list(map(table.__getitem__, index))
+
+
+class _Node(NamedTuple):
+    slot: int
+    level: int  # -1: evaluated at compile time
+    vector: bool  # holds a list over the vector variable
+
+
+def _compile(
+    roots: Sequence[Term],
+    order: list[int],
+    algebra: FiniteRelationAlgebra,
+    kernel: _Kernel,
+    vector: bool = False,
+) -> tuple[list, list[list[tuple]], list[int]]:
+    """Compile terms over the variables ``order`` into levelled steps.
+
+    Returns (vals, levels, slots): vals with the variable-free slots
+    filled in, levels[i] the steps (slot, fn, a, b) to rerun when order[i]
+    changes, children before parents, and the result slot of each root.
+
+    With ``vector`` the last variable holds the list of all elements and
+    sets no level: a subterm that uses it is a vector, rerun when an
+    earlier variable changes.  c;y over that variable is the table row of
+    c and x;c its column, each hoisted to the level of c and gathered at
+    the indices the other operand gives.  A root that does not use the
+    variable is broadcast to a list, so both sides compare as lists.
+    """
+    size = algebra.top_mask + 1
+    inner = len(order) - 1 if vector and order else None
+    vals: list = [0] * len(order)
+    if inner is not None:
+        vals[inner] = list(range(size))
+    levels: list[list[tuple]] = [[] for _ in order]
+    position = {v: i for i, v in enumerate(order)}
+    constants = {"0": 0, "1": algebra.top_mask, "e": algebra.identity_mask}
+    memo: dict[Term, _Node] = {}
+
+    def add(fn, x: _Node, y: _Node, vector: bool) -> _Node:
+        level = max(x.level, y.level)
+        vals.append(None)
+        slot = len(vals) - 1
+        if level < 0:
+            vals[slot] = fn(vals[x.slot], vals[y.slot])
+        else:
+            levels[level].append((slot, fn, x.slot, y.slot))
+        return _Node(slot, level, vector)
+
+    def node(t: Term) -> _Node:
+        if t in memo:
+            return memo[t]
+        if isinstance(t, Var):
+            i = position[t.index]
+            out = _Node(i, -1, True) if i == inner else _Node(i, i, False)
+        elif isinstance(t, Const):
+            vals.append(constants[t.name])
+            out = _Node(len(vals) - 1, -1, False)
+        elif isinstance(t, Not):  # x xor top
+            x = node(t.arg)
+            out = add(_lift(xor, x.vector, False), x, node(Const("1")), x.vector)
+        elif isinstance(t, Conv):
+            x = node(t.arg)
+            conv = kernel.conv_all if x.vector else kernel.conv
+            out = add(lambda v, _: conv(v), x, x, x.vector)
+        elif isinstance(t, (Join, Meet)):
+            x, y = node(t.left), node(t.right)
+            op = or_ if isinstance(t, Join) else and_
+            out = add(_lift(op, x.vector, y.vector), x, y, x.vector or y.vector)
+        else:
+            x, y = node(t.left), node(t.right)
+            if x.vector and y.vector:
+                out = add(kernel.pair, x, y, True)
+            elif x.vector:  # x;c for each x: the column of c
+                column = add(lambda c, _: kernel.column(c), y, y, True)
+                out = column if x.slot == inner else add(_gather, column, x, True)
+            elif y.vector:  # c;y for each y: the row of c
+                row = add(lambda c, _: kernel.row(c), x, x, True)
+                out = row if y.slot == inner else add(_gather, row, y, True)
+            else:
+                out = add(kernel.comp, x, y, False)
+        memo[t] = out
+        return out
+
+    slots = []
+    for root in roots:
+        r = node(root)
+        if inner is not None and not r.vector:
+            r = add(lambda c, _: [c] * size, r, r, True)
+        slots.append(r.slot)
+    return vals, levels, slots
+
+
+def _run(vals: list, steps: list[tuple]) -> None:
+    for slot, fn, a, b in steps:
+        vals[slot] = fn(vals[a], vals[b])
 
 
 def eval_term(
     t: Term, algebra: FiniteRelationAlgebra, assignment: dict[int, Element]
 ) -> Element:
-    """Evaluate a term under a variable assignment."""
-    return algebra.element(_compile(t, algebra)(_assignment_masks(t, assignment)))
+    """Evaluate a term under a variable assignment.
 
-
-def _assignment_masks(t: Term, assignment: dict[int, Element]) -> dict[int, int]:
-    masks = {}
-    for v in variables(t):
+    Uses ``algebra.compose_masks`` as its kernel, so it stays an
+    independent check on the composition tables ``falsify`` builds.
+    """
+    order = sorted(variables(t))
+    kernel = _Direct(algebra, algebra.compose_masks, algebra.converse_mask)
+    vals, levels, (root,) = _compile((t,), order, algebra, kernel)
+    for i, v in enumerate(order):
         if v not in assignment:
             raise ValueError(f"unbound variable x{v}")
-        masks[v] = assignment[v].bits
-    return masks
-
-
-def _compile(
-    t: Term, algebra: FiniteRelationAlgebra
-) -> Callable[[dict[int, int]], int]:
-    """Compile a term to a mask-level evaluator (used by the search loop)."""
-    top = algebra.top_mask
-    comp = algebra.compose_masks
-    conv = algebra.converse_mask
-    if isinstance(t, Var):
-        idx = t.index
-        return lambda env: env[idx]
-    if isinstance(t, Const):
-        val = {"0": 0, "1": top, "e": algebra.identity_mask}[t.name]
-        return lambda env: val
-    if isinstance(t, Not):
-        f = _compile(t.arg, algebra)
-        return lambda env: f(env) ^ top
-    if isinstance(t, Conv):
-        f = _compile(t.arg, algebra)
-        return lambda env: conv(f(env))
-    f = _compile(t.left, algebra)
-    g = _compile(t.right, algebra)
-    if isinstance(t, Join):
-        return lambda env: f(env) | g(env)
-    if isinstance(t, Meet):
-        return lambda env: f(env) & g(env)
-    return lambda env: comp(f(env), g(env))
+        vals[i] = assignment[v].bits
+    for steps in levels:
+        _run(vals, steps)
+    return algebra.element(vals[root])
 
 
 # -- falsification search ----------------------------------------------------
@@ -338,43 +547,59 @@ def falsify(
     first witness, or "valid" after a complete scan; it refuses to start
     when |algebra|^(variable count) exceeds the budget.  Random mode
     draws seeded assignments and returns "unknown" if none falsifies.
+    Both evaluate through a kernel built once per call within
+    _TABLE_ENTRIES, so memory is fixed before the search starts and the
+    algebra's composition cache is left untouched.
     """
-    vars_sorted = sorted(variables(eq))
-    lhs = _compile(eq.lhs, algebra)
-    rhs = _compile(eq.rhs, algebra)
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    order = sorted(variables(eq))
     size = algebra.top_mask + 1
+    if mode == "exhaustive" and size ** len(order) > budget:
+        raise ResourceBudgetError(
+            f"exhaustive search needs {size ** len(order)} assignments, "
+            f"budget is {budget}"
+        )
+    kernel = _kernel(algebra)
 
-    if mode == "exhaustive":
-        total = size ** len(vars_sorted)
-        if total > budget:
-            raise ResourceBudgetError(
-                f"exhaustive search needs {total} assignments, budget is {budget}"
-            )
-        tried = 0
-        env: dict[int, int] = {}
-        for combo in itertools.product(range(size), repeat=len(vars_sorted)):
-            tried += 1
-            for v, m in zip(vars_sorted, combo):
-                env[v] = m
-            if lhs(env) != rhs(env):
-                assignment = {
-                    v: algebra.element(m) for v, m in zip(vars_sorted, combo)
-                }
-                return FalsifyResult("falsified", assignment, tried)
-        return FalsifyResult("valid", None, tried)
+    def witness(masks) -> dict[int, Element]:
+        return {v: algebra.element(m) for v, m in zip(order, masks)}
 
     if mode == "random":
+        vals, levels, (lhs, rhs) = _compile((eq.lhs, eq.rhs), order, algebra, kernel)
+        steps = [step for level in levels for step in level]
         rng = random.Random(seed)
-        env = {}
         for t in range(trials):
-            combo = [rng.randrange(size) for _ in vars_sorted]
-            for v, m in zip(vars_sorted, combo):
-                env[v] = m
-            if lhs(env) != rhs(env):
-                assignment = {
-                    v: algebra.element(m) for v, m in zip(vars_sorted, combo)
-                }
-                return FalsifyResult("falsified", assignment, t + 1, seed)
+            vals[: len(order)] = [rng.randrange(size) for _ in order]
+            _run(vals, steps)
+            if vals[lhs] != vals[rhs]:
+                return FalsifyResult("falsified", witness(vals), t + 1, seed)
         return FalsifyResult("unknown", None, trials, seed)
 
-    raise ValueError(f"unknown mode {mode!r}")
+    # Exhaustive: the last variable is a vector, so each prefix of the
+    # others stands for `size` assignments, in scan order.
+    vals, levels, (lhs, rhs) = _compile(
+        (eq.lhs, eq.rhs), order, algebra, kernel, vector=True
+    )
+    if not order:
+        if vals[lhs] != vals[rhs]:
+            return FalsifyResult("falsified", {}, 1)
+        return FalsifyResult("valid", None, 1)
+    depth = len(order) - 1
+    for prefix, combo in enumerate(product(range(size), repeat=depth)):
+        # the odometer moved its last digit and each digit before it that wrapped
+        first = depth - 1
+        while first > 0 and combo[first] == 0:
+            first -= 1
+        for level in range(max(first, 0), depth):
+            vals[level] = combo[level]
+            _run(vals, levels[level])
+        left, right = vals[lhs], vals[rhs]
+        if left != right:
+            j = next(j for j in range(size) if left[j] != right[j])
+            return FalsifyResult(
+                "falsified", witness(combo + (j,)), prefix * size + j + 1
+            )
+    return FalsifyResult("valid", None, size ** len(order))

@@ -132,6 +132,13 @@ def test_exit_codes(tmp_path):
     run("construct", "--p", "3", "--n", "2", "-o", "l32.ra", cwd=tmp_path)
     out = run("falsify", "l32.ra", "x1;x2;x3;x4 = x4;x3;x2;x1", cwd=tmp_path)
     assert out.returncode == 4
+    # parse error: variable indices are ASCII digits only
+    for equation in ("x\u00b2 = x1", "x1 = x\uff11"):
+        out = run("falsify", "l32.ra", equation, cwd=tmp_path)
+        assert out.returncode == 3 and "parse error" in out.stderr
+    # usage: a negative trial count
+    out = run("falsify", "l32.ra", "x1=x1", "--mode", "random", "--trials", "-5", cwd=tmp_path)
+    assert out.returncode == 2 and out.stdout == ""
     run("affine", "--q", "16", "-o", "a16.rel", cwd=tmp_path)
     assert run("verify", "--full", "a16.rel", cwd=tmp_path).returncode == 4
     # verification failure
@@ -174,13 +181,6 @@ def test_json_output_is_deterministic(tmp_path):
     json.loads(a.stdout)
     a = run("--json", "search", "--p", "3", "--n", "1", "--m", "1", "--seeds", "0:3", cwd=tmp_path)
     b = run("--json", "search", "--p", "3", "--n", "1", "--m", "1", "--seeds", "0:3", cwd=tmp_path)
-    assert a.stdout == b.stdout
-
-
-def test_threads_flag_does_not_change_output(tmp_path):
-    run("construct", "--p", "3", "--n", "2", "-o", "l32.ra", cwd=tmp_path)
-    a = run("--json", "--threads", "1", "check-axioms", "l32.ra", cwd=tmp_path)
-    b = run("--json", "--threads", "4", "check-axioms", "l32.ra", cwd=tmp_path)
     assert a.stdout == b.stdout
 
 

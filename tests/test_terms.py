@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from relalg import build_lpn
+from relalg import build_lpn, terms
+from relalg.algebra import FiniteRelationAlgebra
 from relalg.errors import ParseError, ResourceBudgetError
 from relalg.terms import (
     Comp,
@@ -71,6 +73,13 @@ def test_parse_errors_carry_positions():
         parse_equation("x1 + x2")
     with pytest.raises(ParseError):
         parse_term("x1 ? x2")
+
+
+@pytest.mark.parametrize("text", ["x\u00b2 = x1", "x1 = x\uff11", "x\u0661", "x1\u00b2"])
+def test_variable_index_takes_ascii_digits_only(text):
+    # superscript, fullwidth and Arabic-Indic digits are not indices
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 @pytest.mark.parametrize(
@@ -205,13 +214,23 @@ def test_falsify_random_mode_deterministic(l32):
 
 
 def _nested_loop_oracle(eq, alg):
-    """Independent exhaustive check by plain nested loops over Elements."""
+    """Independent exhaustive check by plain nested loops over Elements:
+    (status, first witness masks, assignments tried)."""
     vs = sorted(variables(eq))
+    tried = 0
     for combo in itertools.product(range(alg.top_mask + 1), repeat=len(vs)):
+        tried += 1
         asg = {v: alg.element(m) for v, m in zip(vs, combo)}
         if eval_term(eq.lhs, alg, asg) != eval_term(eq.rhs, alg, asg):
-            return dict(zip(vs, combo))
-    return None
+            return "falsified", dict(zip(vs, combo)), tried
+    return "valid", None, tried
+
+
+def _outcome(res):
+    witness = None if res.assignment is None else {
+        v: e.bits for v, e in res.assignment.items()
+    }
+    return res.status, witness, res.tried
 
 
 @given(_terms, _terms)
@@ -220,10 +239,139 @@ def test_falsify_matches_nested_loop_oracle(lhs, rhs):
     eq = Equation(lhs, rhs)
     if len(variables(eq)) > 2:
         return  # keep the oracle affordable
-    res = falsify(eq, alg)
-    oracle = _nested_loop_oracle(eq, alg)
-    if oracle is None:
-        assert res.status == "valid"
-    else:
-        assert res.falsified
-        assert {v: e.bits for v, e in res.assignment.items()} == oracle
+    assert _outcome(falsify(eq, alg)) == _nested_loop_oracle(eq, alg)
+
+
+def _complex_algebra_s3():
+    """Cm(S3): atoms are the six permutations of {0,1,2}, a;b the product
+    and a~ the inverse, so the algebra is neither commutative nor symmetric."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(perms)}
+
+    def inverse(g):
+        return tuple(sorted(range(3), key=g.__getitem__))
+
+    comp = [[1 << index[tuple(g[h[i]] for i in range(3))] for h in perms] for g in perms]
+    alg = FiniteRelationAlgebra(
+        [f"g{i}" for i in range(6)],
+        [index[(0, 1, 2)]],
+        [index[inverse(g)] for g in perms],
+        comp,
+        name="Cm(S3)",
+    )
+    assert not alg.is_commutative and not alg.is_symmetric
+    return alg
+
+
+# (p, n, equation, status): every variable count sees both verdicts
+_STAGED_CASES = [
+    (3, 0, "-0 = 1", "valid"),
+    (3, 1, "e = 1", "falsified"),
+    (3, 0, "x1;e = x1", "valid"),
+    (3, 1, "x1~ = x1", "valid"),
+    (3, 0, "x1;x1 = x1", "falsified"),
+    (3, 1, "e&x1 = x1;0", "falsified"),
+    (3, 0, "x1~;-(x1;x2)+-x2 = -x2", "valid"),
+    (3, 1, "x1;x2 = x2;x1", "valid"),
+    (3, 0, "x2;x1 = x1", "falsified"),
+    (3, 1, "x1&-x2 = x2;e", "falsified"),
+    (3, 0, "x1;(x2;x3) = (x1;x2);x3", "valid"),
+    (3, 0, "x3&x1 = x3;x2", "falsified"),
+    (3, 1, "x1;(x2&x3) = (x1;x2)&(x1;x3)", "falsified"),
+    (3, 1, "-x3~;x1 = x2+x3", "falsified"),
+]
+
+
+@pytest.mark.parametrize("p,n,text,status", _STAGED_CASES)
+def test_staged_falsify_matches_nested_loop(p, n, text, status):
+    alg = build_lpn(p, n)
+    eq = parse_equation(text)
+    got = _outcome(falsify(eq, alg))
+    assert got[0] == status
+    assert got == _nested_loop_oracle(eq, alg)
+
+
+# x2 is the vector variable, so x2;x1, x2~;x1 and x2~;x1~ take the column path
+_S3_CASES = [
+    ("e~ = e", "valid"),
+    ("1;1 = e", "falsified"),
+    ("x1~~ = x1", "valid"),
+    ("x1;x1~ = x1~;x1", "falsified"),
+    ("(x1;x2)~ = x2~;x1~", "valid"),
+    ("x2;x1 = x1;x2", "falsified"),
+    ("x2~;x1 = (x1~;x2)~", "valid"),
+    ("x1;x2;x3 = x3;x2;x1", "falsified"),
+]
+
+
+@pytest.mark.parametrize("entries,kind", [(1 << 20, "_Table"), (1000, "_AtomRows"), (100, "_Direct")])
+@pytest.mark.parametrize("text,status", _S3_CASES)
+def test_staged_falsify_noncommutative(monkeypatch, entries, kind, text, status):
+    alg = _complex_algebra_s3()
+    monkeypatch.setattr(terms, "_TABLE_ENTRIES", entries)
+    assert type(terms._kernel(alg)).__name__ == kind
+    eq = parse_equation(text)
+    got = _outcome(falsify(eq, alg))
+    assert got[0] == status
+    assert got == _nested_loop_oracle(eq, alg)
+
+
+@pytest.mark.parametrize("kind", [terms._Table, terms._AtomRows])
+def test_kernel_tables_match_compose_masks(kind):
+    alg = _complex_algebra_s3()
+    kernel = kind(alg)
+    elements = range(alg.top_mask + 1)
+    for c in elements:
+        assert kernel.row(c) == [alg.compose_masks(c, y) for y in elements]
+        assert kernel.column(c) == [alg.compose_masks(x, c) for x in elements]
+        assert kernel.conv(c) == alg.converse_mask(c)
+    assert kernel.pair(list(elements), list(reversed(elements))) == [
+        alg.compose_masks(x, alg.top_mask - x) for x in elements
+    ]
+
+
+def _random_oracle(eq, alg, seed, trials):
+    """Random mode replayed with eval_term on the same RNG stream."""
+    vs = sorted(variables(eq))
+    rng = random.Random(seed)
+    for t in range(trials):
+        asg = {v: alg.element(rng.randrange(alg.top_mask + 1)) for v in vs}
+        if eval_term(eq.lhs, alg, asg) != eval_term(eq.rhs, alg, asg):
+            return "falsified", {v: e.bits for v, e in asg.items()}, t + 1
+    return "unknown", None, trials
+
+
+def test_random_falsify_leaves_compose_cache_empty():
+    alg = build_lpn(9, 3)
+    assert isinstance(terms._kernel(alg), terms._AtomRows)
+    eq = parse_equation("x1;(x2;x3) = (x1;x2);x3")
+    res = falsify(eq, alg, mode="random", seed=5, trials=300)
+    assert _outcome(res) == _random_oracle(eq, alg, 5, 300)
+    alg._comp_cache.clear()  # the oracle fills it through eval_term
+    falsify(eq, alg, mode="random", seed=5, trials=300)
+    assert len(alg._comp_cache) == 0
+
+
+@pytest.mark.parametrize("text", ["x1;(x2;x3) = (x1;x2);x3", "x1;x2 = x2"])
+def test_random_falsify_direct_kernel_above_row_limit(text):
+    alg = build_lpn(13, 2)  # 17 atoms: 17 * 2^17 entries exceed the limit
+    assert (alg.atom_count << alg.atom_count) > terms._TABLE_ENTRIES
+    assert type(terms._kernel(alg)) is terms._Direct
+    eq = parse_equation(text)
+    res = falsify(eq, alg, mode="random", seed=2, trials=40)
+    assert len(alg._comp_cache) == 0
+    assert _outcome(res) == _random_oracle(eq, alg, 2, 40)
+
+
+def test_falsify_budget_refused_before_tables(l32, monkeypatch):
+    def no_tables(algebra):
+        raise AssertionError("kernel built for a search over budget")
+
+    monkeypatch.setattr(terms, "_kernel", no_tables)
+    with pytest.raises(ResourceBudgetError):
+        falsify(parse_equation("x1;x2;x3;x4 = x4;x3;x2;x1"), l32)
+
+
+def test_falsify_rejects_negative_trials(l32):
+    with pytest.raises(ValueError):
+        falsify(parse_equation("x1 = x1"), l32, mode="random", trials=-5)
