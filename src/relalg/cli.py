@@ -1,13 +1,19 @@
 """Command-line interface.
 
-Every command writes a deterministic text report to stdout (or a JSON
-object with --json; identical invocations give byte-identical output).
+Every command returns one report, ``(exit_code, payload, lines)``, whose
+text lines are formatted from the values computed for the JSON payload.
+``main`` is the single emission point: it prints the lines, or with
+--json the payload plus its "command" key as one sorted JSON object
+(identical invocations give byte-identical output).
 Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 file or
 parse error, 4 resource budget exceeded.  Randomized commands always
 print the seeds they used.
 
 Budgets can also be set through environment variables
-RELALG_VERIFY_MAX_BASE and RELALG_FALSIFY_BUDGET.
+RELALG_VERIFY_MAX_BASE and RELALG_FALSIFY_BUDGET.  ``beta`` and
+``params`` print m and the element count in full, so they refuse
+m >= 2^MAX_BETA_BITS (or an --m longer than that many characters) and
+gamma > MAX_PARAMS_GAMMA before any work starts.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ EXIT_USAGE = 2
 EXIT_FILE = 3
 EXIT_BUDGET = 4
 
+MAX_BETA_BITS = 4096
+MAX_PARAMS_GAMMA = 13  # L(8209,4105): 2^12316 elements, 3708 digits
+
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
@@ -38,20 +47,19 @@ def _env_int(name: str, default: int) -> int:
         raise ValueError(f"environment variable {name} must be an integer") from None
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _parse_int(value: str) -> int:
-    """Plain integer or 2^k power notation."""
-    if "^" in value:
-        base, _, exp = value.partition("^")
-        return int(base) ** int(exp)
-    return int(value)
+def _parse_m(value: str) -> int:
+    """beta's m: a plain integer or 2^k power notation, below 2^MAX_BETA_BITS."""
+    base, sep, exp = value.partition("^")
+    if len(value) <= MAX_BETA_BITS:
+        m, k = int(base), int(exp) if sep else 1
+        if k < 0:
+            raise ValueError("the exponent of m must be nonnegative")
+        # m^k >= 2^((bits(m) - 1) k): refuse before computing the power
+        if k * (abs(m).bit_length() - 1) < MAX_BETA_BITS:
+            m **= k
+            if abs(m).bit_length() <= MAX_BETA_BITS:
+                return m
+    raise ResourceBudgetError(f"beta refuses m >= 2^{MAX_BETA_BITS}")
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -66,65 +74,51 @@ def _parse_seeds(spec: str) -> list[int]:
 
 
 def _gens_from_spec(algebra, spec: str):
-    gens = []
-    for part in spec.split(","):
-        gens.append(algebra.parse_element(part.strip()))
-    return gens
+    return [algebra.parse_element(part.strip()) for part in spec.split(",")]
 
 
 # -- command implementations ---------------------------------------------------
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     algebra = lpn.build_lpn(args.p, args.n)
     fileformat.save_algebra(algebra, args.output)
-    _emit(
-        args,
-        {
-            "command": "construct",
-            "p": args.p,
-            "n": args.n,
-            "atoms": algebra.atom_count,
-            "elements": 1 << algebra.atom_count,
-            "output": args.output,
-        },
-        [
-            f"wrote L({args.p},{args.n}) to {args.output}: "
-            f"{algebra.atom_count} atoms, {1 << algebra.atom_count} elements"
-        ],
-    )
-    return EXIT_OK
+    k = algebra.atom_count
+    payload = {
+        "p": args.p,
+        "n": args.n,
+        "atoms": k,
+        "elements": 1 << k,
+        "output": args.output,
+    }
+    text = f"wrote L({args.p},{args.n}) to {args.output}: {k} atoms, {1 << k} elements"
+    return EXIT_OK, payload, [text]
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args):
     fused = lpn.build_fused(args.p, args.n, args.i, args.j)
     fileformat.save_algebra(fused.algebra, args.output)
     ok = fused.inclusion_report.ok
-    _emit(
-        args,
-        {
-            "command": "fuse",
-            "p": args.p,
-            "n": args.n,
-            "i": fused.i,
-            "j": fused.j,
-            "atoms": fused.algebra.atom_count,
-            "inclusion_verified": ok,
-            "output": args.output,
-        },
-        [
-            f"wrote L^{fused.i}{fused.j}({args.p},{args.n}) to {args.output}: "
-            f"{fused.algebra.atom_count} atoms, inclusion verified: {ok}"
-        ],
+    payload = {
+        "p": args.p,
+        "n": args.n,
+        "i": fused.i,
+        "j": fused.j,
+        "atoms": fused.algebra.atom_count,
+        "inclusion_verified": ok,
+        "output": args.output,
+    }
+    text = (
+        f"wrote L^{fused.i}{fused.j}({args.p},{args.n}) to {args.output}: "
+        f"{fused.algebra.atom_count} atoms, inclusion verified: {ok}"
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL, payload, [text]
 
 
-def cmd_check_axioms(args) -> int:
+def cmd_check_axioms(args):
     algebra = fileformat.load_algebra(args.algebra)
     report = check_axioms(algebra)
     payload = {
-        "command": "check-axioms",
         "algebra": args.algebra,
         "associativity": report.associativity_ok,
         "identity": report.identity_ok,
@@ -138,128 +132,83 @@ def cmd_check_axioms(args) -> int:
             "atoms": list(report.first_failure.atoms),
             "detail": report.first_failure.detail,
         }
-    _emit(args, payload, [report.summary()])
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL, payload, [report.summary()]
 
 
-def _write_structure_with_algebra(args, structure, *, inner_path=None) -> str:
+def _write_structure_with_algebra(args, structure) -> str:
+    """Save ``structure`` to -o and its algebra to --algebra-out (default: -o
+    with a .ra suffix); the file names the algebra and any --inner by paths
+    relative to itself."""
+    out_dir = os.path.dirname(os.path.abspath(args.output))
     algebra_out = args.algebra_out
     if algebra_out is None:
         algebra_out = os.path.splitext(args.output)[0] + ".ra"
     fileformat.save_algebra(structure.algebra, algebra_out)
-    rel = os.path.relpath(algebra_out, os.path.dirname(os.path.abspath(args.output)))
+    inner = getattr(args, "inner", None)
     fileformat.save_structure(
         structure,
         args.output,
-        algebra_path=rel,
-        inner_path=inner_path,
+        algebra_path=os.path.relpath(algebra_out, out_dir),
+        inner_path=None if inner is None else os.path.relpath(inner, out_dir),
         explicit=getattr(args, "explicit", False),
     )
     return algebra_out
 
 
-def cmd_affine(args) -> int:
-    structure = structures.build_affine(args.q)
+def cmd_plane(args):
+    """affine: the affine-plane structure for L(q,0); double: its doubling
+    for L(q,1)."""
+    doubled = args.command == "double"
+    build = structures.build_doubled if doubled else structures.build_affine
+    structure = build(args.q)
     algebra_out = _write_structure_with_algebra(args, structure)
-    _emit(
-        args,
-        {
-            "command": "affine",
-            "q": args.q,
-            "base": structure.base_size,
-            "output": args.output,
-            "algebra_output": algebra_out,
-        },
-        [
-            f"wrote affine structure for L({args.q},0) on {structure.base_size} "
-            f"points to {args.output} (algebra: {algebra_out})"
-        ],
+    payload = {
+        "q": args.q,
+        "base": structure.base_size,
+        "output": args.output,
+        "algebra_output": algebra_out,
+    }
+    text = (
+        f"wrote {'doubled' if doubled else 'affine'} structure for "
+        f"L({args.q},{int(doubled)}) on {structure.base_size} points to "
+        f"{args.output} (algebra: {algebra_out})"
     )
-    return EXIT_OK
+    return EXIT_OK, payload, [text]
 
 
-def cmd_double(args) -> int:
-    structure = structures.build_doubled(args.q)
-    algebra_out = _write_structure_with_algebra(args, structure)
-    _emit(
-        args,
-        {
-            "command": "double",
-            "q": args.q,
-            "base": structure.base_size,
-            "output": args.output,
-            "algebra_output": algebra_out,
-        },
-        [
-            f"wrote doubled structure for L({args.q},1) on {structure.base_size} "
-            f"points to {args.output} (algebra: {algebra_out})"
-        ],
-    )
-    return EXIT_OK
-
-
-def cmd_power(args) -> int:
+def cmd_power(args):
     inner = fileformat.load_structure(args.inner)
     structure = structures.build_power(inner, args.m)
-    out_dir = os.path.dirname(os.path.abspath(args.output))
-    inner_rel = os.path.relpath(os.path.abspath(args.inner), out_dir)
-    algebra_out = args.algebra_out
-    if algebra_out is None:
-        algebra_out = os.path.splitext(args.output)[0] + ".ra"
-    fileformat.save_algebra(structure.algebra, algebra_out)
-    algebra_rel = os.path.relpath(algebra_out, out_dir)
-    # m = 1 collapses to the inner structure, which re-saves as its own kind
-    fileformat.save_structure(
-        structure, args.output, algebra_path=algebra_rel, inner_path=inner_rel
-    )
-    _emit(
-        args,
-        {
-            "command": "power",
-            "m": args.m,
-            "base": structure.base_size,
-            "output": args.output,
-        },
-        [f"wrote power structure (m={args.m}) on {structure.base_size} points"],
-    )
-    return EXIT_OK
+    # m = 1 collapses to the inner structure, whose own inner path is not
+    # known here; a power line over --inner reloads to it whatever its kind
+    _write_structure_with_algebra(args, structures.Power(inner, args.m))
+    payload = {
+        "m": args.m,
+        "base": structure.base_size,
+        "output": args.output,
+    }
+    text = f"wrote power structure (m={args.m}) on {structure.base_size} points"
+    return EXIT_OK, payload, [text]
 
 
-def cmd_xi(args) -> int:
+def cmd_xi(args):
     inner = fileformat.load_structure(args.inner)
     structure = xi.build_xi(inner, args.n, args.seed)
-    out_dir = os.path.dirname(os.path.abspath(args.output))
-    inner_rel = os.path.relpath(os.path.abspath(args.inner), out_dir)
-    algebra_out = args.algebra_out
-    if algebra_out is None:
-        algebra_out = os.path.splitext(args.output)[0] + ".ra"
-    fileformat.save_algebra(structure.algebra, algebra_out)
-    algebra_rel = os.path.relpath(algebra_out, out_dir)
-    fileformat.save_structure(
-        structure,
-        args.output,
-        algebra_path=algebra_rel,
-        inner_path=inner_rel,
-        explicit=args.explicit,
+    _write_structure_with_algebra(args, structure)
+    payload = {
+        "n": args.n,
+        "seed": args.seed,
+        "base": structure.base_size,
+        "output": args.output,
+    }
+    text = (
+        f"wrote xi structure (n={args.n}, seed={args.seed}) on "
+        f"{structure.base_size} points to {args.output}"
     )
-    _emit(
-        args,
-        {
-            "command": "xi",
-            "n": args.n,
-            "seed": args.seed,
-            "base": structure.base_size,
-            "output": args.output,
-        },
-        [
-            f"wrote xi structure (n={args.n}, seed={args.seed}) on "
-            f"{structure.base_size} points to {args.output}"
-        ],
-    )
-    return EXIT_OK
+    return EXIT_OK, payload, [text]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     structure = fileformat.load_structure(args.structure)
     max_base = _env_int("RELALG_VERIFY_MAX_BASE", structures.DEFAULT_VERIFY_MAX_BASE)
     if args.max_base is not None:
@@ -269,7 +218,6 @@ def cmd_verify(args) -> int:
     else:
         report = structures.verify_weak(structure, max_base=max_base)
     payload = {
-        "command": "verify",
         "structure": args.structure,
         "mode": report.mode,
         "ok": report.ok,
@@ -284,37 +232,30 @@ def cmd_verify(args) -> int:
             "point": list(report.failure.point) if report.failure.point else None,
             "detail": report.failure.detail,
         }
-    _emit(args, payload, [report.summary(structure.algebra)])
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
+    text = report.summary(structure.algebra)
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL, payload, [text]
 
 
-def cmd_degree_audit(args) -> int:
+def cmd_degree_audit(args):
     structure = fileformat.load_structure(args.structure)
     report = structures.degree_audit(structure, claim_full=args.claim_full)
     names = structure.algebra.atom_names
-    lines = []
-    degrees_json = {}
-    for a, (lo, hi) in sorted(report.degrees.items()):
-        lines.append(f"atom {names[a]}: degree {lo}..{hi}")
-        degrees_json[names[a]] = [lo, hi]
-    lines.append(report.detail)
+    degrees = {names[a]: [lo, hi] for a, (lo, hi) in sorted(report.degrees.items())}
     payload = {
-        "command": "degree-audit",
         "structure": args.structure,
-        "degrees": degrees_json,
+        "degrees": degrees,
         "claim_full": args.claim_full,
         "ok": report.ok,
         "detail": report.detail,
     }
-    _emit(args, payload, lines)
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
+    lines = [f"atom {name}: degree {lo}..{hi}" for name, (lo, hi) in degrees.items()]
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAIL, payload, lines + [report.detail]
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     seeds = _parse_seeds(args.seeds)
     report = xi.search_weakrep(args.p, args.n, args.m, seeds, mode=args.mode)
     payload = {
-        "command": "search",
         "p": args.p,
         "n": args.n,
         "m": args.m,
@@ -333,11 +274,10 @@ def cmd_search(args) -> int:
         ],
         "passes": report.passes,
     }
-    _emit(args, payload, report.summary_lines())
-    return EXIT_OK
+    return EXIT_OK, payload, report.summary_lines()
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     if args.m is not None:
         report = xi.eval_bounds_power(args.p, args.n, args.m, mode=args.mode)
     else:
@@ -345,7 +285,6 @@ def cmd_bounds(args) -> int:
             raise ValueError("bounds needs either --m or both --d and --k")
         report = xi.eval_bounds(args.p, args.n, args.d, args.k, mode=args.mode)
     payload = {
-        "command": "bounds",
         "p": report.p,
         "n": report.n,
         "d": report.d,
@@ -356,21 +295,16 @@ def cmd_bounds(args) -> int:
         "failure_bound": report.failure_bound,
         "mode": report.mode,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"d={report.d} k={report.k}: ineq1={report.ineq1} ineq2={report.ineq2} "
-            f"failure_bound={report.failure_bound:.6g} ({report.mode})"
-        ],
+    text = (
+        f"d={report.d} k={report.k}: ineq1={report.ineq1} ineq2={report.ineq2} "
+        f"failure_bound={report.failure_bound:.6g} ({report.mode})"
     )
-    return EXIT_OK
+    return EXIT_OK, payload, [text]
 
 
-def cmd_thresholds(args) -> int:
+def cmd_thresholds(args):
     th = xi.sufficiency_thresholds(args.p, args.n)
     payload = {
-        "command": "thresholds",
         "p": th.p,
         "n": th.n,
         "m_ineq1": th.m_ineq1,
@@ -380,22 +314,17 @@ def cmd_thresholds(args) -> int:
         "p_ineq1": th.p_ineq1,
         "p_ineq2": th.p_ineq2,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"m thresholds: {th.m_ineq1:.4f}, {th.m_ineq2_growth:.4f}, "
-            f"{th.m_ineq2_start:.4f} (all: {th.m_all:.4f})",
-            f"p thresholds: {th.p_ineq1} (ineq1), {th.p_ineq2} (ineq2)",
-        ],
-    )
-    return EXIT_OK
+    lines = [
+        f"m thresholds: {th.m_ineq1:.4f}, {th.m_ineq2_growth:.4f}, "
+        f"{th.m_ineq2_start:.4f} (all: {th.m_all:.4f})",
+        f"p thresholds: {th.p_ineq1} (ineq1), {th.p_ineq2} (ineq2)",
+    ]
+    return EXIT_OK, payload, lines
 
 
-def cmd_montecarlo(args) -> int:
+def cmd_montecarlo(args):
     report = xi.montecarlo(args.p, args.n, args.m, args.trials, args.seed0)
     payload = {
-        "command": "montecarlo",
         "p": report.p,
         "n": report.n,
         "m": report.m,
@@ -408,59 +337,46 @@ def cmd_montecarlo(args) -> int:
         "analytic_bound": report.analytic_bound,
         "consistency": report.consistency,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"trials={report.trials} seed0={args.seed0} failures={report.failures} "
-            f"rate={report.rate:.4f} wilson=[{report.wilson_low:.4f},"
-            f"{report.wilson_high:.4f}]",
-            f"analytic bound {report.analytic_bound:.6g}: {report.consistency}",
-        ],
-    )
-    return EXIT_OK
+    lines = [
+        f"trials={report.trials} seed0={args.seed0} failures={report.failures} "
+        f"rate={report.rate:.4f} wilson=[{report.wilson_low:.4f},"
+        f"{report.wilson_high:.4f}]",
+        f"analytic bound {report.analytic_bound:.6g}: {report.consistency}",
+    ]
+    return EXIT_OK, payload, lines
 
 
-def cmd_subalgebra(args) -> int:
+def cmd_subalgebra(args):
     algebra = fileformat.load_algebra(args.algebra)
     gens = _gens_from_spec(algebra, args.gens)
     sub = generate_subalgebra(algebra, gens)
     atom_names = [algebra.format_mask(a.bits) for a in sub.atoms]
-    _emit(
-        args,
-        {
-            "command": "subalgebra",
-            "algebra": args.algebra,
-            "generators": [algebra.format_mask(g.bits) for g in gens],
-            "atoms": atom_names,
-            "size": sub.size,
-        },
-        [
-            f"subalgebra atoms ({len(sub.atoms)}): " + ", ".join(atom_names),
-            f"carrier size: {sub.size}",
-        ],
-    )
-    return EXIT_OK
+    payload = {
+        "algebra": args.algebra,
+        "generators": [algebra.format_mask(g.bits) for g in gens],
+        "atoms": atom_names,
+        "size": sub.size,
+    }
+    lines = [
+        f"subalgebra atoms ({len(atom_names)}): " + ", ".join(atom_names),
+        f"carrier size: {sub.size}",
+    ]
+    return EXIT_OK, payload, lines
 
 
-def cmd_pigeonhole(args) -> int:
+def cmd_pigeonhole(args):
     algebra = fileformat.load_algebra(args.algebra)
     gens = _gens_from_spec(algebra, args.gens)
     i, j = complexity.pigeonhole_pair(gens)
-    _emit(
-        args,
-        {
-            "command": "pigeonhole",
-            "generators": [algebra.format_mask(g.bits) for g in gens],
-            "i": i,
-            "j": j,
-        },
-        [f"pigeonhole pair: ({i},{j})"],
-    )
-    return EXIT_OK
+    payload = {
+        "generators": [algebra.format_mask(g.bits) for g in gens],
+        "i": i,
+        "j": j,
+    }
+    return EXIT_OK, payload, [f"pigeonhole pair: ({i},{j})"]
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args):
     if args.kind == "fusion":
         result = lpn.fusion_embedding(args.p, args.n, args.i, args.j, args.q)
         ok = result.report.ok
@@ -469,7 +385,6 @@ def cmd_embed(args) -> int:
             for mask, img in sorted(result.embedding.atom_images.items())
         }
         payload = {
-            "command": "embed",
             "kind": "fusion",
             "p": args.p,
             "n": args.n,
@@ -483,38 +398,30 @@ def cmd_embed(args) -> int:
                  f"({args.p},{args.n}) -> L({args.q},{args.n}): "
                  f"{'verified' if ok else 'FAILED'}"]
         lines += [f"  {src} -> {dst}" for src, dst in images.items()]
-        _emit(args, payload, lines)
-        return EXIT_OK if ok else EXIT_VERIFY_FAIL
+        return EXIT_OK if ok else EXIT_VERIFY_FAIL, payload, lines
 
     algebra = fileformat.load_algebra(args.algebra)
     gens = _gens_from_spec(algebra, args.gens)
     result = complexity.build_gamma_embedding(gens, args.target_p)
     ok = result.report.ok
+    sub_atoms = [algebra.format_mask(a.bits) for a in result.subalgebra.atoms]
     payload = {
-        "command": "embed",
         "kind": "gamma",
         "generators": [algebra.format_mask(g.bits) for g in gens],
         "pigeonhole": list(result.plan.fusion),
         "target_p": args.target_p,
-        "subalgebra_atoms": [
-            algebra.format_mask(a.bits) for a in result.subalgebra.atoms
-        ],
+        "subalgebra_atoms": sub_atoms,
         "ok": ok,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"pigeonhole pair {result.plan.fusion}, subalgebra atoms: "
-            f"{len(result.subalgebra.atoms)}",
-            f"embedding into L({args.target_p},{result.plan.n}): "
-            f"{'verified' if ok else 'FAILED'}",
-        ],
-    )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    lines = [
+        f"pigeonhole pair {result.plan.fusion}, subalgebra atoms: {len(sub_atoms)}",
+        f"embedding into L({args.target_p},{result.plan.n}): "
+        f"{'verified' if ok else 'FAILED'}",
+    ]
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL, payload, lines
 
 
-def cmd_falsify(args) -> int:
+def cmd_falsify(args):
     algebra = fileformat.load_algebra(args.algebra)
     eq = terms.parse_equation(args.equation)
     budget = _env_int("RELALG_FALSIFY_BUDGET", terms.DEFAULT_FALSIFY_BUDGET)
@@ -529,53 +436,43 @@ def cmd_falsify(args) -> int:
         budget=budget,
     )
     payload = {
-        "command": "falsify",
         "equation": terms.print_equation(eq),
         "mode": args.mode,
         "status": result.status,
         "tried": result.tried,
     }
-    if args.mode == "random":
-        payload["seed"] = args.seed
+    lines = [result.status.upper()]
     if result.assignment:
         payload["witness"] = {
             f"x{v}": algebra.format_mask(e.bits)
             for v, e in sorted(result.assignment.items())
         }
-        lines = [f"{result.status.upper()}: {result.witness_text(algebra)}"]
-    else:
-        lines = [result.status.upper()]
+        lines[0] += f": {result.witness_text(algebra)}"
     if args.mode == "random":
+        payload["seed"] = args.seed
         lines.append(f"seed {args.seed}, {result.tried} assignments tried")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, payload, lines
 
 
-def cmd_beta(args) -> int:
-    m = _parse_int(args.m)
+def cmd_beta(args):
+    m = _parse_m(args.m)
     value = complexity.beta_lower_bound(m)
-    _emit(
-        args,
-        {"command": "beta", "m": str(m), "lower_bound": value},
-        [f"beta({args.m}) > {value:.6f}"],
-    )
-    return EXIT_OK
+    text = f"beta({args.m}) > {value:.6f}"
+    return EXIT_OK, {"m": str(m), "lower_bound": value}, [text]
 
 
-def cmd_params(args) -> int:
+def cmd_params(args):
+    if args.gamma > MAX_PARAMS_GAMMA:
+        raise ResourceBudgetError(f"params refuses gamma > {MAX_PARAMS_GAMMA}")
     p, n = complexity.choose_params(args.gamma)
-    _emit(
-        args,
-        {
-            "command": "params",
-            "gamma": args.gamma,
-            "p": p,
-            "n": n,
-            "elements": complexity.algebra_size(p, n),
-        },
-        [f"gamma={args.gamma}: p={p}, n={n} (algebra size 2^{p + n + 2})"],
-    )
-    return EXIT_OK
+    payload = {
+        "gamma": args.gamma,
+        "p": p,
+        "n": n,
+        "elements": complexity.algebra_size(p, n),
+    }
+    text = f"gamma={args.gamma}: p={p}, n={n} (algebra size 2^{p + n + 2})"
+    return EXIT_OK, payload, [text]
 
 
 # -- parser ---------------------------------------------------------------------
@@ -589,48 +486,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    pn = argparse.ArgumentParser(add_help=False)
+    pn.add_argument("--p", type=int, required=True)
+    pn.add_argument("--n", type=int, required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output", required=True)
+    structure_out = argparse.ArgumentParser(add_help=False, parents=[out])
+    structure_out.add_argument("--algebra-out")
+
+    def add(name, fn, help_text, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("construct", cmd_construct, "build L(p,n) and write an algebra file")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
+    add("construct", cmd_construct, "build L(p,n) and write an algebra file", pn, out)
 
-    p = add("fuse", cmd_fuse, "build the fused subalgebra L^ij(p,n)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add("fuse", cmd_fuse, "build the fused subalgebra L^ij(p,n)", pn, out)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
 
     p = add("check-axioms", cmd_check_axioms, "verify the algebra axioms on atoms")
     p.add_argument("algebra")
 
-    p = add("affine", cmd_affine, "affine-plane structure for L(q,0)")
+    p = add("affine", cmd_plane, "affine-plane structure for L(q,0)", structure_out)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--algebra-out")
 
-    p = add("double", cmd_double, "doubled structure for L(q,1)")
+    p = add("double", cmd_plane, "doubled structure for L(q,1)", structure_out)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--algebra-out")
 
-    p = add("power", cmd_power, "coordinatewise power of a structure")
+    p = add("power", cmd_power, "coordinatewise power of a structure", structure_out)
     p.add_argument("--inner", required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--algebra-out")
 
-    p = add("xi", cmd_xi, "seeded doubled structure for L(p,n)")
+    p = add("xi", cmd_xi, "seeded doubled structure for L(p,n)", structure_out)
     p.add_argument("--inner", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--algebra-out")
     p.add_argument(
         "--explicit", action="store_true", help="write tedge lines instead of the seed"
     )
@@ -646,28 +537,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("--claim-full", action="store_true")
 
-    p = add("search", cmd_search, "seed sweep for weak representations")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add("search", cmd_search, "seed sweep for weak representations", pn)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seeds", required=True, help="a:b range or comma list")
     p.add_argument("--mode", choices=("fast", "strict"), default="fast")
 
-    p = add("bounds", cmd_bounds, "decide the witness-probability inequalities")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add("bounds", cmd_bounds, "decide the witness-probability inequalities", pn)
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--mode", choices=("auto", "log", "exact"), default="auto")
 
-    p = add("thresholds", cmd_thresholds, "sufficiency thresholds for m and p")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    add("thresholds", cmd_thresholds, "sufficiency thresholds for m and p", pn)
 
-    p = add("montecarlo", cmd_montecarlo, "empirical failure rate vs analytic bound")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = add(
+        "montecarlo", cmd_montecarlo, "empirical failure rate vs analytic bound", pn
+    )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed0", type=int, default=0)
@@ -720,19 +605,25 @@ def main(argv: list[str] | None = None) -> int:
             if not (args.algebra and args.gens and args.target_p):
                 parser.error("embed --kind gamma needs --algebra, --gens, --target-p")
     try:
-        return args.fn(args)
+        code, payload, lines = args.fn(args)
     except ResourceBudgetError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_FILE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        print(json.dumps({"command": args.command, **payload}, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -254,6 +254,13 @@ def save_structure(
         )
 
 
+def _ints(fields: list[str], no: int) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(f"expected integers, got {' '.join(fields)!r}", no) from None
+
+
 def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
     if _depth > 16:
         raise ParseError(f"structure files nest too deeply at {path}")
@@ -291,11 +298,13 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
             if parts[0] == "base":
                 if base is not None:
                     raise ParseError("duplicate base line", no)
-                base = int(parts[1])
+                if len(parts) != 2:
+                    raise ParseError("base line needs 'base d'", no)
+                (base,) = _ints(parts[1:], no)
             elif parts[0] == "edge":
                 if len(parts) != 4:
                     raise ParseError("edge line needs 'edge u v atom'", no)
-                u, v = int(parts[1]), int(parts[2])
+                u, v = _ints(parts[1:3], no)
                 if u >= v:
                     raise ParseError("edge lines require u < v", no)
                 if (u, v) in labels:
@@ -351,7 +360,7 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
             parts = ln.split()
             if len(parts) != 4:
                 raise ParseError("tedge line needs 'tedge x y class'", no)
-            x, y, cls = int(parts[1]), int(parts[2]), int(parts[3])
+            x, y, cls = _ints(parts[1:], no)
             if (x, y) in tedges:
                 raise ParseError(f"duplicate tedge {x} {y}", no)
             tedges[(x, y)] = cls
@@ -373,18 +382,17 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
             f"xi algebra must be the slope-and-bridge algebra with p={params[0]}, n={n}",
             no,
         )
-    if m.group(3) is not None:
-        if tedges:
-            raise ParseError("xi line carries a seed and explicit tedges", no)
-        seed = int(m.group(3))
-        partition = PartitionRecipe(seed, n, inner.base_size)
-    else:
-        if not tedges:
-            raise ParseError("xi needs a seed or explicit tedges", no)
-        try:
+    if m.group(3) is not None and tedges:
+        raise ParseError("xi line carries a seed and explicit tedges", no)
+    if m.group(3) is None and not tedges:
+        raise ParseError("xi needs a seed or explicit tedges", no)
+    try:
+        if m.group(3) is not None:
+            partition = PartitionRecipe(int(m.group(3)), n, inner.base_size)
+        else:
             partition = ExplicitPartition(n, inner.base_size, tedges)
-        except ValueError as exc:
-            raise ParseError(str(exc), no) from None
+    except ValueError as exc:
+        raise ParseError(str(exc), no) from None
     # the lpn_params check above guarantees the loaded algebra's table
     # coincides with the built family, so it can carry the structure
     return Xi(inner, n, partition, algebra)

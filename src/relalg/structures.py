@@ -200,8 +200,9 @@ class AtomLabeling:
 
 @dataclass(frozen=True)
 class Power:
-    """Coordinatewise m-th power of an inner structure (m >= 2 here;
-    build_power collapses m = 1 to the inner structure itself)."""
+    """Coordinatewise m-th power of an inner structure (build_power
+    collapses m = 1 to the inner structure itself; a file's m = 1 power
+    line loads as the inner structure)."""
 
     inner: "LabeledStructure"
     m: int

@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import relalg
+from relalg import cli
+from relalg.fileformat import load_structure
+from relalg.structures import verify_weak
 
 # the package's parent directory, absolute, so that the subprocesses below
 # import this relalg whatever their working directory is
@@ -147,6 +150,54 @@ def test_exit_codes(tmp_path):
     assert run("verify", "--weak", "x.rel", cwd=tmp_path).returncode == 1
     # argparse usage error
     assert run("bogus-command", cwd=tmp_path).returncode == 2
+    # file or parse error, never a traceback: a field that is not a number, a
+    # seed beyond 64 bits, bytes that are not UTF-8, a directory as algebra
+    header = "structure v1\nkind atom-labeling\nalgebra a.ra\n"
+    (tmp_path / "bare.rel").write_text(header + "base\n")
+    (tmp_path / "edge.rel").write_text(header + "base 9\nedge 0 x a1\n")
+    (tmp_path / "dir.rel").write_text(header.replace("a.ra", ".") + "base 3\n")
+    (tmp_path / "seed.rel").write_text(
+        "structure v1\nkind xi\nalgebra x.ra\n"
+        "xi inner=a.rel n=2 seed=99999999999999999999999\n"
+    )
+    (tmp_path / "bytes.rel").write_bytes(b"\xff\xfe structure")
+    for name in ("bare", "edge", "dir", "seed", "bytes"):
+        out = run("verify", "--weak", f"{name}.rel", cwd=tmp_path)
+        assert out.returncode == 3 and "Traceback" not in out.stderr, name
+
+
+def test_power_m1_file_reloads_to_the_reported_structure(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
+    assert cli.main(["power", "--inner", "a.rel", "-m", "2", "-o", "p.rel"]) == 0
+    assert cli.main(["xi", "--inner", "a.rel", "--n", "2", "--seed", "0", "-o", "x.rel"]) == 0
+    for inner in ("a.rel", "p.rel", "x.rel"):
+        capsys.readouterr()
+        argv = ["--json", "power", "--inner", inner, "-m", "1", "-o", "one.rel"]
+        assert cli.main(argv) == 0
+        reported = json.loads(capsys.readouterr().out)
+        want, back = load_structure(inner), load_structure("one.rel")
+        assert back.kind == want.kind
+        assert back.base_size == want.base_size == reported["base"]
+        assert verify_weak(back) == verify_weak(want)
+
+
+def test_oversized_beta_and_params_refused_in_both_modes(capsys):
+    for argv, code in (
+        (["beta", "--m", "2^4095"], 0),
+        (["beta", "--m", "2^4096"], 4),
+        (["beta", "--m", "2^100000"], 4),
+        (["beta", "--m", "3^99999999999999999999"], 4),
+        (["beta", "--m", "1" * 5000], 4),
+        (["beta", "--m", "2^-1"], 2),
+        (["params", "--gamma", "13"], 0),
+        (["params", "--gamma", "14"], 4),
+        (["params", "--gamma", "40"], 4),
+    ):
+        assert cli.main(argv) == code, argv
+        assert cli.main(["--json", *argv]) == code, argv
+        out = capsys.readouterr().out
+        assert (out == "") == (code != 0), argv
 
 
 def test_budget_overrides(tmp_path):

@@ -145,6 +145,29 @@ def test_structure_parse_errors(tmp_path, aff3):
         load_variant(good.replace("algebra a.ra", "algebra missing.ra"))
 
 
+def test_malformed_fields_raise_parse_error_with_line(tmp_path, aff3):
+    save_algebra(aff3.algebra, str(tmp_path / "a.ra"))
+    save_structure(aff3, str(tmp_path / "inner.rel"), algebra_path="a.ra")
+    x = build_xi(aff3, 2, 7)
+    save_algebra(x.algebra, str(tmp_path / "l32.ra"))
+    header = "structure v1\nkind atom-labeling\nalgebra a.ra\n"
+    xi_header = "structure v1\nkind xi\nalgebra l32.ra\n"
+    cases = [
+        (header + "base\n", 4),
+        (header + "base 9 9\n", 4),
+        (header + "base x\n", 4),
+        (header + "base 9\nedge 0 x a1\n", 5),
+        (xi_header + "xi inner=inner.rel n=2\ntedge 0 x 1\n", 5),
+        (xi_header + "xi inner=inner.rel n=2 seed=99999999999999999999999\n", 4),
+        (xi_header + "xi inner=inner.rel n=2\ntedge 0 0 7\n", 4),
+    ]
+    for text, line in cases:
+        (tmp_path / "v.rel").write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_structure(str(tmp_path / "v.rel"))
+        assert info.value.position == line, text
+
+
 def test_xi_seed_and_tedges_conflict(tmp_path, aff3):
     x = build_xi(aff3, 2, 7)
     save_algebra(aff3.algebra, str(tmp_path / "a.ra"))
