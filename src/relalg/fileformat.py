@@ -41,6 +41,15 @@ from .structures import AtomLabeling, LabeledStructure, Power, Xi
 from .xi import ExplicitPartition, PartitionRecipe
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9']+$")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _number(text: str, no: int, what: str) -> int:
+    """A number written in ASCII digits; int() alone would also take a
+    sign, underscores and every Unicode decimal digit."""
+    if not _DIGITS.fullmatch(text):
+        raise ParseError(f"{what} is not a number: {text!r}", no)
+    return int(text)
 
 
 def _detect_lpn(algebra_names: tuple[str, ...], comp) -> tuple[int, int] | None:
@@ -120,10 +129,7 @@ def parse_algebra(text: str, *, name: str | None = None) -> FiniteRelationAlgebr
     parts = ln.split()
     if len(parts) < 3:
         raise ParseError("atoms line needs a count and names", no)
-    try:
-        k = int(parts[1])
-    except ValueError:
-        raise ParseError("atom count is not a number", no) from None
+    k = _number(parts[1], no, "atom count")
     names = parts[2:]
     if len(names) != k:
         raise ParseError(f"declared {k} atoms but listed {len(names)}", no)
@@ -255,10 +261,7 @@ def save_structure(
 
 
 def _ints(fields: list[str], no: int) -> list[int]:
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise ParseError(f"expected integers, got {' '.join(fields)!r}", no) from None
+    return [_number(f, no, "field") for f in fields]
 
 
 def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
@@ -335,10 +338,10 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
         if spec is None:
             raise ParseError("missing power line", len(lines))
         no, ln = spec
-        m = re.match(r"^power\s+m=(\d+)\s+inner=(\S+)$", ln)
+        m = re.match(r"^power\s+m=(\S+)\s+inner=(\S+)$", ln)
         if not m:
             raise ParseError("malformed power line", no)
-        exponent = int(m.group(1))
+        exponent = _number(m.group(1), no, "power exponent")
         if exponent < 1:
             raise ParseError("power exponent must be at least 1", no)
         inner = load_structure(os.path.join(base_dir, m.group(2)), _depth=_depth + 1)
@@ -369,11 +372,12 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
     if spec is None:
         raise ParseError("missing xi line", len(lines))
     no, ln = spec
-    m = re.match(r"^xi\s+inner=(\S+)\s+n=(\d+)(?:\s+seed=(\d+))?$", ln)
+    m = re.match(r"^xi\s+inner=(\S+)\s+n=(\S+)(?:\s+seed=(\S+))?$", ln)
     if not m:
         raise ParseError("malformed xi line", no)
+    n = _number(m.group(2), no, "class count")
+    seed = None if m.group(3) is None else _number(m.group(3), no, "seed")
     inner = load_structure(os.path.join(base_dir, m.group(1)), _depth=_depth + 1)
-    n = int(m.group(2))
     params = inner.algebra.lpn_params
     if params is None or params[1] != 0:
         raise ParseError("xi inner structure must be over an L(p,0) algebra", no)
@@ -382,13 +386,13 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
             f"xi algebra must be the slope-and-bridge algebra with p={params[0]}, n={n}",
             no,
         )
-    if m.group(3) is not None and tedges:
+    if seed is not None and tedges:
         raise ParseError("xi line carries a seed and explicit tedges", no)
-    if m.group(3) is None and not tedges:
+    if seed is None and not tedges:
         raise ParseError("xi needs a seed or explicit tedges", no)
     try:
-        if m.group(3) is not None:
-            partition = PartitionRecipe(int(m.group(3)), n, inner.base_size)
+        if seed is not None:
+            partition = PartitionRecipe(seed, n, inner.base_size)
         else:
             partition = ExplicitPartition(n, inner.base_size, tedges)
     except ValueError as exc:

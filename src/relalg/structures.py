@@ -95,14 +95,11 @@ def rows_to_bits(rows: list[int], cols: int) -> int:
 
 
 def transpose_rows(rows: list[int], width: int) -> list[int]:
-    out = [0] * width
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
-    return out
+    """Bit i of out[j] is bit j of rows[i] (every row below 2^width)."""
+    if not rows:
+        return [0] * width
+    s = "".join([format(row, "b").zfill(width)[::-1] for row in rows])  # s[i*width+j]
+    return [int(s[j::width][::-1], 2) for j in range(width)]
 
 
 def product_rows(xrows: list[int], yrows: list[int]) -> list[int]:

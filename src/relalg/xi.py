@@ -46,10 +46,16 @@ implied by atom-level ones, transposed duplicates) leaves exactly:
   = l, and mirrored a witness w' in D' with class(x,w') = l and (w',y')
   in the mirrored image of a_q.
 
-check_xi_fast evaluates these with per-class row/column bitsets, so a
-condition instance is one AND plus a zero test; no matrix products are
-formed.  Equality of its verdict with verify_weak over seeded instances
-is an acceptance property of the package.
+check_xi_fast evaluates each family instance as one d x d boolean
+product.  With R_i the class-i cross pairs as a row-major d*d bitset
+(bit (x,y) set iff class(x,y') = i) and C_i = R_i^T, W1(i) is
+R_i.C_i = theta(1'+A) on D and C_i.R_i = theta(1'+A) on D'; W14(i,j) is
+R_i.C_j = theta(A) and C_i.R_j = theta(A); W2(q,l) is A_q.R_l = full and
+R_l.A_q^T = full.  Each product is compared whole with its target; the
+lowest set bit of the difference is the first failing pair in x-major
+order, which fixes the certificate and the number of conditions counted
+as checked.  Equality of its verdict with verify_weak over seeded
+instances is an acceptance property of the package.
 
 Bound calculus.  For a random assignment the probability that some W1 or
 W2 witness is missing is below
@@ -76,21 +82,29 @@ symbolically rather than by building structures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import ResourceBudgetError
 from .lpn import build_lpn
 from .structures import (
+    DEFAULT_IMAGE_MAX_BASE,
+    AtomLabeling,
     ClassAssignment,
     LabeledStructure,
     Xi,
     _image_bits,
-    bits_to_rows,
+    _low_bit,
+    _square_product,
+    _transpose_square,
     build_affine,
     build_power,
     full_bits,
+    rows_to_bits,
+    transpose_rows,
     verify_weak,
 )
 
@@ -98,6 +112,8 @@ U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# the low 64-bit word of every 128-bit lane, in lane order
+_LANE_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
 def mix64(z: int) -> int:
@@ -130,17 +146,35 @@ class PartitionRecipe(ClassAssignment):
         return 1 + mix64(self.seed ^ e) % self.n
 
     def _fill(self) -> None:
+        """Hash one row of D at a time: lane y of a packed int holds the
+        SplitMix64 state of (x, y') in the low 64 of its 128 bits, and
+        every shift and product is masked back to those low halves, so a
+        lane never spills into the next."""
         if self._rows is not None:
             return
         n, d = self.n, self.d
-        rows = [[0] * d for _ in range(n)]
-        cols = [[0] * d for _ in range(n)]
+        ones = sum(1 << (128 * y) for y in range(d))
+        low = ones * U64
+        index = sum((y + 1) << (128 * y) for y in range(d))  # x*d + y + 1 at x = 0
+        step = ones * d
+        salt = ones * self.seed
+        bits = [1 << y for y in range(d)]
+        by_x = []
         for x in range(d):
-            for y in range(d):
-                i = self.class_of(x, y) - 1
-                rows[i][x] |= 1 << y
-                cols[i][y] |= 1 << x
-        self._rows, self._cols = rows, cols
+            z = (index * _GOLDEN & low) ^ salt
+            index += step
+            z ^= z >> 30 & low
+            z = z * _MIX1 & low
+            z ^= z >> 27 & low
+            z = z * _MIX2 & low
+            z ^= z >> 31 & low
+            words = memoryview(z.to_bytes(16 * d, sys.byteorder)).cast("Q")
+            row = [0] * n
+            for bit, v in zip(bits, words[_LANE_WORDS]):
+                row[v % n] |= bit
+            by_x.append(row)
+        self._rows = [list(rows) for rows in zip(*by_x)]
+        self._cols = [transpose_rows(rows, d) for rows in self._rows]
 
     def row_bits(self, i: int, x: int) -> int:
         self._fill()
@@ -243,17 +277,26 @@ class XiCheckReport:
 
 
 class XiFastChecker:
-    """Witness checker with inner images shared across class assignments.
+    """Product checker with inner images shared across class assignments.
 
     Precondition: the inner structure is a weak representation (its own
     verification is a separate, generic concern).  The checker evaluates
-    the exact condition set derived in the module docstring.
+    the exact condition set derived in the module docstring: after the
+    class-row and class-column scans, each condition family instance is
+    one d x d boolean product compared whole with its target, and the
+    lowest set bit of their difference is the first failing (x, y) in
+    x-major order.  An inner base above DEFAULT_IMAGE_MAX_BASE points is
+    refused with ResourceBudgetError before any image is built.
     """
 
     def __init__(self, theta: LabeledStructure, n: int):
         params = theta.algebra.lpn_params
         if params is None or params[1] != 0:
             raise ValueError("inner structure must be over an L(p,0) algebra")
+        if theta.base_size > DEFAULT_IMAGE_MAX_BASE:
+            raise ResourceBudgetError(
+                f"base {theta.base_size} exceeds image budget {DEFAULT_IMAGE_MAX_BASE}"
+            )
         self.theta = theta
         self.n = n
         self.p = params[0]
@@ -266,17 +309,18 @@ class XiFastChecker:
         self.top_bits = _image_bits(theta, inner.top_mask)
         a_mask = inner.top_mask ^ inner.identity_mask
         self.a_bits = _image_bits(theta, a_mask)
-        self.top_rows = bits_to_rows(self.top_bits, d)
-        self.a_rows = bits_to_rows(self.a_bits, d)
-        self.atom_rows = [
-            bits_to_rows(_image_bits(theta, 1 << (1 + q)), d) for q in range(self.p + 1)
-        ]
-        self.top_is_full = self.top_bits == full_bits(d, d)
+        self.full = full_bits(d, d)
+        # (A_q, A_q^T) for every slope atom a_q
+        self.atom_bits = []
+        for q in range(self.p + 1):
+            aq = _image_bits(theta, 1 << (1 + q))
+            self.atom_bits.append((aq, _transpose_square(aq, d)))
 
         # structural union-defect scan: theta(e+A) must split as
-        # theta(e) | theta(A) for every inner element e (needed iff n >= 2)
+        # theta(e) | theta(A) for every inner element e (needed iff n >= 2;
+        # labeling images are unions of atom images, so they always split)
         self.union_defect: tuple[int, tuple[int, int]] | None = None
-        if n >= 2:
+        if n >= 2 and not isinstance(theta, AtomLabeling):
             imgs: dict[int, int] = {}
 
             def img(mask: int) -> int:
@@ -299,18 +343,56 @@ class XiFastChecker:
             out |= 1 << (self._t_shift + i - 1)
         return out
 
+    def _families(self, r: list[int], c: list[int]):
+        """Every product instance in certificate order: (left, right,
+        target, condition, elements, point offset, detail template).
+
+        r[i] holds R_i, the (x, y') pairs of class i+1 as a row-major
+        d*d bitset, and c[i] its transpose C_i.  The templates take
+        {what}, {x} and {y}.
+        """
+        d, top, a, full = self.d, self.top_bits, self.a_bits, self.full
+        on_d, on_mirror, cross = (0, 0), (d, d), (0, d)
+        t = [self._element(0, [i + 1]) for i in range(self.n)]
+        # W1: common same-class neighbours realize exactly theta(1'+A)
+        for i, ti in enumerate(t):
+            what = f"{{what}} common class-{i + 1} neighbour"
+            yield r[i], c[i], top, "same-class-witness", (ti, ti), on_d, what
+            yield c[i], r[i], top, "same-class-witness", (ti, ti), on_mirror, what + " (mirror)"
+        # W14: distinct-class common neighbours realize exactly theta(A)
+        for i, j in permutations(range(self.n), 2):
+            what = f"{{what}} common (class {i + 1}, class {j + 1}) neighbour"
+            yield r[i], c[j], a, "mixed-class-witness", (t[i], t[j]), on_d, what
+            yield c[i], r[j], a, "mixed-class-witness", (t[i], t[j]), on_mirror, (
+                what + " (mirror)"
+            )
+        # W2: every cross pair reaches every class through every slope atom
+        for q, (aq, aqt) in enumerate(self.atom_bits):
+            sq = 1 << (1 + q)
+            for l, tl in enumerate(t):
+                pair = "for cross pair ({x},{y}')"
+                yield aq, r[l], full, "slope-class-witness", (sq, tl), cross, (
+                    f"no slope-{q} step into class {l + 1} {pair}"
+                )
+                yield r[l], aqt, full, "slope-class-witness", (tl, sq), cross, (
+                    f"no class-{l + 1} step before slope {q} {pair}"
+                )
+
     def check(self, partition: ClassAssignment) -> XiCheckReport:
         if partition.n != self.n or partition.d != self.d:
             raise ValueError("partition shape does not match checker")
-        n, d, p = self.n, self.d, self.p
-        t1 = self._element(0, [1])
-        checked = 0
+        n, d = self.n, self.d
+
+        def fail(condition, elements, point, detail, checked):
+            certificate = XiCertificate(condition, elements, point, detail)
+            return XiCheckReport(False, certificate, checked)
 
         # structural: no class assignment can fix a union defect (decided
         # before materializing the class bitsets; only the certificate's
         # replay branch needs the classes of two rows)
         if self.union_defect is not None:
             e, (x, y) = self.union_defect
+            t1 = self._element(0, [1])
             has_witness = any(
                 partition.class_of(x, z) == 1 and partition.class_of(y, z) == 2
                 for z in range(d)
@@ -324,16 +406,13 @@ class XiFastChecker:
                     self._element(self.theta.algebra.identity_mask, [2]),
                 )
                 why = "pair in theta(e+A) lacks both theta(e) and a class-(1,2) witness"
-            return XiCheckReport(
-                False,
-                XiCertificate(
-                    "union-defect",
-                    elems,
-                    (x, y),
-                    f"inner image of e+A does not split for e = "
-                    f"{self.theta.algebra.format_mask(e)}; {why}",
-                ),
-                checked,
+            return fail(
+                "union-defect",
+                elems,
+                (x, y),
+                f"inner image of e+A does not split for e = "
+                f"{self.theta.algebra.format_mask(e)}; {why}",
+                0,
             )
 
         zrow = [[partition.row_bits(i + 1, x) for x in range(d)] for i in range(n)]
@@ -342,168 +421,27 @@ class XiFastChecker:
         # W3: every row of D and every column of D' meets every class
         for i in range(n):
             ti = self._element(0, [i + 1])
-            for x in range(d):
-                checked += 1
-                if not zrow[i][x]:
-                    return XiCheckReport(
-                        False,
-                        XiCertificate(
-                            "class-row",
-                            (ti, ti),
-                            (x, x),
-                            f"point {x} has no class-{i + 1} cross edge",
-                        ),
-                        checked,
-                    )
-            for y in range(d):
-                checked += 1
-                if not zcol[i][y]:
-                    return XiCheckReport(
-                        False,
-                        XiCertificate(
-                            "class-column",
-                            (ti, ti),
-                            (d + y, d + y),
-                            f"mirror point {y} has no class-{i + 1} cross edge",
-                        ),
-                        checked,
-                    )
+            if 0 in zrow[i]:
+                x = zrow[i].index(0)
+                why = f"point {x} has no class-{i + 1} cross edge"
+                return fail("class-row", (ti, ti), (x, x), why, 2 * d * i + x + 1)
+            if 0 in zcol[i]:
+                y = zcol[i].index(0)
+                why = f"mirror point {y} has no class-{i + 1} cross edge"
+                return fail("class-column", (ti, ti), (d + y, d + y), why, 2 * d * i + d + y + 1)
 
-        # W1: common same-class neighbours realize exactly theta(1'+A)
-        top_rows = self.top_rows
-        for i in range(n):
-            ti = self._element(0, [i + 1])
-            zi = zrow[i]
-            for x in range(d):
-                row = top_rows[x]
-                zx = zi[x]
-                for y in range(d):
-                    checked += 1
-                    need = bool(row >> y & 1)
-                    have = bool(zx & zi[y])
-                    if need != have:
-                        what = "missing" if need else "forbidden"
-                        return XiCheckReport(
-                            False,
-                            XiCertificate(
-                                "same-class-witness",
-                                (ti, ti),
-                                (x, y),
-                                f"{what} common class-{i + 1} neighbour",
-                            ),
-                            checked,
-                        )
-            zi = zcol[i]
-            for x in range(d):
-                row = top_rows[x]
-                zx = zi[x]
-                for y in range(d):
-                    checked += 1
-                    need = bool(row >> y & 1)
-                    have = bool(zx & zi[y])
-                    if need != have:
-                        what = "missing" if need else "forbidden"
-                        return XiCheckReport(
-                            False,
-                            XiCertificate(
-                                "same-class-witness",
-                                (ti, ti),
-                                (d + x, d + y),
-                                f"{what} common class-{i + 1} neighbour (mirror)",
-                            ),
-                            checked,
-                        )
-
-        # W14: distinct-class common neighbours realize exactly theta(A)
-        a_rows = self.a_rows
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                tij = (self._element(0, [i + 1]), self._element(0, [j + 1]))
-                zi, zj = zrow[i], zrow[j]
-                for x in range(d):
-                    row = a_rows[x]
-                    zx = zi[x]
-                    for y in range(d):
-                        checked += 1
-                        need = bool(row >> y & 1)
-                        have = bool(zx & zj[y])
-                        if need != have:
-                            what = "missing" if need else "forbidden"
-                            return XiCheckReport(
-                                False,
-                                XiCertificate(
-                                    "mixed-class-witness",
-                                    tij,
-                                    (x, y),
-                                    f"{what} common (class {i + 1}, class {j + 1}) "
-                                    "neighbour",
-                                ),
-                                checked,
-                            )
-                zi, zj = zcol[i], zcol[j]
-                for x in range(d):
-                    row = a_rows[x]
-                    zx = zi[x]
-                    for y in range(d):
-                        checked += 1
-                        need = bool(row >> y & 1)
-                        have = bool(zx & zj[y])
-                        if need != have:
-                            what = "missing" if need else "forbidden"
-                            return XiCheckReport(
-                                False,
-                                XiCertificate(
-                                    "mixed-class-witness",
-                                    tij,
-                                    (d + x, d + y),
-                                    f"{what} common (class {i + 1}, class {j + 1}) "
-                                    "neighbour (mirror)",
-                                ),
-                                checked,
-                            )
-
-        # W2: every cross pair reaches every class through every slope atom
-        for q in range(p + 1):
-            aq = 1 << (1 + q)
-            arows = self.atom_rows[q]
-            for l in range(n):
-                tl = self._element(0, [l + 1])
-                zc = zcol[l]
-                for x in range(d):
-                    row = arows[x]
-                    for y in range(d):
-                        checked += 1
-                        if not row & zc[y]:
-                            return XiCheckReport(
-                                False,
-                                XiCertificate(
-                                    "slope-class-witness",
-                                    (aq, tl),
-                                    (x, d + y),
-                                    f"no slope-{q} step into class {l + 1} "
-                                    f"for cross pair ({x},{y}')",
-                                ),
-                                checked,
-                            )
-                zr = zrow[l]
-                for x in range(d):
-                    zx = zr[x]
-                    for y in range(d):
-                        checked += 1
-                        if not zx & arows[y]:
-                            return XiCheckReport(
-                                False,
-                                XiCertificate(
-                                    "slope-class-witness",
-                                    (tl, aq),
-                                    (x, d + y),
-                                    f"no class-{l + 1} step before slope {q} "
-                                    f"for cross pair ({x},{y}')",
-                                ),
-                                checked,
-                            )
+        # W1, W14, W2: one d x d product per instance, compared whole
+        checked = 2 * n * d
+        r = [rows_to_bits(rows, d) for rows in zrow]
+        c = [rows_to_bits(cols, d) for cols in zcol]
+        for left, right, target, condition, elements, (dx, dy), detail in self._families(r, c):
+            diff = _square_product(left, right, d) ^ target
+            if diff:
+                x, y = divmod(_low_bit(diff), d)
+                what = "missing" if target >> (x * d + y) & 1 else "forbidden"
+                why = detail.format(what=what, x=x, y=y)
+                return fail(condition, elements, (dx + x, dy + y), why, checked + x * d + y + 1)
+            checked += d * d
 
         return XiCheckReport(True, None, checked)
 

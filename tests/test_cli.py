@@ -161,7 +161,12 @@ def test_exit_codes(tmp_path):
         "xi inner=a.rel n=2 seed=99999999999999999999999\n"
     )
     (tmp_path / "bytes.rel").write_bytes(b"\xff\xfe structure")
-    for name in ("bare", "edge", "dir", "seed", "bytes"):
+    # an Arabic-Indic two: numbers in files are ASCII digits only
+    (tmp_path / "digit.rel").write_text(
+        "structure v1\nkind power\nalgebra a.ra\npower m=\u0662 inner=a.rel\n",
+        encoding="utf-8",
+    )
+    for name in ("bare", "edge", "dir", "seed", "bytes", "digit"):
         out = run("verify", "--weak", f"{name}.rel", cwd=tmp_path)
         assert out.returncode == 3 and "Traceback" not in out.stderr, name
 
@@ -198,6 +203,17 @@ def test_oversized_beta_and_params_refused_in_both_modes(capsys):
         assert cli.main(["--json", *argv]) == code, argv
         out = capsys.readouterr().out
         assert (out == "") == (code != 0), argv
+
+
+def test_oversized_fast_checker_base_refused_in_both_modes(capsys):
+    # p = 3, m = 5: 59,049 inner points, refused before any image is built
+    for argv in (
+        ["search", "--p", "3", "--n", "2", "--m", "5", "--seeds", "0:1"],
+        ["montecarlo", "--p", "3", "--n", "2", "--m", "5", "--trials", "1", "--seed0", "0"],
+    ):
+        assert cli.main(argv) == 4, argv
+        assert cli.main(["--json", *argv]) == 4, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_budget_overrides(tmp_path):

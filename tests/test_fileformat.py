@@ -168,6 +168,46 @@ def test_malformed_fields_raise_parse_error_with_line(tmp_path, aff3):
         assert info.value.position == line, text
 
 
+def test_numbers_are_ascii_digits_only(tmp_path, aff3):
+    # int() alone takes an Arabic-Indic digit, a sign and underscores;
+    # every number field of the file formats accepts ASCII digits only
+    save_algebra(aff3.algebra, str(tmp_path / "a.ra"))
+    save_structure(aff3, str(tmp_path / "inner.rel"), algebra_path="a.ra")
+    save_algebra(build_xi(aff3, 2, 7).algebra, str(tmp_path / "l32.ra"))
+    labeling = "structure v1\nkind atom-labeling\nalgebra a.ra\n"
+    power = "structure v1\nkind power\nalgebra a.ra\npower m={} inner=inner.rel\n"
+    xi = "structure v1\nkind xi\nalgebra l32.ra\nxi inner=inner.rel n={}{}\n"
+    good = format_algebra(aff3.algebra)
+
+    def variants(number):
+        return [
+            (labeling + f"base {number}\n", 4),
+            (labeling + f"base 9\nedge 0 {number} a1\n", 5),
+            (power.format(number), 4),
+            (xi.format(number, " seed=0"), 4),
+            (xi.format(2, f" seed={number}"), 4),
+            (xi.format(2, "") + f"tedge 0 {number} 1\n", 5),
+        ]
+
+    # the ASCII spelling loads (the lone tedge is no complete partition)
+    for text, _ in variants("2")[:-1]:
+        load_structure_text(tmp_path, text)
+    assert load_structure_text(tmp_path, power.format("2")).base_size == 81
+    for number in ("\u0662", "+5", "1_0", "-1"):
+        for text, line in variants(number):
+            with pytest.raises(ParseError, match="not a number") as info:
+                load_structure_text(tmp_path, text)
+            assert info.value.position == line, text
+        with pytest.raises(ParseError, match="not a number") as info:
+            parse_algebra(good.replace("atoms 5", f"atoms {number}"))
+        assert info.value.position == 2
+
+
+def load_structure_text(tmp_path, text):
+    (tmp_path / "v.rel").write_text(text)
+    return load_structure(str(tmp_path / "v.rel"))
+
+
 def test_xi_seed_and_tedges_conflict(tmp_path, aff3):
     x = build_xi(aff3, 2, 7)
     save_algebra(aff3.algebra, str(tmp_path / "a.ra"))

@@ -285,6 +285,19 @@ def test_image_relation_helpers():
     rows = [0b010, 0b100, 0b001]
     assert transpose_rows(rows, 3) == [0b100, 0b001, 0b010]
     assert bits_to_rows(rows_to_bits(rows, 3), 3) == rows
+    # against a bit-by-bit reference on empty, wide, tall and sparse shapes
+    rng = random.Random(3)
+    for height, width in ((0, 4), (1, 1), (3, 7), (7, 3), (64, 65), (130, 2)):
+        for density in (0, 0.1, 0.5, 1):
+            rows = [
+                sum(1 << j for j in range(width) if rng.random() < density)
+                for _ in range(height)
+            ]
+            want = [
+                sum(1 << i for i, row in enumerate(rows) if row >> j & 1)
+                for j in range(width)
+            ]
+            assert transpose_rows(rows, width) == want, (height, width, density)
 
 
 # -- oracle equivalence: network check vs generic verifier ---------------------

@@ -18,6 +18,7 @@ from relalg import (
     verify_full,
     verify_weak,
 )
+from relalg.errors import ResourceBudgetError
 from relalg.structures import AtomLabeling, Xi, bits_to_rows, product_rows
 from relalg.xi import ExplicitPartition, PartitionRecipe, XiFastChecker, mix64
 
@@ -67,6 +68,21 @@ def test_partition_recipe_bitsets_agree_with_classes():
             for other in range(1, 4):
                 if other != i:
                     assert not r.row_bits(other, x) >> y & 1
+
+
+def test_partition_recipe_fill_matches_class_of():
+    # the row-at-a-time lane hash against the per-pair definition, at the
+    # seed extremes, on one-point and one-lane bases and at d = 121
+    for seed in (0, 1, 2**64 - 1):
+        for n in (1, 2, 3, 5):
+            for d in (1, 2, 9, 121):
+                r = PartitionRecipe(seed, n, d)
+                table = [[r.class_of(x, y) for y in range(d)] for x in range(d)]
+                for i in range(1, n + 1):
+                    rows = [sum(1 << y for y in range(d) if table[x][y] == i) for x in range(d)]
+                    cols = [sum(1 << x for x in range(d) if table[x][y] == i) for y in range(d)]
+                    assert [r.row_bits(i, x) for x in range(d)] == rows, (seed, n, d, i)
+                    assert [r.col_bits(i, y) for y in range(d)] == cols, (seed, n, d, i)
 
 
 def test_explicit_partition_matches_recipe():
@@ -194,6 +210,17 @@ def test_union_defect_blocks_all_seeds_at_m2(aff3):
         assert _replay_certificate(x, report.certificate)
     # additive inner structures have no defect
     assert XiFastChecker(aff3, 2).union_defect is None
+
+
+def test_fast_checker_refuses_oversized_base_at_once(aff3):
+    # 3^10 = 59,049 inner points: d^2-bit images would take gigabytes
+    theta = build_power(aff3, 5)
+    with pytest.raises(ResourceBudgetError, match="image budget"):
+        XiFastChecker(theta, 2)
+    with pytest.raises(ResourceBudgetError):
+        search_weakrep(3, 2, 5, range(1))
+    with pytest.raises(ResourceBudgetError):
+        montecarlo(3, 2, 5, trials=1, seed0=0)
 
 
 def test_search_weakrep_deterministic():
