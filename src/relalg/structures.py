@@ -824,22 +824,21 @@ def build_affine(q: int) -> AtomLabeling:
         raise ValueError("affine construction needs q >= 3")
     fld = field_make(q)
     alg = build_lpn(q, 0)
+    # The label depends on the difference (dy1, dy2) = v - u alone: label
+    # each difference once, at index dy1*q + dy2, and look the pairs up.
+    by_difference = [1 + q] * q  # dy1 = 0: vertical
+    for dy1 in range(1, q):
+        inv = fld.inv(dy1)
+        by_difference += [1 + fld.mul(dy2, inv) for dy2 in range(q)]
+    sub = [[fld.sub(y, x) for y in range(q)] for x in range(q)]  # sub[x][y] = y - x
     labels: dict[tuple[int, int], int] = {}
     for x1 in range(q):
         for x2 in range(q):
             u = x1 * q + x2
-            for y1 in range(q):
-                for y2 in range(q):
-                    v = y1 * q + y2
-                    if u == v:
-                        continue
-                    dx = fld.sub(y1, x1)
-                    dy = fld.sub(y2, x2)
-                    if dx == 0:
-                        slope = q  # vertical
-                    else:
-                        slope = fld.mul(dy, fld.inv(dx))
-                    labels[(u, v)] = 1 + slope
+            row = [by_difference[d1 * q + d2] for d1 in sub[x1] for d2 in sub[x2]]
+            for v, a in enumerate(row):
+                if v != u:
+                    labels[u, v] = a
     return AtomLabeling(alg, q * q, labels)
 
 

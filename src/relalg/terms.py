@@ -259,7 +259,8 @@ def equation_length(eq: Equation) -> int:
 # order.  Each step sits at the level of the last variable its subterm
 # uses, and a search reruns a level's steps only when that variable
 # changes.  Composition and converse come from a kernel: falsify builds a
-# table-driven one per call, eval_term uses the algebra's own.
+# table-driven one per call, and eval_term calls the algebra's
+# compose_masks and converse_mask, which keep no state.
 
 # Entry limit of the composition tables.  The full 2^k x 2^k table fits up
 # to k = 10 atoms and the per-atom rows (k x 2^k) up to k = 16, so every
@@ -267,13 +268,16 @@ def equation_length(eq: Equation) -> int:
 _TABLE_ENTRIES = 1 << 20
 
 
-class _Kernel:
-    """A kernel's comp(x, y) = x;y and conv(x) = x~ on masks, extended to
-    whole rows and columns of the composition table and to vectors."""
+class _Direct:
+    """comp(x, y) = x;y and conv(x) = x~ on masks, from the algebra's
+    compose_masks and converse_mask with no table, extended to whole rows
+    and columns of the composition table and to vectors.  The table
+    kernels below replace comp and conv and the extensions they speed up."""
 
-    size: int
-    comp: Callable[[int, int], int]
-    conv: Callable[[int], int]
+    def __init__(self, algebra: FiniteRelationAlgebra):
+        self.size = algebra.top_mask + 1
+        self.comp = algebra.compose_masks
+        self.conv = algebra.converse_mask
 
     def row(self, c: int) -> list[int]:
         """c;y for every element y."""
@@ -292,15 +296,6 @@ class _Kernel:
         return list(map(self.conv, xs))
 
 
-class _Direct(_Kernel):
-    """comp and conv given as functions, with no table."""
-
-    def __init__(self, algebra: FiniteRelationAlgebra, comp, conv):
-        self.size = algebra.top_mask + 1
-        self.comp = comp
-        self.conv = conv
-
-
 def _or_table(rows: Sequence[Sequence[int]]) -> Sequence[int]:
     """Flat array whose block x is the OR of rows[i] over the bits i of x.
 
@@ -317,7 +312,7 @@ def _or_table(rows: Sequence[Sequence[int]]) -> Sequence[int]:
     return out
 
 
-class _AtomRows(_Kernel):
+class _AtomRows(_Direct):
     """rows[a][y] = a;y for each atom a; x;y is the OR over the atoms of x."""
 
     def __init__(self, algebra: FiniteRelationAlgebra):
@@ -367,14 +362,14 @@ class _Table(_AtomRows):
         return list(map(self.table.__getitem__, keys))
 
 
-def _kernel(algebra: FiniteRelationAlgebra) -> _Kernel:
+def _kernel(algebra: FiniteRelationAlgebra) -> _Direct:
     """The largest composition kernel whose table fits _TABLE_ENTRIES."""
     k = algebra.atom_count
     if 1 << 2 * k <= _TABLE_ENTRIES:
         return _Table(algebra)
     if k << k <= _TABLE_ENTRIES:
         return _AtomRows(algebra)
-    return _Direct(algebra, algebra.compose_atoms, algebra.converse_mask)
+    return _Direct(algebra)
 
 
 def _lift(op: Callable[[int, int], int], xv: bool, yv: bool) -> Callable:
@@ -402,7 +397,7 @@ def _compile(
     roots: Sequence[Term],
     order: list[int],
     algebra: FiniteRelationAlgebra,
-    kernel: _Kernel,
+    kernel: _Direct,
     vector: bool = False,
 ) -> tuple[list, list[list[tuple]], list[int]]:
     """Compile terms over the variables ``order`` into levelled steps.
@@ -496,7 +491,7 @@ def eval_term(
     independent check on the composition tables ``falsify`` builds.
     """
     order = sorted(variables(t))
-    kernel = _Direct(algebra, algebra.compose_masks, algebra.converse_mask)
+    kernel = _Direct(algebra)
     vals, levels, (root,) = _compile((t,), order, algebra, kernel)
     for i, v in enumerate(order):
         if v not in assignment:
@@ -548,8 +543,7 @@ def falsify(
     when |algebra|^(variable count) exceeds the budget.  Random mode
     draws seeded assignments and returns "unknown" if none falsifies.
     Both evaluate through a kernel built once per call within
-    _TABLE_ENTRIES, so memory is fixed before the search starts and the
-    algebra's composition cache is left untouched.
+    _TABLE_ENTRIES, so memory is fixed before the search starts.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -26,13 +26,10 @@ def test_element_mixed_algebra_rejected(l32, l30):
         l32.parse_element("a0").compose(l30.parse_element("a1"))
 
 
-def test_compose_identity_and_memoization(l32):
+def test_compose_identity(l32):
     a0 = l32.parse_element("a0")
     assert a0.compose(l32.identity) == a0
     assert l32.identity.compose(a0) == a0
-    # memo: same mask pair hits the cache and stays consistent
-    first = l32.compose_masks(a0.bits, a0.bits)
-    assert l32.compose_masks(a0.bits, a0.bits) == first
 
 
 def test_parse_element_errors(l32):
@@ -150,6 +147,17 @@ def test_check_embedding_detects_collapse(l32):
     report = check_embedding(Embedding(dom, l32, images))
     assert not report.ok
     assert report.failure.clause in ("meet", "injective")
+
+
+def test_check_embedding_requires_images_to_cover_top(l30):
+    # the namesake atoms of L(3,0) in L(3,1) miss t1: 1' is preserved and so
+    # is every product, but the complement of 1' maps to A instead of A+T
+    l31 = build_lpn(3, 1)
+    images = {1 << i: l31.atom_by_name(nm).bits for i, nm in enumerate(l30.atom_names)}
+    report = check_embedding(Embedding(full_subalgebra(l30), l31, images))
+    assert not report.ok
+    assert report.failure.clause == "top"
+    assert report.failure.detail == "1 maps to 1'+a0+a1+a2+a3"
 
 
 def test_check_embedding_requires_total_atom_map(l32):

@@ -58,7 +58,7 @@ def test_affine_verifies_fully(q):
         assert lo == hi == q - 1
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_affine_matches_set_builder_oracle(q):
     # independent construction: R_s = pairs whose difference vector is
     # (j, s*j) for some nonzero j; R_q = vertical differences (0, j)

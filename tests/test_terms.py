@@ -1,11 +1,12 @@
+import copy
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from relalg import build_lpn, terms
-from relalg.algebra import FiniteRelationAlgebra
+from relalg import build_lpn, check_axioms, check_embedding, generate_subalgebra, terms
+from relalg.algebra import Embedding, FiniteRelationAlgebra, full_subalgebra
 from relalg.errors import ParseError, ResourceBudgetError
 from relalg.terms import (
     Comp,
@@ -360,15 +361,45 @@ def _random_oracle(eq, alg, seed, trials):
     return "unknown", None, trials
 
 
-def test_random_falsify_leaves_compose_cache_empty():
+def _state(alg):
+    """A deep copy of everything the algebra instance holds."""
+    return copy.deepcopy(vars(alg))
+
+
+def test_algebra_state_unchanged_by_every_operation(monkeypatch):
+    alg = _complex_algebra_s3()
+    before = _state(alg)
+    x, y = alg.element(0b000110), alg.element(0b101001)
+    eq = parse_equation("(x1;x2)~ = x1~;x2~")
+    operations = [
+        lambda: check_axioms(alg),
+        lambda: generate_subalgebra(alg, [x]),
+        lambda: check_embedding(
+            Embedding(full_subalgebra(alg), alg, {1 << i: 1 << i for i in range(6)})
+        ),
+        lambda: x.compose(y),
+        lambda: x.converse(),
+        lambda: eval_term(eq.lhs, alg, {1: x, 2: y}),
+    ]
+    for op in operations:
+        op()
+        assert vars(alg) == before
+    for entries, kind in [(1 << 20, terms._Table), (1000, terms._AtomRows), (100, terms._Direct)]:
+        monkeypatch.setattr(terms, "_TABLE_ENTRIES", entries)
+        assert type(terms._kernel(alg)) is kind
+        assert falsify(eq, alg).falsified
+        assert falsify(eq, alg, mode="random", seed=1, trials=50).falsified
+        assert vars(alg) == before
+
+
+def test_random_falsify_leaves_algebra_unchanged():
     alg = build_lpn(9, 3)
     assert isinstance(terms._kernel(alg), terms._AtomRows)
     eq = parse_equation("x1;(x2;x3) = (x1;x2);x3")
+    before = _state(alg)
     res = falsify(eq, alg, mode="random", seed=5, trials=300)
+    assert vars(alg) == before
     assert _outcome(res) == _random_oracle(eq, alg, 5, 300)
-    alg._comp_cache.clear()  # the oracle fills it through eval_term
-    falsify(eq, alg, mode="random", seed=5, trials=300)
-    assert len(alg._comp_cache) == 0
 
 
 @pytest.mark.parametrize("text", ["x1;(x2;x3) = (x1;x2);x3", "x1;x2 = x2"])
@@ -377,8 +408,9 @@ def test_random_falsify_direct_kernel_above_row_limit(text):
     assert (alg.atom_count << alg.atom_count) > terms._TABLE_ENTRIES
     assert type(terms._kernel(alg)) is terms._Direct
     eq = parse_equation(text)
+    before = _state(alg)
     res = falsify(eq, alg, mode="random", seed=2, trials=40)
-    assert len(alg._comp_cache) == 0
+    assert vars(alg) == before
     assert _outcome(res) == _random_oracle(eq, alg, 2, 40)
 
 
