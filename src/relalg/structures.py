@@ -24,7 +24,7 @@ complement.  Both verdicts come with a first-failure certificate naming
 the clause, the element pair and a witness point pair.
 
 One clause loop, _verify, decides both.  It runs zero, identity,
-converse, then compose and meet over element pairs, then injective, and
+converse, then compose and meet (below), then injective, and
 for verify_full top and complement.  It compares whole images, held as
 int bitsets in a fixed layout per kind: row-major d*d for AtomLabeling
 and Power; for Xi four d*d blocks D | D' | C | C^T (first copy, mirror
@@ -40,12 +40,20 @@ ways, chosen from the structure:
 * the other kinds (Power, and Xi over a Power) form the product of each
   pair; Xi caches the products of inner-element and class-set parts.
 
-Compose and meet compare expected and computed relations for every
-element pair; the shared subcomputations are exact identities of
-boolean matrix algebra.  Transposition is additive, so converse is
-checked on the atoms of additive images, on the inner elements of other
-Xi images (their bridge blocks are transposes of each other by
-construction) and on every element of a Power.  For symmetric
+For additive images compose and meet are decided on the atom pairs:
+both sides of each clause distribute over the atoms of x and y, so when
+every atom pair (a,b) has image(a).image(b) = image(a;b) and distinct
+atoms have disjoint images, every element pair holds.  Otherwise, and
+for the other kinds, compose and meet compare expected and computed
+relations element pair by element pair up to the first failure; the
+shared subcomputations are exact identities of boolean matrix algebra.
+pairs_checked counts the element pairs decided either way, so a verdict,
+its certificate and its count do not depend on the route.
+
+Transposition is additive, so converse is checked on the atoms of
+additive images, on the inner elements of other Xi images (their bridge
+blocks are transposes of each other by construction) and on every
+element of a Power.  For symmetric
 commutative algebras the ordered pair (y,x) check is the transpose of
 the (x,y) check once converse respect is established, so the pair loop
 runs over unordered pairs; the verdict is unchanged.  Before building
@@ -438,14 +446,25 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
 
     comp = alg.comp
     additive = layout.additive
+    decided = False
     if additive:
         atom_img = [img[1 << a] for a in range(k)]
         atom_prod = [[layout.product(p, q) for q in atom_img] for p in atom_img]
+        # both sides of each clause distribute over the atoms of x and y:
+        # image(x).image(y) is the union of atom_prod[a][b] and image(x;y)
+        # the union of img[a;b], while image(x) & image(y) is image(x.y)
+        # once distinct atoms have disjoint images.  Every element pair
+        # then holds; otherwise the loop finds the first one that fails.
+        decided = all(
+            atom_prod[a][b] == img[comp[a][b]] for a in range(k) for b in range(k)
+        ) and not any(atom_img[a] & atom_img[b] for a in range(k) for b in range(a))
     # unordered-pair reduction: sound once images are symmetric and the
     # composition table commutes (then the (y,x) check is the transpose
     # of the (x,y) check)
     half = alg.is_symmetric and alg.is_commutative
-    for x in range(n_elems):
+    if decided:
+        pairs = n_elems * (n_elems + 1) // 2 if half else n_elems * n_elems
+    for x in range(0 if decided else n_elems):
         start = x if half else 0
         ys = range(start, n_elems)
         xs = list(iter_bits(x))

@@ -110,25 +110,35 @@ def test_criterion_4_power_weak_not_full():
 
 
 def test_criterion_5_oracle_equivalence():
+    # every n >= 2 instance FAILs; with one class every cross pair is in
+    # it, so an n = 1 combo is one instance, whatever the seed, that PASSes
     combos = [
         (3, 2, 1), (3, 3, 1), (4, 2, 1), (4, 3, 1),
         (5, 2, 1), (5, 3, 1), (3, 2, 2), (3, 3, 2),
+        (3, 1, 1), (5, 1, 1), (3, 1, 2),
     ]
     seeds_per_combo = 63
     total = 0
     agreements = 0
+    verdicts = set()
     for p, n, m in combos:
         theta = build_power(build_affine(p), m)
         assert 2 * theta.base_size <= 200
         checker = XiFastChecker(theta, n)
-        for seed in range(seeds_per_combo):
+        for seed in range(seeds_per_combo if n > 1 else 1):
             part = PartitionRecipe(seed, n, theta.base_size)
             fast = checker.check(part)
             generic = verify_weak(Xi(theta, n, part, checker.algebra))
             total += 1
             agreements += fast.ok == generic.ok
-    ok = total >= 500 and agreements == total
-    report(5, ok, f"fast vs generic verdicts agree on {agreements}/{total} instances")
+            verdicts.add(generic.ok)
+    ok = total >= 500 and agreements == total and verdicts == {True, False}
+    report(
+        5,
+        ok,
+        f"fast vs generic verdicts agree on {agreements}/{total} instances, "
+        f"PASS and FAIL both seen: {verdicts == {True, False}}",
+    )
 
 
 def test_criterion_6_bounds():

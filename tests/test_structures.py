@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,16 +15,20 @@ from relalg import (
     verify_full,
     verify_weak,
 )
+from relalg import structures
+from relalg.algebra import FiniteRelationAlgebra
 from relalg.errors import ResourceBudgetError
 from relalg.structures import (
     AtomLabeling,
     ImageRelation,
     Power,
+    Xi,
     bits_to_rows,
     product_rows,
     rows_to_bits,
     transpose_rows,
 )
+from relalg.xi import PartitionRecipe
 
 
 def test_affine_label_examples(aff3):
@@ -303,9 +308,47 @@ def test_image_relation_helpers():
 # -- oracle equivalence: network check vs generic verifier ---------------------
 
 
+def _permuted(s: AtomLabeling, seed: int) -> AtomLabeling:
+    perm = list(range(s.base_size))
+    random.Random(seed).shuffle(perm)
+    labels = {(perm[u], perm[v]): a for (u, v), a in s.labels.items()}
+    return AtomLabeling(s.algebra, s.base_size, labels)
+
+
+def _corrupted(s: AtomLabeling, seed: int) -> AtomLabeling:
+    """s with one edge (and its converse) relabeled by another atom."""
+    rng = random.Random(seed)
+    labels = dict(s.labels)
+    edge = rng.choice(sorted(labels))
+    others = [
+        a
+        for a in range(s.algebra.atom_count)
+        if a != labels[edge] and not (1 << a) & s.algebra.identity_mask
+    ]
+    labels[edge] = rng.choice(others)
+    del labels[edge[::-1]]
+    return AtomLabeling(s.algebra, s.base_size, labels)
+
+
 def test_network_equals_generic_on_known_structures(aff3, doubled3):
     for s in (aff3, doubled3):
         assert network_check(s).ok == verify_weak(s).ok
+
+
+def test_network_equals_generic_on_permuted_and_corrupted_planes():
+    # seeded point permutations of full representations, and one corrupted
+    # edge of each: the oracle must agree on both verdicts
+    verdicts = []
+    for seed, build in enumerate(
+        [lambda q=q: build_affine(q) for q in (3, 4, 5, 7)]
+        + [lambda q=q: build_doubled(q) for q in (3, 5)]
+    ):
+        s = _permuted(build(), seed)
+        for t in (s, _corrupted(s, seed)):
+            generic = verify_weak(t)
+            assert network_check(t).ok == generic.ok
+            verdicts.append(generic.ok)
+    assert verdicts == [True, False] * 6
 
 
 @given(st.data())
@@ -340,3 +383,180 @@ def test_power_of_verified_structure_stays_weak():
         s = AtomLabeling(base.algebra, 9, labels)
         assert verify_weak(s).ok
         assert verify_weak(build_power(s, 2)).ok
+
+
+# -- compose and meet: the atom-pair decision vs element pairs -----------------
+
+
+def _s3_cayley() -> AtomLabeling:
+    """The complex algebra of the symmetric group S3 (neither symmetric nor
+    commutative), represented on its own elements: (u, v) has atom u^-1 v."""
+    group = sorted(permutations(range(3)))  # group[0] is the identity
+    prod = [[group.index(tuple(g[h[i]] for i in range(3))) for h in group] for g in group]
+    inv = [row.index(0) for row in prod]
+    comp = [[1 << c for c in row] for row in prod]
+    alg = FiniteRelationAlgebra([f"g{i}" for i in range(6)], [0], inv, comp)
+    labels = {(u, v): prod[inv[u]][v] for u in range(6) for v in range(6) if u != v}
+    return AtomLabeling(alg, 6, labels)
+
+
+def _xi(q: int, n: int, seed: int) -> Xi:
+    theta = build_affine(q)
+    return Xi(theta, n, PartitionRecipe(seed, n, theta.base_size), build_lpn(q, n))
+
+
+def _without_atom(q: int, atom: int) -> AtomLabeling:
+    """The affine plane with every edge of one slope atom relabeled a0."""
+    s = build_affine(q)
+    labels = {e: (1 if a == atom else a) for e, a in s.labels.items()}
+    return AtomLabeling(s.algebra, s.base_size, labels)
+
+
+def _two_copies(q: int) -> AtomLabeling:
+    """Two affine planes and no cross edge: weak, but image(1) is partial."""
+    s = build_affine(q)
+    d = s.base_size
+    labels = dict(s.labels)
+    labels.update({(u + d, v + d): a for (u, v), a in s.labels.items()})
+    return AtomLabeling(s.algebra, 2 * d, labels)
+
+
+def _reference_compose_meet(structure):
+    """Compose and meet on every ordered element pair, from their definition.
+
+    The product of two images is product_rows of their rows, compared with
+    the image of x;y; their intersection is compared with the image of
+    x.y.  Returns (certificate, pairs): the first failing pair as
+    (clause, elements, point, x;y) with the point where the verifier names
+    it, or None; and the element pairs the verifier decides up to there,
+    which are the pairs with y >= x when the algebra is symmetric and
+    commutative.
+    """
+    alg = structure.algebra
+    n = alg.top_mask + 1
+    half = alg.is_symmetric and alg.is_commutative
+    rows = [image(structure, x).rows() for x in range(n)]
+    pairs = 0
+    for x in range(n):
+        for y in range(n):
+            pairs += not (half and y < x)
+            z = alg.compose_masks(x, y)
+            for clause, got, want in (
+                ("compose", product_rows(rows[x], rows[y]), rows[z]),
+                ("meet", [u & v for u, v in zip(rows[x], rows[y])], rows[x & y]),
+            ):
+                diff = [g ^ w for g, w in zip(got, want)]
+                if any(diff):
+                    elements, point = _reported_point(structure, clause, (x, y), diff)
+                    return (clause, elements, point, z), pairs
+    return None, pairs
+
+
+def _reported_point(structure, clause, elements, diff_rows):
+    """The first differing point pair in the verifier's image layout:
+    row-major for labelings; for Xi the blocks D, D', C (pairs (x,y')),
+    C^T in that order, with a compose difference in C^T reported as the
+    cross-block difference of y;x."""
+    d = structure.base_size
+    cells = [(u, v) for u in range(d) for v in range(d) if diff_rows[u] >> v & 1]
+    if not isinstance(structure, Xi):
+        return elements, min(cells)
+    h = d // 2
+    for block in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        inside = [(u, v) for u, v in cells if (u >= h, v >= h) == block]
+        if inside and clause == "compose" and block == (1, 0):
+            return elements[::-1], min((v, u) for u, v in inside)
+        if inside:
+            return elements, min(inside)
+
+
+CASES = {
+    "affine 3": lambda: build_affine(3),
+    "affine 4": lambda: build_affine(4),
+    "affine 5": lambda: build_affine(5),
+    "doubled 3": lambda: build_doubled(3),
+    "xi n=1 over affine 3": lambda: _xi(3, 1, 0),
+    "xi n=1 over affine 4": lambda: _xi(4, 1, 0),
+    "xi n=1 over affine 5": lambda: _xi(5, 1, 0),
+    "S3 cayley": _s3_cayley,
+    "affine 3, one edge corrupted": lambda: _corrupted(build_affine(3), 1),
+    "affine 4, one edge corrupted": lambda: _corrupted(build_affine(4), 2),
+    "S3 cayley, one edge corrupted": lambda: _corrupted(_s3_cayley(), 3),
+    "affine 3 never using a3": lambda: _without_atom(3, 4),
+    "two affine 3 planes": lambda: _two_copies(3),
+    "xi n=2 over affine 3, seed 0": lambda: _xi(3, 2, 0),
+    "xi n=2 over affine 3, seed 1": lambda: _xi(3, 2, 1),
+    "xi n=2 over affine 4, seed 2": lambda: _xi(4, 2, 2),
+}
+# verify_weak and verify_full: None for PASS, else the failing clause
+EXPECTED = {
+    "affine 3": (None, None),
+    "affine 4": (None, None),
+    "affine 5": (None, None),
+    "doubled 3": (None, None),
+    "xi n=1 over affine 3": (None, None),
+    "xi n=1 over affine 4": (None, None),
+    "xi n=1 over affine 5": (None, None),
+    "S3 cayley": (None, None),
+    "affine 3, one edge corrupted": ("compose", "compose"),
+    "affine 4, one edge corrupted": ("compose", "compose"),
+    "S3 cayley, one edge corrupted": ("compose", "compose"),
+    "affine 3 never using a3": ("compose", "compose"),
+    "two affine 3 planes": (None, "top"),
+    "xi n=2 over affine 3, seed 0": ("compose", "compose"),
+    "xi n=2 over affine 3, seed 1": ("compose", "compose"),
+    "xi n=2 over affine 4, seed 2": ("compose", "compose"),
+}
+# the reference takes about 15 s on the 65,536 ordered pairs of 50-point
+# images of xi over affine 5; the loop-skip test below still runs it
+REFERENCE_CASES = sorted(set(CASES) - {"xi n=1 over affine 5"})
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_atom_pair_decision_matches_element_pairs(name):
+    s = CASES[name]()
+    cert, pairs = _reference_compose_meet(s)
+    reports = verify_weak(s), verify_full(s)
+    verdicts = tuple(None if r.ok else r.failure.clause for r in reports)
+    assert verdicts == EXPECTED[name]
+    for report, mode in zip(reports, ("weak", "full")):
+        assert report.mode == mode
+        assert report.pairs_checked == pairs
+        if cert is None:
+            assert report.ok or report.failure.clause == "top"
+            continue
+        clause, elements, point, z = cert
+        failure = report.failure
+        assert (failure.clause, failure.elements, failure.point) == (
+            clause,
+            elements,
+            point,
+        )
+        if clause == "compose":
+            assert f"= {s.algebra.format_mask(z)})" in failure.detail
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_additive_pass_skips_the_element_pair_loop(name, monkeypatch):
+    # the loop calls _spans twice per element; an Xi layout calls it once
+    # to build its images
+    s = CASES[name]()
+    calls = []
+    spans = structures._spans
+    monkeypatch.setattr(structures, "_spans", lambda v: calls.append(1) or spans(v))
+    report = verify_weak(s)
+    setup = 1 if isinstance(s, Xi) else 0
+    if report.ok:
+        assert len(calls) == setup
+    else:
+        assert len(calls) > setup
+
+
+def test_power_pass_runs_the_element_pair_loop(monkeypatch):
+    # power images are not additive: the loop runs, one _spans per element
+    calls = []
+    spans = structures._spans
+    monkeypatch.setattr(structures, "_spans", lambda v: calls.append(1) or spans(v))
+    s = build_power(build_affine(3), 2)
+    assert verify_weak(s).ok
+    assert len(calls) == s.algebra.top_mask + 1
