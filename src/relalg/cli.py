@@ -19,13 +19,32 @@ gamma > MAX_PARAMS_GAMMA before any work starts.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import complexity, fileformat, lpn, structures, terms, xi
 from .algebra import check_axioms, generate_subalgebra
 from .errors import ParseError, ResourceBudgetError
+
+
+def _lazy(name: str):
+    """The submodule relalg.<name>, bound now and executed on its first
+    attribute access, so each command runs only the layers it uses."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+complexity, fileformat, lpn, structures, terms, xi = map(
+    _lazy, ("complexity", "fileformat", "lpn", "structures", "terms", "xi")
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

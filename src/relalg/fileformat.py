@@ -33,12 +33,16 @@ from __future__ import annotations
 
 import os
 import re
+from typing import TYPE_CHECKING
 
 from .algebra import FiniteRelationAlgebra
 from .errors import ParseError
 from .lpn import build_lpn
-from .structures import AtomLabeling, LabeledStructure, Power, Xi
-from .xi import ExplicitPartition, PartitionRecipe
+
+# structures and xi are imported where a structure or an xi file needs
+# them, so that algebra-only commands never run them
+if TYPE_CHECKING:
+    from .structures import LabeledStructure
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9']+$")
 _DIGITS = re.compile(r"[0-9]+")
@@ -211,6 +215,8 @@ def format_structure(
     inner_path: str | None = None,
     explicit: bool = False,
 ) -> str:
+    from .structures import AtomLabeling, Power, Xi
+
     lines = ["structure v1", f"kind {structure.kind}", f"algebra {algebra_path}"]
     if isinstance(structure, AtomLabeling):
         lines.append(f"base {structure.base_size}")
@@ -225,6 +231,8 @@ def format_structure(
     elif isinstance(structure, Xi):
         if inner_path is None:
             raise ValueError("xi structures need an inner path")
+        from .xi import PartitionRecipe
+
         part = structure.partition
         if isinstance(part, PartitionRecipe) and not explicit:
             lines.append(
@@ -265,6 +273,8 @@ def _ints(fields: list[str], no: int) -> list[int]:
 
 
 def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
+    from .structures import AtomLabeling, Power, Xi
+
     if _depth > 16:
         raise ParseError(f"structure files nest too deeply at {path}")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -390,6 +400,8 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
         raise ParseError("xi line carries a seed and explicit tedges", no)
     if seed is None and not tedges:
         raise ParseError("xi needs a seed or explicit tedges", no)
+    from .xi import ExplicitPartition, PartitionRecipe
+
     try:
         if seed is not None:
             partition = PartitionRecipe(seed, n, inner.base_size)

@@ -68,7 +68,6 @@ from typing import Union
 
 from .algebra import Element, FiniteRelationAlgebra, iter_bits
 from .errors import ResourceBudgetError
-from .gf import field_make
 from .lpn import build_lpn
 
 DEFAULT_VERIFY_MAX_BASE = 4096
@@ -841,6 +840,8 @@ def build_affine(q: int) -> AtomLabeling:
     """
     if q < 3:
         raise ValueError("affine construction needs q >= 3")
+    from .gf import field_make  # the only user of gf here
+
     fld = field_make(q)
     alg = build_lpn(q, 0)
     # The label depends on the difference (dy1, dy2) = v - u alone: label

@@ -13,6 +13,7 @@ Concrete grammar (whitespace insignificant):
 
 "-" is complement, postfix "~" is converse and binds tighter than "-",
 "e" is the identity constant.  Binary operators are left-associative.
+Terms nest at most MAX_TERM_DEPTH levels; the parser refuses deeper ones.
 The canonical printer emits binary operators without spaces, a single
 " = " in equations, and parentheses only where precedence requires, so
 print(parse(s)) == s on canonical strings and parse(print(t)) == t.
@@ -90,10 +91,26 @@ class Equation:
 # -- parsing -----------------------------------------------------------------
 
 
+# A term nests at most this many levels, counted on its tree: x1 has
+# depth 1, -x1 and x1;x1 depth 2, and x1;x1;...;x1 with k operands depth
+# k, with or without parentheses.  Printing, comparing, hashing and
+# compiling recurse once per level, so the parser refuses a deeper term,
+# and more than this many pending "(" and prefix "-" (a printed term of
+# depth d has fewer than d), with a ParseError at the offending token.
+# Both keep every step inside the default recursion limit.
+MAX_TERM_DEPTH = 150
+
+# binary operators: symbol -> (binding level, node); all left-associative
+_BINARY = {"+": (1, Join), "&": (2, Meet), ";": (3, Comp)}
+
+
 class _Parser:
+    """Recursive descent returning (term, depth) pairs."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.pending = 0  # "(" and prefix "-" entered and not yet closed
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -112,43 +129,49 @@ class _Parser:
             return True
         return False
 
-    def parse_sum(self) -> Term:
-        t = self.parse_meet()
-        while self.take("+"):
-            t = Join(t, self.parse_meet())
-        return t
+    def check(self, depth: int, at: int) -> int:
+        """``depth``, unless it passes the limit at the token at ``at``."""
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", at)
+        return depth
 
-    def parse_meet(self) -> Term:
-        t = self.parse_comp()
-        while self.take("&"):
-            t = Meet(t, self.parse_comp())
-        return t
+    def parse_binary(self, level: int = 1) -> tuple[Term, int]:
+        """Operators binding at ``level`` or tighter."""
+        t, depth = self.parse_unary()
+        while True:
+            op = _BINARY.get(self.peek())
+            if op is None or op[0] < level:
+                return t, depth
+            at = self.pos
+            self.pos += 1
+            right, right_depth = self.parse_binary(op[0] + 1)
+            t, depth = op[1](t, right), self.check(1 + max(depth, right_depth), at)
 
-    def parse_comp(self) -> Term:
-        t = self.parse_unary()
-        while self.take(";"):
-            t = Comp(t, self.parse_unary())
-        return t
-
-    def parse_unary(self) -> Term:
+    def parse_unary(self) -> tuple[Term, int]:
         if self.take("-"):
-            return Not(self.parse_unary())
-        t = self.parse_primary()
+            at = self.pos - 1
+            self.pending = self.check(self.pending + 1, at)
+            t, depth = self.parse_unary()
+            self.pending -= 1
+            return Not(t), self.check(depth + 1, at)
+        t, depth = self.parse_primary()
         while self.take("~"):
-            t = Conv(t)
-        return t
+            t, depth = Conv(t), self.check(depth + 1, self.pos - 1)
+        return t, depth
 
-    def parse_primary(self) -> Term:
+    def parse_primary(self) -> tuple[Term, int]:
         ch = self.peek()
         if ch == "(":
+            self.pending = self.check(self.pending + 1, self.pos)
             self.pos += 1
-            t = self.parse_sum()
+            t = self.parse_binary()
+            self.pending -= 1
             if not self.take(")"):
                 raise self.error("expected ')'")
             return t
         if ch and ch in "01e":
             self.pos += 1
-            return Const(ch)
+            return Const(ch), 1
         if ch == "x":
             self.pos += 1
             start = self.pos
@@ -159,14 +182,15 @@ class _Parser:
             index = int(self.text[start : self.pos])
             if index < 1:
                 raise self.error("variable indices start at 1")
-            return Var(index)
+            return Var(index), 1
         if ch == "":
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected character {ch!r}")
 
+
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.parse_sum()
+    t, _ = p.parse_binary()
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input after term")
@@ -175,10 +199,10 @@ def parse_term(text: str) -> Term:
 
 def parse_equation(text: str) -> Equation:
     p = _Parser(text)
-    lhs = p.parse_sum()
+    lhs, _ = p.parse_binary()
     if not p.take("="):
         raise p.error("expected '=' between terms")
-    rhs = p.parse_sum()
+    rhs, _ = p.parse_binary()
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input after equation")

@@ -1,14 +1,20 @@
 import copy
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import relalg
 from relalg import build_lpn, check_axioms, check_embedding, generate_subalgebra, terms
 from relalg.algebra import Embedding, FiniteRelationAlgebra, full_subalgebra
 from relalg.errors import ParseError, ResourceBudgetError
+from relalg.fileformat import save_algebra
 from relalg.terms import (
+    MAX_TERM_DEPTH,
     Comp,
     Const,
     Conv,
@@ -74,6 +80,89 @@ def test_parse_errors_carry_positions():
         parse_equation("x1 + x2")
     with pytest.raises(ParseError):
         parse_term("x1 ? x2")
+
+
+def _right_comp(depth):
+    text = "x1;x1" if depth > 1 else "x1"
+    for _ in range(depth - 2):
+        text = f"x1;({text})"
+    return text
+
+
+# Terms of a given tree depth; "parens" has depth 1 under `depth` pairs of
+# parentheses, which the parser's own recursion counts against the limit.
+DEEP = {
+    "comp-chain": lambda d: "x1" + ";x1" * (d - 1),  # left-associative, no parentheses
+    "join-chain": lambda d: "x1" + "+x2" * (d - 1),
+    "converse": lambda d: "x1" + "~" * (d - 1),
+    "complement": lambda d: "-" * (d - 1) + "x1",
+    "right-comp": _right_comp,
+    "mixed": lambda d: "-" * (d - 4) + "(x1;(x2+x1~))",
+    "parens": lambda d: "(" * d + "x1" + ")" * d,
+}
+
+
+def _tree_depth(t):
+    """Nodes on the longest root-to-leaf path, without recursion."""
+    deepest, stack = 0, [(t, 1)]
+    while stack:
+        t, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(t, (Not, Conv)):
+            stack.append((t.arg, depth + 1))
+        elif isinstance(t, (Join, Meet, Comp)):
+            stack += [(t.left, depth + 1), (t.right, depth + 1)]
+    return deepest
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_term_at_depth_limit_is_accepted(shape):
+    text = DEEP[shape](MAX_TERM_DEPTH)
+    t = parse(text)
+    assert _tree_depth(t) == (1 if shape == "parens" else MAX_TERM_DEPTH)
+    printed = print_term(t)
+    assert printed == ("x1" if shape == "parens" else text)
+    assert parse(printed) == t
+    eq = parse_equation(f"{text} = x1")
+    assert equation_length(eq) == sum(map(text.count, "x-~;+&")) + 1
+    l31 = build_lpn(3, 1)
+    result = falsify(eq, l31)
+    if result.falsified:
+        assert eval_term(t, l31, result.assignment) != result.assignment[1]
+    else:
+        assert result.status == "valid"
+
+
+@pytest.mark.parametrize("shape", DEEP)
+def test_term_past_depth_limit_is_refused(shape):
+    text = DEEP[shape](MAX_TERM_DEPTH + 1)
+    with pytest.raises(ParseError, match="deeper than") as err:
+        parse(f"{text} = x1")
+    assert text[err.value.position] in "(-~;+&"  # the operator one level too deep
+
+
+@pytest.mark.parametrize(
+    "lhs",
+    [
+        "(" * 900 + "x1" + ")" * 900,
+        "x1" + ";x1" * 3000,
+        "x1" + "~" * 2000,
+        "-" * 3000 + "x1",
+        *(DEEP[shape](MAX_TERM_DEPTH + 1) for shape in DEEP),
+    ],
+    ids=["900-parens", "3000-comps", "2000-converses", "3000-complements",
+         *(f"{shape}-limit+1" for shape in DEEP)],
+)
+def test_cli_refuses_deep_term_with_parse_error(tmp_path, lhs):
+    save_algebra(build_lpn(3, 1), str(tmp_path / "l31.ra"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relalg.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "relalg", "falsify", "l31.ra", f"{lhs} = x1"],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 3
+    assert out.stderr.startswith("parse error: term nests deeper than")
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("text", ["x\u00b2 = x1", "x1 = x\uff11", "x\u0661", "x1\u00b2"])
