@@ -24,8 +24,7 @@ Peircean condition exhaustively on atom triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ResourceBudgetError
 
@@ -36,6 +35,47 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class Frozen:
+    """Immutable value whose fields are its ``__slots__``, passed in order.
+
+    Equality needs the same class and equal ``_key()`` (every field unless
+    a subclass narrows it), hashing is over ``_key()``, and the repr names
+    every field.  Plain methods, so a subclass costs no code generation.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), Frozen._key(self)  # every field, for copy and pickle
 
 
 class Element:
@@ -245,15 +285,13 @@ class FiniteRelationAlgebra:
 # -- axiom checking --------------------------------------------------------
 
 
-@dataclass
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
     family: str
     atoms: tuple[int, ...]
     detail: str
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     algebra: FiniteRelationAlgebra
     associativity_ok: bool
     identity_ok: bool
@@ -397,8 +435,7 @@ def check_axioms(algebra: FiniteRelationAlgebra) -> AxiomReport:
 # -- subalgebra generation --------------------------------------------------
 
 
-@dataclass
-class SubalgebraDescription:
+class SubalgebraDescription(NamedTuple):
     """A subalgebra described by its atoms (minimal nonzero elements).
 
     The carrier is the set of all unions of the atom cells.  ``contains``
@@ -540,21 +577,18 @@ def generate_subalgebra_naive(
 # -- embeddings --------------------------------------------------------------
 
 
-@dataclass
-class EmbeddingFailure:
+class EmbeddingFailure(NamedTuple):
     clause: str
     atoms: tuple[int, ...]
     detail: str
 
 
-@dataclass
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     ok: bool
     failure: EmbeddingFailure | None = None
 
 
-@dataclass
-class Embedding:
+class Embedding(NamedTuple):
     """Additive map between algebras, given by its values on domain atoms.
 
     ``domain`` is a subalgebra description of the source algebra; the map

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 
@@ -638,6 +637,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
+        import json  # only --json output needs it
+
         print(json.dumps({"command": args.command, **payload}, sort_keys=True))
     else:
         for line in lines:

@@ -23,21 +23,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     Element,
     Embedding,
     EmbeddingReport,
+    FiniteRelationAlgebra,
+    Frozen,
     SubalgebraDescription,
     check_embedding,
     generate_subalgebra,
 )
 from .gf import is_prime_power
 from .lpn import build_lpn
-
-from .algebra import FiniteRelationAlgebra
 
 
 def _next_odd_prime_power(above: int) -> int:
@@ -87,25 +86,25 @@ def pigeonhole_pair(gens: Sequence[Element]) -> tuple[int, int]:
     )
 
 
-@dataclass
-class GammaWitnessPlan:
+class GammaWitnessPlan(Frozen):
+    __slots__ = ("gamma", "p", "n", "fusion", "target_p")
     gamma: int
     p: int
     n: int
     fusion: tuple[int, int]
     target_p: int
 
-    def __post_init__(self):
-        if (1 << self.gamma) >= self.p + 1:
+    def __init__(self, gamma: int, p: int, n: int, fusion: tuple[int, int], target_p: int):
+        if (1 << gamma) >= p + 1:
             raise ValueError("plan needs 2^gamma < p+1")
-        if 2 * self.n <= self.p:
+        if 2 * n <= p:
             raise ValueError("plan needs n > p/2 so the algebra is non-representable")
-        if self.target_p < self.p:
+        if target_p < p:
             raise ValueError("target parameter must be at least p")
+        super().__init__(gamma, p, n, fusion, target_p)
 
 
-@dataclass
-class GammaEmbeddingResult:
+class GammaEmbeddingResult(NamedTuple):
     plan: GammaWitnessPlan
     subalgebra: SubalgebraDescription
     embedding: Embedding

@@ -15,8 +15,6 @@ Irreducibility is checked exhaustively (no monic divisor of degree
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -51,19 +49,22 @@ def is_prime_power(q: int) -> bool:
     return factor_prime_power(q) is not None
 
 
-@dataclass
 class FieldSpec:
     """GF(p^k) with a fixed monic irreducible modulus.
 
     ``modulus`` lists the k non-leading coefficients of the modulus
     polynomial, constant term first (the leading X^k coefficient is 1).
+    ``_mul_table`` caches every product once field_make builds it.
     """
 
-    q: int
-    p: int
-    k: int
-    modulus: tuple[int, ...]
-    _mul_table: list[int] | None = field(default=None, repr=False)
+    __slots__ = ("q", "p", "k", "modulus", "_mul_table")
+
+    def __init__(self, q: int, p: int, k: int, modulus: tuple[int, ...]):
+        self.q, self.p, self.k, self.modulus = q, p, k, modulus
+        self._mul_table: list[int] | None = None
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(q={self.q}, p={self.p}, k={self.k}, modulus={self.modulus})"
 
     # -- encoding ----------------------------------------------------------
 

@@ -32,7 +32,7 @@ atoms extends additively to an embedding of L^ij(p,n) into L(q,n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     Element,
@@ -122,8 +122,7 @@ def notrap_flag(p: int, n: int) -> bool:
     return 2 * n > p
 
 
-@dataclass
-class FusedAlgebra:
+class FusedAlgebra(NamedTuple):
     """L^ij(p,n) together with its inclusion into L(p,n)."""
 
     algebra: FiniteRelationAlgebra
@@ -199,8 +198,7 @@ def build_fused(p: int, n: int, i: int, j: int) -> FusedAlgebra:
     return FusedAlgebra(fused, parent, i, j, inclusion, report)
 
 
-@dataclass
-class FusionEmbedding:
+class FusionEmbedding(NamedTuple):
     fused: FusedAlgebra
     target: FiniteRelationAlgebra
     embedding: Embedding

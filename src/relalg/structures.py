@@ -63,10 +63,9 @@ all 2^k elements would exceed 2^29 bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
-from .algebra import Element, FiniteRelationAlgebra, iter_bits
+from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
 from .errors import ResourceBudgetError
 from .lpn import build_lpn
 
@@ -95,10 +94,14 @@ def bits_to_rows(bits: int, d: int, cols: int | None = None) -> list[int]:
 
 
 def rows_to_bits(rows: list[int], cols: int) -> int:
-    out = 0
-    for row in reversed(rows):
-        out = (out << cols) | row
-    return out
+    """Row u at bit u*cols.  Neighbouring rows join pairwise, halving the
+    list each round, so building the d*d-bit result copies each bit
+    log2(d) times, not once per later row."""
+    while len(rows) > 1:
+        joined = [lo | hi << cols for lo, hi in zip(rows[::2], rows[1::2])]
+        rows = joined + rows[-1:] if len(rows) & 1 else joined
+        cols *= 2
+    return rows[0] if rows else 0
 
 
 def transpose_rows(rows: list[int], width: int) -> list[int]:
@@ -122,10 +125,10 @@ def product_rows(xrows: list[int], yrows: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ImageRelation:
+class ImageRelation(Frozen):
     """A binary relation on 0..d-1, stored as a row-major d*d bitset."""
 
+    __slots__ = ("d", "bits")
     d: int
     bits: int
 
@@ -202,12 +205,12 @@ class AtomLabeling:
         return self._atom_bits
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Frozen):
     """Coordinatewise m-th power of an inner structure (build_power
     collapses m = 1 to the inner structure itself; a file's m = 1 power
     line loads as the inner structure)."""
 
+    __slots__ = ("inner", "m")
     inner: "LabeledStructure"
     m: int
 
@@ -224,20 +227,23 @@ class Power:
         return self.inner.base_size**self.m
 
 
-@dataclass(frozen=True)
-class Xi:
+class Xi(Frozen):
     """Doubled structure with randomly classed cross edges.
 
     ``inner`` is a structure for L(p,0) on base D; the Xi base is D
     followed by its mirror copy D' (indices offset by inner.base_size).
     ``partition`` assigns each (x,y') in D x D' a class 1..n; ``algebra``
-    is L(p,n).
+    is L(p,n), left out of equality and hashing.
     """
 
+    __slots__ = ("inner", "n", "partition", "algebra")
     inner: "LabeledStructure"
     n: int
     partition: "ClassAssignment"
-    algebra: FiniteRelationAlgebra = field(compare=False)
+    algebra: FiniteRelationAlgebra
+
+    def _key(self) -> tuple:
+        return self.inner, self.n, self.partition
 
     @property
     def kind(self) -> str:
@@ -372,8 +378,7 @@ def _xi_bits(structure: Xi, mask: int) -> int:
 # -- verification ------------------------------------------------------------
 
 
-@dataclass
-class VerifyFailure:
+class VerifyFailure(NamedTuple):
     clause: str
     elements: tuple[int, ...]
     point: tuple[int, int] | None
@@ -385,8 +390,7 @@ class VerifyFailure:
         return f"{self.clause} failed for ({elems}){at}: {self.detail}"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     mode: str
     failure: VerifyFailure | None
@@ -891,8 +895,7 @@ def build_power(structure: LabeledStructure, m: int) -> LabeledStructure:
 # -- degree audit ------------------------------------------------------------
 
 
-@dataclass
-class DegreeAuditReport:
+class DegreeAuditReport(NamedTuple):
     degrees: dict[int, tuple[int, int]]  # atom index -> (min, max) row degree
     claim_full: bool
     lpn_ok: bool | None

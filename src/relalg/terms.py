@@ -30,51 +30,54 @@ Only equations are supported; encode an inequality u <= v as u+v = v.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import cycle, product, repeat
 from operator import and_, lshift, or_, xor
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .algebra import Element, FiniteRelationAlgebra, iter_bits
+from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
 from .errors import ParseError, ResourceBudgetError
 
 DEFAULT_FALSIFY_BUDGET = 1 << 24
 
 
-@dataclass(frozen=True)
-class Var:
+# Term nodes are immutable values: equal when their class and fields are,
+# so Not(x) != Conv(x) although both hold the one field x.
+
+
+class Var(Frozen):
+    __slots__ = ("index",)
     index: int
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Frozen):
+    __slots__ = ("name",)
     name: str  # "0", "1", or "e"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Frozen):
+    __slots__ = ("arg",)
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Conv:
+class Conv(Frozen):
+    __slots__ = ("arg",)
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(Frozen):
+    __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Meet:
+class Meet(Frozen):
+    __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Comp:
+class Comp(Frozen):
+    __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
 
@@ -82,8 +85,8 @@ class Comp:
 Term = Union[Var, Const, Not, Conv, Join, Meet, Comp]
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Frozen):
+    __slots__ = ("lhs", "rhs")
     lhs: Term
     rhs: Term
 
@@ -93,8 +96,8 @@ class Equation:
 
 # A term nests at most this many levels, counted on its tree: x1 has
 # depth 1, -x1 and x1;x1 depth 2, and x1;x1;...;x1 with k operands depth
-# k, with or without parentheses.  Printing, comparing, hashing and
-# compiling recurse once per level, so the parser refuses a deeper term,
+# k, with or without parentheses.  Comparing, hashing and compiling
+# recurse once per level, so the parser refuses a deeper term,
 # and more than this many pending "(" and prefix "-" (a printed term of
 # depth d has fewer than d), with a ParseError at the offending token.
 # Both keep every step inside the default recursion limit.
@@ -218,30 +221,33 @@ def parse(text: str) -> Term | Equation:
 
 # binding strength: atoms 6, postfix ~ 5, prefix - 4, ; 3, & 2, + 1
 _LEVEL = {Var: 6, Const: 6, Conv: 5, Not: 4, Comp: 3, Meet: 2, Join: 1}
-
-
-def _print_term(t: Term, min_level: int) -> str:
-    level = _LEVEL[type(t)]
-    if isinstance(t, Var):
-        s = f"x{t.index}"
-    elif isinstance(t, Const):
-        s = t.name
-    elif isinstance(t, Not):
-        s = "-" + _print_term(t.arg, 4)
-    elif isinstance(t, Conv):
-        s = _print_term(t.arg, 5) + "~"
-    else:
-        op = {Join: "+", Meet: "&", Comp: ";"}[type(t)]
-        s = (
-            _print_term(t.left, level)  # left-associative: same level allowed
-            + op
-            + _print_term(t.right, level + 1)
-        )
-    return f"({s})" if level < min_level else s
+_SYMBOL = {Join: "+", Meet: "&", Comp: ";"}
 
 
 def print_term(t: Term) -> str:
-    return _print_term(t, 0)
+    out = []
+    todo: list = [(t, 0)]  # text, and (term, least level its place binds)
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, min_level = item
+        level = _LEVEL[type(t)]
+        if isinstance(t, Var):
+            parts = [f"x{t.index}"]
+        elif isinstance(t, Const):
+            parts = [t.name]
+        elif isinstance(t, Not):
+            parts = ["-", (t.arg, 4)]
+        elif isinstance(t, Conv):
+            parts = [(t.arg, 5), "~"]
+        else:  # left-associative: the same level is allowed on the left
+            parts = [(t.left, level), _SYMBOL[type(t)], (t.right, level + 1)]
+        if level < min_level:
+            parts = ["(", *parts, ")"]
+        todo += reversed(parts)
+    return "".join(out)
 
 
 def print_equation(eq: Equation) -> str:
@@ -251,24 +257,26 @@ def print_equation(eq: Equation) -> str:
 # -- structural info ---------------------------------------------------------
 
 
+def _nodes(*roots: Term) -> Iterator[Term]:
+    """Every node of the terms, from a stack rather than by recursion, so
+    terms built in code walk at any depth."""
+    todo = list(roots)
+    while todo:
+        t = todo.pop()
+        yield t
+        if isinstance(t, (Not, Conv)):
+            todo.append(t.arg)
+        elif isinstance(t, (Join, Meet, Comp)):
+            todo += (t.right, t.left)
+
+
 def variables(t: Term | Equation) -> set[int]:
-    if isinstance(t, Equation):
-        return variables(t.lhs) | variables(t.rhs)
-    if isinstance(t, Var):
-        return {t.index}
-    if isinstance(t, Const):
-        return set()
-    if isinstance(t, (Not, Conv)):
-        return variables(t.arg)
-    return variables(t.left) | variables(t.right)
+    roots = (t.lhs, t.rhs) if isinstance(t, Equation) else (t,)
+    return {s.index for s in _nodes(*roots) if isinstance(s, Var)}
 
 
 def term_length(t: Term) -> int:
-    if isinstance(t, (Var, Const)):
-        return 1
-    if isinstance(t, (Not, Conv)):
-        return 1 + term_length(t.arg)
-    return 1 + term_length(t.left) + term_length(t.right)
+    return sum(1 for _ in _nodes(t))
 
 
 def equation_length(eq: Equation) -> int:
@@ -529,8 +537,7 @@ def eval_term(
 # -- falsification search ----------------------------------------------------
 
 
-@dataclass
-class FalsifyResult:
+class FalsifyResult(NamedTuple):
     status: str  # "falsified" | "valid" | "unknown"
     assignment: dict[int, Element] | None
     tried: int

@@ -83,10 +83,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import ResourceBudgetError
 from .lpn import build_lpn
@@ -107,6 +105,9 @@ from .structures import (
     transpose_rows,
     verify_weak,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -255,16 +256,14 @@ def build_xi(
 # -- fast witness checker ----------------------------------------------------
 
 
-@dataclass
-class XiCertificate:
+class XiCertificate(NamedTuple):
     condition: str
     elements: tuple[int, int]  # element pair of L(p,n) whose product check breaks
     point: tuple[int, int]  # point pair in the doubled base
     detail: str
 
 
-@dataclass
-class XiCheckReport:
+class XiCheckReport(NamedTuple):
     ok: bool
     certificate: XiCertificate | None
     conditions_checked: int
@@ -455,8 +454,7 @@ def check_xi_fast(structure: Xi) -> XiCheckReport:
 # -- probability bound calculus ----------------------------------------------
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     p: int
     n: int
     d: int
@@ -501,6 +499,7 @@ def eval_bounds(
     """
     if p < 3 or n < 1 or d < 1 or k < 0:
         raise ValueError("need p >= 3, n >= 1, d >= 1, k >= 0")
+    from fractions import Fraction  # only the bound calculus needs it
     if n == 1:
         return BoundReport(p, n, d, k, m, None, None, 0.0, Fraction(0), mode)
 
@@ -564,8 +563,7 @@ def eval_bounds_power(p: int, n: int, m: int, *, mode: str = "auto") -> BoundRep
     return eval_bounds(p, n, p ** (2 * m), (p - 1) ** m, m=m, mode=mode)
 
 
-@dataclass
-class Thresholds:
+class Thresholds(NamedTuple):
     p: int
     n: int
     m_ineq1: float  # log_p(16 n^2)
@@ -604,8 +602,7 @@ def sufficiency_thresholds(p: int, n: int) -> Thresholds:
 # -- search driver and Monte Carlo -------------------------------------------
 
 
-@dataclass
-class SeedResult:
+class SeedResult(NamedTuple):
     seed: int
     ok: bool
     condition: str | None
@@ -613,8 +610,7 @@ class SeedResult:
     strict_ok: bool | None = None
 
 
-@dataclass
-class SearchReport:
+class SearchReport(NamedTuple):
     p: int
     n: int
     m: int
@@ -686,8 +682,7 @@ def search_weakrep(
     return SearchReport(p, n, m, theta.base_size, mode, results)
 
 
-@dataclass
-class MonteCarloReport:
+class MonteCarloReport(NamedTuple):
     p: int
     n: int
     m: int

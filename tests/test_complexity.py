@@ -12,7 +12,7 @@ from relalg import (
     eval_term,
     pigeonhole_pair,
 )
-from relalg.complexity import random_generators
+from relalg.complexity import GammaWitnessPlan, random_generators
 from relalg.gf import is_prime_power
 from relalg.terms import parse_equation
 
@@ -71,6 +71,22 @@ def test_gamma_embedding_example(l32):
     assert res.report.ok
     assert res.plan.fusion == (0, 1)
     assert res.target.lpn_params == (7, 2)
+
+
+def test_gamma_witness_plan_validates():
+    plan = GammaWitnessPlan(1, 3, 2, (0, 1), 7)
+    assert repr(plan) == "GammaWitnessPlan(gamma=1, p=3, n=2, fusion=(0, 1), target_p=7)"
+    assert plan == GammaWitnessPlan(1, 3, 2, (0, 1), 7)
+    with pytest.raises(ValueError, match=r"2\^gamma < p\+1"):
+        GammaWitnessPlan(2, 3, 2, (0, 1), 7)  # 2^2 = p+1
+    with pytest.raises(ValueError, match=r"2\^gamma < p\+1"):
+        GammaWitnessPlan(3, 5, 3, (0, 1), 7)  # 2^3 > p+1
+    with pytest.raises(ValueError, match="n > p/2"):
+        GammaWitnessPlan(1, 3, 1, (0, 1), 7)
+    with pytest.raises(ValueError, match="at least p"):
+        GammaWitnessPlan(1, 5, 3, (0, 1), 3)
+    with pytest.raises(AttributeError):
+        plan.gamma = 3
 
 
 def test_gamma_embedding_fixes_bridge_atoms():

@@ -110,6 +110,61 @@ def test_command_runs_only_its_layers(inputs, args, runs, runs_not):
     assert {f"relalg.{m}" for m in runs_not - {"gf"}} <= set(seen["bound"])
 
 
+# Runs `python -m relalg <argv>` and prints, last, every name in
+# sys.modules after the command, listed before the probe imports json.
+MODULES_PROBE = """
+import runpy, sys
+sys.argv = ["relalg", *sys.argv[1:]]
+try:
+    runpy.run_module("relalg", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
+"""
+
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")) as fh:
+    GOLDEN = json.load(fh)["cases"]
+
+
+def _first_per_command(json_mode):
+    first = {}
+    for case in GOLDEN:
+        argv = case["argv"]
+        if (argv[0] == "--json") == json_mode:
+            first.setdefault(argv[json_mode], argv)
+    return list(first.values())
+
+
+STARTUP_ARGVS = _first_per_command(False) + _first_per_command(True)
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    """Every file the golden transcript wrote, so each command finds its inputs."""
+    tmp = tmp_path_factory.mktemp("golden")
+    for case in GOLDEN:
+        for path, text in case["files"].items():
+            (tmp / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp / path).write_text(text)
+    return tmp
+
+
+@pytest.mark.parametrize("argv", STARTUP_ARGVS, ids=" ".join)
+def test_startup_imports_per_command(golden_files, argv):
+    # Every command is a fresh process that compiles what it imports:
+    # dataclasses (with inspect, ast, dis and tokenize) is never needed,
+    # json only to print --json, fractions only for the bound calculus.
+    json_mode = argv[0] == "--json"
+    loaded = set(probe(argv, golden_files, MODULES_PROBE))
+    assert "relalg.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert ("json" in loaded) == json_mode
+    if "fractions" in loaded:
+        assert argv[json_mode] in ("bounds", "thresholds", "montecarlo")
+
+
 def test_bare_import_runs_no_submodule(tmp_path):
     code = PROBE.replace(
         'runpy.run_module("relalg", run_name="__main__", alter_sys=True)', "import relalg"

@@ -283,6 +283,25 @@ def test_labeling_validation(l30):
         AtomLabeling(l30, 3, {(0, 1): 99})  # not an atom
 
 
+def test_structure_values_are_frozen_and_hashable(aff3):
+    rel = ImageRelation(3, 0b1)
+    power = Power(aff3, 2)
+    part = PartitionRecipe(0, 2, aff3.base_size)
+    xi = Xi(aff3, 2, part, build_lpn(3, 2))
+    for value, name in ((rel, "bits"), (power, "m"), (xi, "n"), (xi, "algebra")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert rel == ImageRelation(3, 0b1) and hash(rel) == hash(ImageRelation(3, 0b1))
+    assert rel != (3, 0b1) and rel != ImageRelation(3, 0b11)
+    assert power == Power(aff3, 2) and hash(power) == hash(Power(aff3, 2))
+    assert power != Power(aff3, 3)
+    # Xi values that differ only in their algebra object are equal
+    twin = Xi(aff3, 2, part, build_lpn(3, 2))
+    assert twin.algebra is not xi.algebra
+    assert twin == xi and hash(twin) == hash(xi)
+    assert Xi(aff3, 2, PartitionRecipe(0, 2, aff3.base_size), xi.algebra) != xi
+
+
 def test_image_relation_helpers():
     rel = ImageRelation(3, 0b000_010_001)  # (0,0), (1,1)
     assert rel.has(0, 0) and rel.has(1, 1) and not rel.has(2, 2)
@@ -290,6 +309,22 @@ def test_image_relation_helpers():
     rows = [0b010, 0b100, 0b001]
     assert transpose_rows(rows, 3) == [0b100, 0b001, 0b010]
     assert bits_to_rows(rows_to_bits(rows, 3), 3) == rows
+    # the pairwise join against the shift loop it replaced, with zero rows
+    # at the bottom, inside and on top, and odd and even row counts
+
+    def shift_loop(rows, cols):
+        out = 0
+        for row in reversed(rows):
+            out = (out << cols) | row
+        return out
+
+    for d in (1, 2, 7, 81, 729):
+        rng = random.Random(d)
+        rows = [0 if u % 3 == 0 else rng.getrandbits(d) for u in range(d)]
+        rows[-1] = 0
+        for case in (rows, [0] * d, rows[: d // 2 + 1], rows[1:], []):
+            assert rows_to_bits(case, d) == shift_loop(case, d), (d, len(case))
+        assert bits_to_rows(rows_to_bits(rows, d), d) == rows
     # against a bit-by-bit reference on empty, wide, tall and sparse shapes
     rng = random.Random(3)
     for height, width in ((0, 4), (1, 1), (3, 7), (7, 3), (64, 65), (130, 2)):

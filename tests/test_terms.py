@@ -61,6 +61,21 @@ def test_precedence_loosest_to_tightest():
     assert t == Join(Var(1), Meet(Var(2), Comp(Var(3), Var(4))))
 
 
+def test_term_nodes_compare_by_class_and_fields():
+    x = Var(1)
+    # as tuples these would be equal: each pair holds the same fields
+    assert Not(x) != Conv(x)
+    assert Join(x, x) != Meet(x, x) and Meet(x, x) != Comp(x, x)
+    assert Not(x) == Not(Var(1)) and hash(Not(x)) == hash(Not(Var(1)))
+    assert repr(Not(x)) == "Not(arg=Var(index=1))"
+    nodes = [(x, "index"), (Const("e"), "name"), (Not(x), "arg"), (Conv(x), "arg"),
+             (Join(x, x), "left"), (Meet(x, x), "right"), (Comp(x, x), "left"),
+             (Equation(x, x), "rhs")]
+    for node, name in nodes:
+        with pytest.raises(AttributeError):
+            setattr(node, name, x)
+
+
 def test_unary_binding():
     assert parse_term("-x1~") == Not(Conv(Var(1)))
     assert parse_term("(-x1)~") == Conv(Not(Var(1)))
@@ -212,6 +227,24 @@ def test_equation_round_trip(lhs, rhs):
     assert parse_equation(print_equation(eq)) == eq
 
 
+def test_walks_terms_built_past_the_depth_limit():
+    # built in code, not parsed: 1,501 operands or 1,500 unary levels
+    x, k = Var(1), 1500
+    left = right = neg = conv = x
+    for _ in range(k):
+        left, right, neg, conv = Comp(left, x), Comp(x, right), Not(neg), Conv(conv)
+    for t, text, length in (
+        (left, "x1" + ";x1" * k, 2 * k + 1),
+        (right, "x1;(" * (k - 1) + "x1;x1" + ")" * (k - 1), 2 * k + 1),
+        (neg, "-" * k + "x1", k + 1),
+        (conv, "x1" + "~" * k, k + 1),
+    ):
+        assert print_term(t) == text
+        assert equation_length(Equation(t, Var(2))) == length + 1
+        assert variables(t) == {1}
+        assert variables(Equation(Var(2), t)) == {1, 2}
+
+
 def test_equation_length_examples():
     assert equation_length(parse_equation("(x1+x2)&x3 = x1&x3 + x2&x3")) == 12
     assert equation_length(parse_equation("x1 = x1")) == 2
@@ -281,6 +314,15 @@ def test_falsify_first_witness_is_frozen(l32):
     assert res.falsified
     assert res.assignment[1] == l32.parse_element("a0")
     assert res.tried == 3
+
+
+def test_falsify_keeps_complement_and_converse_apart():
+    # the compile memo is keyed by node: were Not(x1) == Conv(x1), both
+    # sides would share one slot and the equation would read as valid
+    l31 = build_lpn(3, 1)
+    res = falsify(parse_equation("-x1 = x1~"), l31)
+    assert res.falsified and res.tried == 1
+    assert res.witness_text(l31) == "x1=0"
 
 
 def test_falsify_axioms_valid(l32):
