@@ -280,16 +280,7 @@ def cmd_search(args):
         "base": 2 * report.d,
         "mode": args.mode,
         "seeds": seeds,
-        "results": [
-            {
-                "seed": r.seed,
-                "ok": r.ok,
-                "condition": r.condition,
-                "point": list(r.point) if r.point else None,
-                "strict_ok": r.strict_ok,
-            }
-            for r in report.results
-        ],
+        "results": [r._asdict() for r in report.results],
         "passes": report.passes,
     }
     return EXIT_OK, payload, report.summary_lines()
@@ -302,17 +293,8 @@ def cmd_bounds(args):
         if args.d is None or args.k is None:
             raise ValueError("bounds needs either --m or both --d and --k")
         report = xi.eval_bounds(args.p, args.n, args.d, args.k, mode=args.mode)
-    payload = {
-        "p": report.p,
-        "n": report.n,
-        "d": report.d,
-        "k": report.k,
-        "m": report.m,
-        "ineq1": report.ineq1,
-        "ineq2": report.ineq2,
-        "failure_bound": report.failure_bound,
-        "mode": report.mode,
-    }
+    payload = report._asdict()
+    del payload["failure_bound_exact"]  # a Fraction, which JSON cannot hold
     text = (
         f"d={report.d} k={report.k}: ineq1={report.ineq1} ineq2={report.ineq2} "
         f"failure_bound={report.failure_bound:.6g} ({report.mode})"
@@ -322,16 +304,7 @@ def cmd_bounds(args):
 
 def cmd_thresholds(args):
     th = xi.sufficiency_thresholds(args.p, args.n)
-    payload = {
-        "p": th.p,
-        "n": th.n,
-        "m_ineq1": th.m_ineq1,
-        "m_ineq2_growth": th.m_ineq2_growth,
-        "m_ineq2_start": th.m_ineq2_start,
-        "m_all": th.m_all,
-        "p_ineq1": th.p_ineq1,
-        "p_ineq2": th.p_ineq2,
-    }
+    payload = {**th._asdict(), "m_all": th.m_all}
     lines = [
         f"m thresholds: {th.m_ineq1:.4f}, {th.m_ineq2_growth:.4f}, "
         f"{th.m_ineq2_start:.4f} (all: {th.m_all:.4f})",
@@ -342,19 +315,7 @@ def cmd_thresholds(args):
 
 def cmd_montecarlo(args):
     report = xi.montecarlo(args.p, args.n, args.m, args.trials, args.seed0)
-    payload = {
-        "p": report.p,
-        "n": report.n,
-        "m": report.m,
-        "trials": report.trials,
-        "seed0": args.seed0,
-        "failures": report.failures,
-        "rate": report.rate,
-        "wilson_low": report.wilson_low,
-        "wilson_high": report.wilson_high,
-        "analytic_bound": report.analytic_bound,
-        "consistency": report.consistency,
-    }
+    payload = {**report._asdict(), "seed0": args.seed0}
     lines = [
         f"trials={report.trials} seed0={args.seed0} failures={report.failures} "
         f"rate={report.rate:.4f} wilson=[{report.wilson_low:.4f},"

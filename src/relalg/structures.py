@@ -11,9 +11,10 @@ finite base.  Three kinds exist:
   image of x.  Power images are deliberately NOT additive: the image of
   a0+a1 also contains pairs whose coordinates mix a0 and a1 edges.
 * Xi: two mirrored copies D, D' of an inner structure for L(p,0), with
-  every cross pair (x,y') assigned one of n bridge classes.  The image of
-  b is (b restricted to 1'+A) on both copies, plus the cross pairs of the
-  classes i with ti <= b, in both orientations.
+  every cross pair (x,y') assigned one of n bridge classes, each class
+  held as one row-major d*d bitset over D x D'.  The image of b is (b
+  restricted to 1'+A) on both copies, plus the cross pairs of the classes
+  i with ti <= b, in both orientations.
 
 verify_weak checks that the element-to-relation map respects 0, meet,
 identity, converse and relative multiplication and is injective (the
@@ -87,10 +88,9 @@ def full_bits(rows: int, cols: int) -> int:
     return (1 << (rows * cols)) - 1
 
 
-def bits_to_rows(bits: int, d: int, cols: int | None = None) -> list[int]:
-    cols = d if cols is None else cols
-    mask = (1 << cols) - 1
-    return [(bits >> (u * cols)) & mask for u in range(d)]
+def bits_to_rows(bits: int, d: int) -> list[int]:
+    mask = (1 << d) - 1
+    return [(bits >> (u * d)) & mask for u in range(d)]
 
 
 def rows_to_bits(rows: list[int], cols: int) -> int:
@@ -102,14 +102,6 @@ def rows_to_bits(rows: list[int], cols: int) -> int:
         rows = joined + rows[-1:] if len(rows) & 1 else joined
         cols *= 2
     return rows[0] if rows else 0
-
-
-def transpose_rows(rows: list[int], width: int) -> list[int]:
-    """Bit i of out[j] is bit j of rows[i] (every row below 2^width)."""
-    if not rows:
-        return [0] * width
-    s = "".join([format(row, "b").zfill(width)[::-1] for row in rows])  # s[i*width+j]
-    return [int(s[j::width][::-1], 2) for j in range(width)]
 
 
 def product_rows(xrows: list[int], yrows: list[int]) -> list[int]:
@@ -139,9 +131,7 @@ class ImageRelation(Frozen):
         return bits_to_rows(self.bits, self.d)
 
     def transpose(self) -> "ImageRelation":
-        return ImageRelation(
-            self.d, rows_to_bits(transpose_rows(self.rows(), self.d), self.d)
-        )
+        return ImageRelation(self.d, _transpose_square(self.bits, self.d))
 
     def pairs(self) -> list[tuple[int, int]]:
         return [divmod(i, self.d) for i in iter_bits(self.bits)]
@@ -258,7 +248,12 @@ LabeledStructure = Union[AtomLabeling, Power, Xi]
 
 
 class ClassAssignment:
-    """Interface for Xi cross-edge classings (see xi module for impls)."""
+    """Interface for Xi cross-edge classings (see xi module for impls).
+
+    class_bits(i) is class i as a row-major d*d bitset: bit x*d + y is
+    set iff class_of(x, y) == i.  It is the only form the images and
+    the checkers read.
+    """
 
     n: int
     d: int
@@ -266,10 +261,7 @@ class ClassAssignment:
     def class_of(self, x: int, y: int) -> int:
         raise NotImplementedError
 
-    def row_bits(self, i: int, x: int) -> int:
-        raise NotImplementedError
-
-    def col_bits(self, i: int, y: int) -> int:
+    def class_bits(self, i: int) -> int:
         raise NotImplementedError
 
 
@@ -339,39 +331,24 @@ def _power_rows(structure: Power, mask: int) -> list[int]:
     base_rows = _image_rows(structure.inner, mask)
     d = structure.inner.base_size
     rows = base_rows
-    width = d
     for _ in range(structure.m - 1):
         rows = _lift_once(rows, base_rows, d)
-        width *= d
     return rows
 
 
-def _xi_blocks(structure: Xi, mask: int) -> tuple[int, int]:
-    """(inner-block bits, cross-block bits) for the element mask."""
-    p, _ = structure.inner.algebra.lpn_params
-    inner_mask = mask & ((1 << (p + 2)) - 1)
-    s_mask = mask >> (p + 2)
-    m_bits = _image_bits(structure.inner, inner_mask)
-    d = structure.inner.base_size
-    c_rows = [0] * d
-    part = structure.partition
-    for i in iter_bits(s_mask):
-        for x in range(d):
-            c_rows[x] |= part.row_bits(i + 1, x)
-    return m_bits, rows_to_bits(c_rows, d)
-
-
 def _xi_bits(structure: Xi, mask: int) -> int:
+    """Rows [M C] on D, then [C^T M] on D': M the inner image of the
+    element's 1'+A part, C the union of its bridge classes."""
+    p, _ = structure.inner.algebra.lpn_params
     d = structure.inner.base_size
-    m_bits, c_bits = _xi_blocks(structure, mask)
-    m_rows = bits_to_rows(m_bits, d)
-    c_rows = bits_to_rows(c_bits, d)
-    ct_rows = transpose_rows(c_rows, d)
-    big = []
-    for u in range(d):
-        big.append(m_rows[u] | (c_rows[u] << d))
-    for u in range(d):
-        big.append(ct_rows[u] | (m_rows[u] << d))
+    m_rows = _image_rows(structure.inner, mask & ((1 << (p + 2)) - 1))
+    c = 0
+    for i in iter_bits(mask >> (p + 2)):
+        c |= structure.partition.class_bits(i + 1)
+    c_rows = bits_to_rows(c, d)
+    ct_rows = bits_to_rows(_transpose_square(c, d), d)
+    big = [m | row << d for m, row in zip(m_rows, c_rows)]
+    big += [row | m << d for m, row in zip(m_rows, ct_rows)]
     return rows_to_bits(big, 2 * d)
 
 
@@ -632,7 +609,8 @@ class _XiBlocks:
     first copy, D' the mirror copy, C the cross pairs (x,y') and C^T the
     pairs (y',x).  The image of e + s, with e in the inner algebra and s
     a set of bridge classes, is M(e) in both D and D', the union C(s) of
-    the classes in C and its transpose in C^T.  Over an AtomLabeling all
+    the class bitsets (ClassAssignment.class_bits, already in the layout
+    of a block) in C and its transpose in C^T.  Over an AtomLabeling all
     images are additive.  Otherwise the product of two images is the
     union of the products of their inner and bridge parts, cached by
     part pair (inner elements and class sets, not element pairs).
@@ -652,11 +630,9 @@ class _XiBlocks:
             m | m << dd
             for m in (_image_bits(inner, e) for e in range(self.inner_top + 1))
         ]
-        part = structure.partition
         class_parts = [
-            rows_to_bits([part.row_bits(i, x) for x in range(d)], d) << 2 * dd
-            | rows_to_bits([part.col_bits(i, y) for y in range(d)], d) << 3 * dd
-            for i in range(1, structure.n + 1)
+            c << 2 * dd | _transpose_square(c, d) << 3 * dd
+            for c in map(structure.partition.class_bits, range(1, structure.n + 1))
         ]
         self.img = [m | c for c in _spans(class_parts) for m in inner_parts]
         dg = diag_bits(d)
@@ -907,10 +883,7 @@ class DegreeAuditReport(NamedTuple):
 
 
 def degree_audit(
-    structure: LabeledStructure,
-    *,
-    claim_full: bool = False,
-    max_base: int = DEFAULT_IMAGE_MAX_BASE,
+    structure: LabeledStructure, *, claim_full: bool = False
 ) -> DegreeAuditReport:
     """Per-atom neighbour counts, plus the full-representation criterion.
 
@@ -923,7 +896,7 @@ def degree_audit(
     for a in range(alg.atom_count):
         if (1 << a) & alg.identity_mask:
             continue
-        degrees[a] = image(structure, 1 << a, max_base=max_base).degree_range()
+        degrees[a] = image(structure, 1 << a).degree_range()
 
     lpn_ok: bool | None = None
     detail = "no full-representation claim checked"

@@ -13,7 +13,8 @@ Concrete grammar (whitespace insignificant):
 
 "-" is complement, postfix "~" is converse and binds tighter than "-",
 "e" is the identity constant.  Binary operators are left-associative.
-Terms nest at most MAX_TERM_DEPTH levels; the parser refuses deeper ones.
+Terms nest at most MAX_TERM_DEPTH levels; the parser refuses deeper ones,
+and eval_term and falsify refuse deeper terms built in code.
 The canonical printer emits binary operators without spaces, a single
 " = " in equations, and parentheses only where precedence requires, so
 print(parse(s)) == s on canonical strings and parse(print(t)) == t.
@@ -100,7 +101,9 @@ class Equation(Frozen):
 # recurse once per level, so the parser refuses a deeper term,
 # and more than this many pending "(" and prefix "-" (a printed term of
 # depth d has fewer than d), with a ParseError at the offending token.
-# Both keep every step inside the default recursion limit.
+# Both keep every step inside the default recursion limit.  A term built
+# in code is measured from a stack before compiling, which raises
+# ValueError past this depth; its hash and repr still recurse.
 MAX_TERM_DEPTH = 150
 
 # binary operators: symbol -> (binding level, node); all left-associative
@@ -257,22 +260,23 @@ def print_equation(eq: Equation) -> str:
 # -- structural info ---------------------------------------------------------
 
 
-def _nodes(*roots: Term) -> Iterator[Term]:
-    """Every node of the terms, from a stack rather than by recursion, so
-    terms built in code walk at any depth."""
-    todo = list(roots)
+def _nodes(*roots: Term) -> Iterator[tuple[Term, int]]:
+    """Every node of the terms with its depth (a root has depth 1), from
+    a stack rather than by recursion, so terms built in code walk at any
+    depth."""
+    todo = [(t, 1) for t in roots]
     while todo:
-        t = todo.pop()
-        yield t
+        t, depth = todo.pop()
+        yield t, depth
         if isinstance(t, (Not, Conv)):
-            todo.append(t.arg)
+            todo.append((t.arg, depth + 1))
         elif isinstance(t, (Join, Meet, Comp)):
-            todo += (t.right, t.left)
+            todo += ((t.right, depth + 1), (t.left, depth + 1))
 
 
 def variables(t: Term | Equation) -> set[int]:
     roots = (t.lhs, t.rhs) if isinstance(t, Equation) else (t,)
-    return {s.index for s in _nodes(*roots) if isinstance(s, Var)}
+    return {s.index for s, _ in _nodes(*roots) if isinstance(s, Var)}
 
 
 def term_length(t: Term) -> int:
@@ -444,7 +448,11 @@ def _compile(
     c and x;c its column, each hoisted to the level of c and gathered at
     the indices the other operand gives.  A root that does not use the
     variable is broadcast to a list, so both sides compare as lists.
+    A term deeper than MAX_TERM_DEPTH raises ValueError before any node
+    is hashed.
     """
+    if max(depth for _, depth in _nodes(*roots)) > MAX_TERM_DEPTH:
+        raise ValueError(f"term nests deeper than {MAX_TERM_DEPTH} levels")
     size = algebra.top_mask + 1
     inner = len(order) - 1 if vector and order else None
     vals: list = [0] * len(order)

@@ -16,12 +16,13 @@ and bit-exact across implementations; the modulo bias is at most 2^-60.
 
 Exact pass conditions.  Images in the doubled structure have block form
 [[M, C], [C^T, M]] with M the inner image of the element's 1'+A part and
-C the union of its bridge classes.  Writing Z_i[x] for the class-i row
-bitset of x (over D') and Zc_i[y'] for the class-i column bitset (over
-D), expanding the composition equality image(x;y) = image(x).image(y)
-blockwise over all element pairs and discarding the conditions that hold
-automatically (inner weak-representation identities, monotone instances
-implied by atom-level ones, transposed duplicates) leaves exactly:
+C the union of its bridge classes.  Writing Z_i[x] for the class-i
+partners of x in D' and Zc_i[y'] for those of y' in D (row x and column
+y of class i's d*d bitset), expanding the composition equality
+image(x;y) = image(x).image(y) blockwise over all element pairs and
+discarding the conditions that hold automatically (inner
+weak-representation identities, monotone instances implied by
+atom-level ones, transposed duplicates) leaves exactly:
 
 * UD(e), structural, n >= 2: the inner image of e+A must equal the
   union of the images of e and of A, for every inner element e.  The
@@ -98,11 +99,11 @@ from .structures import (
     _low_bit,
     _square_product,
     _transpose_square,
+    bits_to_rows,
     build_affine,
     build_power,
     full_bits,
     rows_to_bits,
-    transpose_rows,
     verify_weak,
 )
 
@@ -129,7 +130,11 @@ def mix64(z: int) -> int:
 
 
 class PartitionRecipe(ClassAssignment):
-    """Seed-derived class assignment on D x D'."""
+    """Seed-derived class assignment on D x D'.
+
+    class_of hashes one pair; class_bits hashes every pair once, on first
+    use, into one row-major d*d bitset per class.
+    """
 
     def __init__(self, seed: int, n: int, d: int):
         if n < 1:
@@ -139,20 +144,22 @@ class PartitionRecipe(ClassAssignment):
         self.seed = seed
         self.n = n
         self.d = d
-        self._rows: list[list[int]] | None = None
-        self._cols: list[list[int]] | None = None
+        self._bits: list[int] | None = None
 
     def class_of(self, x: int, y: int) -> int:
         e = (x * self.d + y + 1) * _GOLDEN & U64
         return 1 + mix64(self.seed ^ e) % self.n
 
-    def _fill(self) -> None:
+    def class_bits(self, i: int) -> int:
+        if self._bits is None:
+            self._bits = self._fill()
+        return self._bits[i - 1]
+
+    def _fill(self) -> list[int]:
         """Hash one row of D at a time: lane y of a packed int holds the
         SplitMix64 state of (x, y') in the low 64 of its 128 bits, and
         every shift and product is masked back to those low halves, so a
         lane never spills into the next."""
-        if self._rows is not None:
-            return
         n, d = self.n, self.d
         ones = sum(1 << (128 * y) for y in range(d))
         low = ones * U64
@@ -174,20 +181,12 @@ class PartitionRecipe(ClassAssignment):
             for bit, v in zip(bits, words[_LANE_WORDS]):
                 row[v % n] |= bit
             by_x.append(row)
-        self._rows = [list(rows) for rows in zip(*by_x)]
-        self._cols = [transpose_rows(rows, d) for rows in self._rows]
-
-    def row_bits(self, i: int, x: int) -> int:
-        self._fill()
-        return self._rows[i - 1][x]
-
-    def col_bits(self, i: int, y: int) -> int:
-        self._fill()
-        return self._cols[i - 1][y]
+        return [rows_to_bits(list(rows), d) for rows in zip(*by_x)]
 
 
 class ExplicitPartition(ClassAssignment):
-    """Class assignment given by a full table of cross edges."""
+    """Class assignment given by a full table of cross edges, kept as one
+    row-major d*d bitset per class."""
 
     def __init__(self, n: int, d: int, classes: dict[tuple[int, int], int]):
         if n < 1:
@@ -195,7 +194,6 @@ class ExplicitPartition(ClassAssignment):
         self.n = n
         self.d = d
         rows = [[0] * d for _ in range(n)]
-        cols = [[0] * d for _ in range(n)]
         seen = 0
         for (x, y), i in classes.items():
             if not (0 <= x < d and 0 <= y < d):
@@ -203,21 +201,16 @@ class ExplicitPartition(ClassAssignment):
             if not 1 <= i <= n:
                 raise ValueError(f"class {i} outside 1..{n}")
             rows[i - 1][x] |= 1 << y
-            cols[i - 1][y] |= 1 << x
             seen += 1
         if seen != d * d:
             raise ValueError("explicit partition must cover every cross pair")
-        self._rows, self._cols = rows, cols
-        self._classes = classes
+        self._bits = [rows_to_bits(r, d) for r in rows]
 
     def class_of(self, x: int, y: int) -> int:
-        return self._classes[(x, y)]
+        return next(i for i, c in enumerate(self._bits, 1) if c >> (x * self.d + y) & 1)
 
-    def row_bits(self, i: int, x: int) -> int:
-        return self._rows[i - 1][x]
-
-    def col_bits(self, i: int, y: int) -> int:
-        return self._cols[i - 1][y]
+    def class_bits(self, i: int) -> int:
+        return self._bits[i - 1]
 
 
 def build_xi(
@@ -280,11 +273,12 @@ class XiFastChecker:
 
     Precondition: the inner structure is a weak representation (its own
     verification is a separate, generic concern).  The checker evaluates
-    the exact condition set derived in the module docstring: after the
-    class-row and class-column scans, each condition family instance is
-    one d x d boolean product compared whole with its target, and the
-    lowest set bit of their difference is the first failing (x, y) in
-    x-major order.  An inner base above DEFAULT_IMAGE_MAX_BASE points is
+    the exact condition set derived in the module docstring on the
+    partition's class bitsets R_i and their transposes C_i: after the
+    class-row and class-column scans (the rows of R_i and of C_i), each
+    condition family instance is one d x d boolean product compared
+    whole with its target, and the lowest set bit of their difference is
+    the first failing (x, y) in x-major order.  An inner base above DEFAULT_IMAGE_MAX_BASE points is
     refused with ResourceBudgetError before any image is built.
     """
 
@@ -317,20 +311,14 @@ class XiFastChecker:
 
         # structural union-defect scan: theta(e+A) must split as
         # theta(e) | theta(A) for every inner element e (needed iff n >= 2;
-        # labeling images are unions of atom images, so they always split)
+        # labeling images are unions of atom images, so they always split).
+        # e+A is A, which splits, when 1' is not in e, and 1 when it is.
         self.union_defect: tuple[int, tuple[int, int]] | None = None
         if n >= 2 and not isinstance(theta, AtomLabeling):
-            imgs: dict[int, int] = {}
-
-            def img(mask: int) -> int:
-                got = imgs.get(mask)
-                if got is None:
-                    got = _image_bits(theta, mask)
-                    imgs[mask] = got
-                return got
-
             for e in range(inner.top_mask + 1):
-                extra = img(e | a_mask) & ~(img(e) | self.a_bits)
+                if not e & inner.identity_mask:
+                    continue
+                extra = self.top_bits & ~(_image_bits(theta, e) | self.a_bits)
                 if extra:
                     low = extra & -extra
                     self.union_defect = (e, divmod(low.bit_length() - 1, d))
@@ -414,25 +402,25 @@ class XiFastChecker:
                 0,
             )
 
-        zrow = [[partition.row_bits(i + 1, x) for x in range(d)] for i in range(n)]
-        zcol = [[partition.col_bits(i + 1, y) for y in range(d)] for i in range(n)]
+        r = [partition.class_bits(i + 1) for i in range(n)]
+        c = [_transpose_square(bits, d) for bits in r]
 
         # W3: every row of D and every column of D' meets every class
         for i in range(n):
             ti = self._element(0, [i + 1])
-            if 0 in zrow[i]:
-                x = zrow[i].index(0)
+            zrow = bits_to_rows(r[i], d)
+            if 0 in zrow:
+                x = zrow.index(0)
                 why = f"point {x} has no class-{i + 1} cross edge"
                 return fail("class-row", (ti, ti), (x, x), why, 2 * d * i + x + 1)
-            if 0 in zcol[i]:
-                y = zcol[i].index(0)
+            zcol = bits_to_rows(c[i], d)
+            if 0 in zcol:
+                y = zcol.index(0)
                 why = f"mirror point {y} has no class-{i + 1} cross edge"
                 return fail("class-column", (ti, ti), (d + y, d + y), why, 2 * d * i + d + y + 1)
 
         # W1, W14, W2: one d x d product per instance, compared whole
         checked = 2 * n * d
-        r = [rows_to_bits(rows, d) for rows in zrow]
-        c = [rows_to_bits(cols, d) for cols in zcol]
         for left, right, target, condition, elements, (dx, dy), detail in self._families(r, c):
             diff = _square_product(left, right, d) ^ target
             if diff:
@@ -643,7 +631,6 @@ def search_weakrep(
     seeds: Iterable[int],
     *,
     mode: str = "fast",
-    max_strict_base: int = 4096,
 ) -> SearchReport:
     """Sweep seeds for a weak representation of L(p,n) on 2*p^(2m) points.
 
@@ -663,7 +650,7 @@ def search_weakrep(
         strict_ok = None
         if mode == "strict":
             structure = Xi(theta, n, partition, checker.algebra)
-            generic = verify_weak(structure, max_base=max_strict_base)
+            generic = verify_weak(structure)
             strict_ok = generic.ok
             if generic.ok != report.ok:
                 raise AssertionError(

@@ -23,10 +23,10 @@ from relalg.structures import (
     ImageRelation,
     Power,
     Xi,
+    _transpose_square,
     bits_to_rows,
     product_rows,
     rows_to_bits,
-    transpose_rows,
 )
 from relalg.xi import PartitionRecipe
 
@@ -307,7 +307,7 @@ def test_image_relation_helpers():
     assert rel.has(0, 0) and rel.has(1, 1) and not rel.has(2, 2)
     assert rel.transpose().bits == rel.bits
     rows = [0b010, 0b100, 0b001]
-    assert transpose_rows(rows, 3) == [0b100, 0b001, 0b010]
+    assert ImageRelation(3, rows_to_bits(rows, 3)).transpose().rows() == [0b100, 0b001, 0b010]
     assert bits_to_rows(rows_to_bits(rows, 3), 3) == rows
     # the pairwise join against the shift loop it replaced, with zero rows
     # at the bottom, inside and on top, and odd and even row counts
@@ -325,19 +325,21 @@ def test_image_relation_helpers():
         for case in (rows, [0] * d, rows[: d // 2 + 1], rows[1:], []):
             assert rows_to_bits(case, d) == shift_loop(case, d), (d, len(case))
         assert bits_to_rows(rows_to_bits(rows, d), d) == rows
-    # against a bit-by-bit reference on empty, wide, tall and sparse shapes
+    # the square transpose against a bit-by-bit reference, on random
+    # inputs from empty to full and on the strict upper triangle, which is
+    # not symmetric for d >= 2
     rng = random.Random(3)
-    for height, width in ((0, 4), (1, 1), (3, 7), (7, 3), (64, 65), (130, 2)):
-        for density in (0, 0.1, 0.5, 1):
-            rows = [
-                sum(1 << j for j in range(width) if rng.random() < density)
-                for _ in range(height)
-            ]
-            want = [
-                sum(1 << i for i, row in enumerate(rows) if row >> j & 1)
-                for j in range(width)
-            ]
-            assert transpose_rows(rows, width) == want, (height, width, density)
+    for d in (1, 2, 3, 7, 65):
+        cells = [(u, v) for u in range(d) for v in range(d)]
+        inputs = [
+            {cell for cell in cells if rng.random() < density}
+            for density in (0, 0.1, 0.5, 1)
+        ]
+        inputs.append({(u, v) for u, v in cells if u < v})
+        for pairs in inputs:
+            bits = sum(1 << (u * d + v) for u, v in pairs)
+            want = sum(1 << (v * d + u) for u, v in pairs)
+            assert _transpose_square(bits, d) == want, (d, len(pairs))
 
 
 # -- oracle equivalence: network check vs generic verifier ---------------------

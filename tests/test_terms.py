@@ -227,22 +227,49 @@ def test_equation_round_trip(lhs, rhs):
     assert parse_equation(print_equation(eq)) == eq
 
 
+def _code_built(depth):
+    """Left and right Comp chains and Not and Conv chains of a tree depth."""
+    x = Var(1)
+    left = right = neg = conv = x
+    for _ in range(depth - 1):
+        left, right, neg, conv = Comp(left, x), Comp(x, right), Not(neg), Conv(conv)
+    return {"left-comp": left, "right-comp": right, "complement": neg, "converse": conv}
+
+
 def test_walks_terms_built_past_the_depth_limit():
     # built in code, not parsed: 1,501 operands or 1,500 unary levels
-    x, k = Var(1), 1500
-    left = right = neg = conv = x
-    for _ in range(k):
-        left, right, neg, conv = Comp(left, x), Comp(x, right), Not(neg), Conv(conv)
-    for t, text, length in (
-        (left, "x1" + ";x1" * k, 2 * k + 1),
-        (right, "x1;(" * (k - 1) + "x1;x1" + ")" * (k - 1), 2 * k + 1),
-        (neg, "-" * k + "x1", k + 1),
-        (conv, "x1" + "~" * k, k + 1),
+    k = 1500
+    built = _code_built(k + 1)
+    for shape, text, length in (
+        ("left-comp", "x1" + ";x1" * k, 2 * k + 1),
+        ("right-comp", "x1;(" * (k - 1) + "x1;x1" + ")" * (k - 1), 2 * k + 1),
+        ("complement", "-" * k + "x1", k + 1),
+        ("converse", "x1" + "~" * k, k + 1),
     ):
+        t = built[shape]
         assert print_term(t) == text
         assert equation_length(Equation(t, Var(2))) == length + 1
         assert variables(t) == {1}
         assert variables(Equation(Var(2), t)) == {1, 2}
+
+
+@pytest.mark.parametrize("shape", ["left-comp", "right-comp", "complement", "converse"])
+def test_evaluation_refuses_code_built_terms_past_the_depth_limit(shape):
+    l31 = build_lpn(3, 1)
+    a0 = {1: l31.parse_element("a0")}
+    t = _code_built(MAX_TERM_DEPTH)[shape]
+    assert eval_term(t, l31, a0).algebra is l31
+    result = falsify(Equation(t, Var(1)), l31)
+    assert result.status == "valid" or eval_term(t, l31, result.assignment) != result.assignment[1]
+    assert falsify(Equation(Var(1), t), l31, mode="random", trials=5).tried >= 1
+    for depth in (MAX_TERM_DEPTH + 1, 1501):
+        t = _code_built(depth)[shape]
+        with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
+            eval_term(t, l31, a0)
+        for eq in (Equation(t, Var(1)), Equation(Var(1), t)):
+            for mode in ("exhaustive", "random"):
+                with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
+                    falsify(eq, l31, mode=mode)
 
 
 def test_equation_length_examples():

@@ -67,22 +67,28 @@ def test_partition_recipe_bitsets_agree_with_classes():
                 table = [[r.class_of(x, y) for y in range(d)] for x in range(d)]
                 assert all(1 <= i <= n for row in table for i in row)
                 for i in range(1, n + 1):
-                    rows = [sum(1 << y for y in range(d) if table[x][y] == i) for x in range(d)]
-                    cols = [sum(1 << x for x in range(d) if table[x][y] == i) for y in range(d)]
-                    assert [r.row_bits(i, x) for x in range(d)] == rows, (seed, n, d, i)
-                    assert [r.col_bits(i, y) for y in range(d)] == cols, (seed, n, d, i)
+                    # bit x*d + y, written from the top bit down
+                    digits = "".join(
+                        "1" if table[x][y] == i else "0"
+                        for x in reversed(range(d))
+                        for y in reversed(range(d))
+                    )
+                    assert r.class_bits(i) == int(digits, 2), (seed, n, d, i)
 
 
 def test_explicit_partition_matches_recipe():
     r = PartitionRecipe(5, 2, 9)
     classes = {(x, y): r.class_of(x, y) for x in range(9) for y in range(9)}
     e = ExplicitPartition(2, 9, classes)
+    assert [e.class_bits(i) for i in (1, 2)] == [r.class_bits(i) for i in (1, 2)]
+    assert {pair: e.class_of(*pair) for pair in classes} == classes
     aff = build_affine(3)
     xa = build_xi(aff, 2, r)
     xb = build_xi(aff, 2, e)
-    assert check_xi_fast(xa).ok == check_xi_fast(xb).ok
-    for mask in (0, 1, 2, 96):
-        assert image(xa, mask).bits == image(xb, mask).bits
+    assert check_xi_fast(xb) == check_xi_fast(xa)
+    assert verify_weak(xb) == verify_weak(xa)
+    for mask in range(xa.algebra.top_mask + 1):
+        assert image(xb, mask).bits == image(xa, mask).bits, mask
 
 
 def test_explicit_partition_must_be_total():
