@@ -35,7 +35,7 @@ import os
 import re
 from typing import TYPE_CHECKING
 
-from .algebra import FiniteRelationAlgebra
+from .algebra import FiniteRelationAlgebra, iter_bits
 from .errors import ParseError
 from .lpn import build_lpn
 
@@ -215,7 +215,7 @@ def format_structure(
     inner_path: str | None = None,
     explicit: bool = False,
 ) -> str:
-    from .structures import AtomLabeling, Power, Xi
+    from .structures import AtomLabeling, Power, Xi, bits_to_rows
 
     lines = ["structure v1", f"kind {structure.kind}", f"algebra {algebra_path}"]
     if isinstance(structure, AtomLabeling):
@@ -241,9 +241,13 @@ def format_structure(
         else:
             lines.append(f"xi inner={inner_path} n={structure.n}")
             d = structure.inner.base_size
+            class_rows = [bits_to_rows(part.class_bits(i), d) for i in range(1, structure.n + 1)]
             for x in range(d):
-                for y in range(d):
-                    lines.append(f"tedge {x} {y} {part.class_of(x, y)}")
+                row = [0] * d  # row[y]: the class of (x, y)
+                for i, rows in enumerate(class_rows, 1):
+                    for y in iter_bits(rows[x]):
+                        row[y] = i
+                lines += (f"tedge {x} {y} {i}" for y, i in enumerate(row))
     else:
         raise TypeError(f"not a labeled structure: {structure!r}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,8 @@ Concrete grammar (whitespace insignificant):
 "-" is complement, postfix "~" is converse and binds tighter than "-",
 "e" is the identity constant.  Binary operators are left-associative.
 Terms nest at most MAX_TERM_DEPTH levels; the parser refuses deeper ones,
-and eval_term and falsify refuse deeper terms built in code.
+and comparing, hashing, repr, eval_term and falsify refuse deeper terms
+built in code.
 The canonical printer emits binary operators without spaces, a single
 " = " in equations, and parentheses only where precedence requires, so
 print(parse(s)) == s on canonical strings and parse(print(t)) == t.
@@ -35,49 +36,67 @@ from itertools import cycle, product, repeat
 from operator import and_, lshift, or_, xor
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
+from .algebra import Element, FiniteRelationAlgebra, Frozen
 from .errors import ParseError, ResourceBudgetError
 
 DEFAULT_FALSIFY_BUDGET = 1 << 24
 
 
-# Term nodes are immutable values: equal when their class and fields are,
-# so Not(x) != Conv(x) although both hold the one field x.
+class _TermNode(Frozen):
+    """Immutable, and equal when class and fields are: Not(x) != Conv(x).
+    Comparing, hashing and repr recurse once per level, so they raise
+    ValueError past MAX_TERM_DEPTH, a depth counted when the node is built."""
+
+    __slots__ = ("depth",)
+
+    def __init__(self, *fields):
+        super().__init__(*fields)
+        below = [f.depth for f in fields if isinstance(f, _TermNode)]
+        object.__setattr__(self, "depth", 1 + max(below, default=0))
+
+    def _key(self) -> tuple:
+        if self.depth > MAX_TERM_DEPTH:
+            raise ValueError(f"term nests deeper than {MAX_TERM_DEPTH} levels")
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{n}={v!r}" for n, v in zip(self.__slots__, self._key())])
+        return f"{type(self).__name__}({fields})"
 
 
-class Var(Frozen):
+class Var(_TermNode):
     __slots__ = ("index",)
     index: int
 
 
-class Const(Frozen):
+class Const(_TermNode):
     __slots__ = ("name",)
     name: str  # "0", "1", or "e"
 
 
-class Not(Frozen):
+class Not(_TermNode):
     __slots__ = ("arg",)
     arg: "Term"
 
 
-class Conv(Frozen):
+class Conv(_TermNode):
     __slots__ = ("arg",)
     arg: "Term"
 
 
-class Join(Frozen):
+class Join(_TermNode):
     __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
 
 
-class Meet(Frozen):
+class Meet(_TermNode):
     __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
 
 
-class Comp(Frozen):
+class Comp(_TermNode):
     __slots__ = ("left", "right")
     left: "Term"
     right: "Term"
@@ -97,13 +116,13 @@ class Equation(Frozen):
 
 # A term nests at most this many levels, counted on its tree: x1 has
 # depth 1, -x1 and x1;x1 depth 2, and x1;x1;...;x1 with k operands depth
-# k, with or without parentheses.  Comparing, hashing and compiling
+# k, with or without parentheses.  Comparing, hashing, repr and compiling
 # recurse once per level, so the parser refuses a deeper term,
 # and more than this many pending "(" and prefix "-" (a printed term of
 # depth d has fewer than d), with a ParseError at the offending token.
 # Both keep every step inside the default recursion limit.  A term built
-# in code is measured from a stack before compiling, which raises
-# ValueError past this depth; its hash and repr still recurse.
+# in code counts its depth as it is built, and each of those steps
+# raises ValueError on it past this depth.
 MAX_TERM_DEPTH = 150
 
 # binary operators: symbol -> (binding level, node); all left-associative
@@ -111,7 +130,7 @@ _BINARY = {"+": (1, Join), "&": (2, Meet), ";": (3, Comp)}
 
 
 class _Parser:
-    """Recursive descent returning (term, depth) pairs."""
+    """Recursive descent, checking each node's depth where it is built."""
 
     def __init__(self, text: str):
         self.text = text
@@ -141,31 +160,33 @@ class _Parser:
             raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", at)
         return depth
 
-    def parse_binary(self, level: int = 1) -> tuple[Term, int]:
+    def parse_binary(self, level: int = 1) -> Term:
         """Operators binding at ``level`` or tighter."""
-        t, depth = self.parse_unary()
+        t = self.parse_unary()
         while True:
             op = _BINARY.get(self.peek())
             if op is None or op[0] < level:
-                return t, depth
+                return t
             at = self.pos
             self.pos += 1
-            right, right_depth = self.parse_binary(op[0] + 1)
-            t, depth = op[1](t, right), self.check(1 + max(depth, right_depth), at)
+            t = op[1](t, self.parse_binary(op[0] + 1))
+            self.check(t.depth, at)
 
-    def parse_unary(self) -> tuple[Term, int]:
+    def parse_unary(self) -> Term:
         if self.take("-"):
             at = self.pos - 1
             self.pending = self.check(self.pending + 1, at)
-            t, depth = self.parse_unary()
+            t = Not(self.parse_unary())
             self.pending -= 1
-            return Not(t), self.check(depth + 1, at)
-        t, depth = self.parse_primary()
+            self.check(t.depth, at)
+            return t
+        t = self.parse_primary()
         while self.take("~"):
-            t, depth = Conv(t), self.check(depth + 1, self.pos - 1)
-        return t, depth
+            t = Conv(t)
+            self.check(t.depth, self.pos - 1)
+        return t
 
-    def parse_primary(self) -> tuple[Term, int]:
+    def parse_primary(self) -> Term:
         ch = self.peek()
         if ch == "(":
             self.pending = self.check(self.pending + 1, self.pos)
@@ -177,7 +198,7 @@ class _Parser:
             return t
         if ch and ch in "01e":
             self.pos += 1
-            return Const(ch), 1
+            return Const(ch)
         if ch == "x":
             self.pos += 1
             start = self.pos
@@ -188,7 +209,7 @@ class _Parser:
             index = int(self.text[start : self.pos])
             if index < 1:
                 raise self.error("variable indices start at 1")
-            return Var(index), 1
+            return Var(index)
         if ch == "":
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected character {ch!r}")
@@ -196,7 +217,7 @@ class _Parser:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t, _ = p.parse_binary()
+    t = p.parse_binary()
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input after term")
@@ -205,10 +226,10 @@ def parse_term(text: str) -> Term:
 
 def parse_equation(text: str) -> Equation:
     p = _Parser(text)
-    lhs, _ = p.parse_binary()
+    lhs = p.parse_binary()
     if not p.take("="):
         raise p.error("expected '=' between terms")
-    rhs, _ = p.parse_binary()
+    rhs = p.parse_binary()
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("trailing input after equation")
@@ -260,23 +281,22 @@ def print_equation(eq: Equation) -> str:
 # -- structural info ---------------------------------------------------------
 
 
-def _nodes(*roots: Term) -> Iterator[tuple[Term, int]]:
-    """Every node of the terms with its depth (a root has depth 1), from
-    a stack rather than by recursion, so terms built in code walk at any
-    depth."""
-    todo = [(t, 1) for t in roots]
+def _nodes(*roots: Term) -> Iterator[Term]:
+    """Every node of the terms, from a stack rather than by recursion, so
+    terms built in code walk at any depth."""
+    todo = list(roots)
     while todo:
-        t, depth = todo.pop()
-        yield t, depth
+        t = todo.pop()
+        yield t
         if isinstance(t, (Not, Conv)):
-            todo.append((t.arg, depth + 1))
+            todo.append(t.arg)
         elif isinstance(t, (Join, Meet, Comp)):
-            todo += ((t.right, depth + 1), (t.left, depth + 1))
+            todo += (t.right, t.left)
 
 
 def variables(t: Term | Equation) -> set[int]:
     roots = (t.lhs, t.rhs) if isinstance(t, Equation) else (t,)
-    return {s.index for s, _ in _nodes(*roots) if isinstance(s, Var)}
+    return {s.index for s in _nodes(*roots) if isinstance(s, Var)}
 
 
 def term_length(t: Term) -> int:
@@ -298,9 +318,10 @@ def equation_length(eq: Equation) -> int:
 # table-driven one per call, and eval_term calls the algebra's
 # compose_masks and converse_mask, which keep no state.
 
-# Entry limit of the composition tables.  The full 2^k x 2^k table fits up
-# to k = 10 atoms and the per-atom rows (k x 2^k) up to k = 16, so every
-# entry fits in 16 bits; beyond that falsify uses the atom-pair loop.
+# Entry limit of the composition tables of 16-bit masks.  The full 2^k x 2^k
+# table fits up to k = 10 atoms and the four 2^w x 2^w half tables, w =
+# ceil(k/2), up to k = 16, where masks outgrow 16 bits; beyond that
+# falsify uses the atom-pair loop.
 _TABLE_ENTRIES = 1 << 20
 
 
@@ -348,41 +369,20 @@ def _or_table(rows: Sequence[Sequence[int]]) -> Sequence[int]:
     return out
 
 
-class _AtomRows(_Direct):
-    """rows[a][y] = a;y for each atom a; x;y is the OR over the atoms of x."""
-
-    def __init__(self, algebra: FiniteRelationAlgebra):
-        self.size = algebra.top_mask + 1
-        self.rows = [_or_table([[m] for m in row]) for row in algebra.comp]
-        self.conv = _or_table([[1 << c] for c in algebra.converse]).__getitem__
-
-    def comp(self, x: int, y: int) -> int:
-        rows = self.rows
-        out = 0
-        while x:
-            low = x & -x
-            out |= rows[low.bit_length() - 1][y]
-            x ^= low
-        return out
-
-    def row(self, c: int) -> list[int]:
-        out = [0] * self.size
-        for a in iter_bits(c):
-            out = list(map(or_, out, self.rows[a]))
-        return out
-
-    def column(self, c: int) -> list[int]:
-        return _or_table([[row[c]] for row in self.rows]).tolist()
+def _block(comp: Sequence[Sequence[int]]) -> Sequence[int]:
+    """table[a << w | b] = a;b for masks over atoms with products comp."""
+    return _or_table([_or_table([[m] for m in row]) for row in comp])
 
 
-class _Table(_AtomRows):
+class _Table(_Direct):
     """The full table: table[x << k | y] = x;y."""
 
     def __init__(self, algebra: FiniteRelationAlgebra):
-        super().__init__(algebra)
+        self.size = algebra.top_mask + 1
         self.k = algebra.atom_count
-        self.table = _or_table(self.rows)
+        self.table = _block(algebra.comp)
         self.view = memoryview(self.table)
+        self.conv = _or_table([[1 << c] for c in algebra.converse]).__getitem__
 
     def comp(self, x: int, y: int) -> int:
         return self.table[x << self.k | y]
@@ -398,13 +398,51 @@ class _Table(_AtomRows):
         return list(map(self.table.__getitem__, keys))
 
 
+class _HalfTable(_Direct):
+    """blocks[i][j][a << w | b] = (a << i*w);(b << j*w) over the low w =
+    ceil(k/2) atoms (i, j = 0) and the high ones, whose b side is padded
+    with empty atoms when k is odd.  x;y is the OR of four lookups, and a row or column of
+    the full table spreads two half vectors, each the OR of two slices."""
+
+    def __init__(self, algebra: FiniteRelationAlgebra):
+        k, self.size = algebra.atom_count, algebra.top_mask + 1
+        w = self.w = (k + 1) // 2
+        m = self.m = (1 << w) - 1
+        rows = [row + (0,) * (2 * w - k) for row in algebra.comp]
+        halves = (slice(0, w), slice(w, 2 * w))
+        self.blocks = [[_block([r[j] for r in rows[i]]) for j in halves] for i in halves]
+        (t00, t01), (t10, t11) = self.blocks
+        self.conv = _or_table([[1 << c] for c in algebra.converse]).__getitem__
+
+        def comp(x: int, y: int) -> int:
+            low = x & m
+            lo, hi, yl, yh = low << w, x ^ low, y & m, y >> w
+            return t00[lo | yl] | t01[lo | yh] | t10[hi | yl] | t11[hi | yh]
+
+        self.comp = comp
+
+    def row(self, c: int) -> list[int]:
+        w = self.w
+        return self._spread(c, zip(*self.blocks), lambda t, a: t[a << w : (a + 1) << w])
+
+    def column(self, c: int) -> list[int]:
+        return self._spread(c, self.blocks, lambda t, b: t[b :: 1 << self.w])
+
+    def _spread(self, c: int, pairs, part: Callable) -> list[int]:
+        """v[z] = low[z & m] | high[z >> w], where each (t0, t1) in pairs
+        gives a half vector part(t0, low half of c) | part(t1, high half)."""
+        m, w = self.m, self.w
+        low, high = (list(map(or_, part(t0, c & m), part(t1, c >> w))) for t0, t1 in pairs)
+        return [h | l for h in high[: self.size >> w] for l in low]
+
+
 def _kernel(algebra: FiniteRelationAlgebra) -> _Direct:
-    """The largest composition kernel whose table fits _TABLE_ENTRIES."""
+    """The largest composition kernel whose tables fit _TABLE_ENTRIES."""
     k = algebra.atom_count
     if 1 << 2 * k <= _TABLE_ENTRIES:
         return _Table(algebra)
-    if k << k <= _TABLE_ENTRIES:
-        return _AtomRows(algebra)
+    if k <= 16 and 4 << 2 * ((k + 1) // 2) <= _TABLE_ENTRIES:
+        return _HalfTable(algebra)
     return _Direct(algebra)
 
 
@@ -448,11 +486,9 @@ def _compile(
     c and x;c its column, each hoisted to the level of c and gathered at
     the indices the other operand gives.  A root that does not use the
     variable is broadcast to a list, so both sides compare as lists.
-    A term deeper than MAX_TERM_DEPTH raises ValueError before any node
-    is hashed.
+    A term deeper than MAX_TERM_DEPTH raises ValueError when its root is
+    hashed, before any step is built.
     """
-    if max(depth for _, depth in _nodes(*roots)) > MAX_TERM_DEPTH:
-        raise ValueError(f"term nests deeper than {MAX_TERM_DEPTH} levels")
     size = algebra.top_mask + 1
     inner = len(order) - 1 if vector and order else None
     vals: list = [0] * len(order)

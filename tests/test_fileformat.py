@@ -13,7 +13,7 @@ from relalg.fileformat import (
     save_structure,
 )
 from relalg.lpn import build_fused
-from relalg.structures import AtomLabeling, Power, Xi, image
+from relalg.structures import AtomLabeling, Power, Xi, build_affine, image
 from relalg.xi import ExplicitPartition, PartitionRecipe
 
 
@@ -120,6 +120,27 @@ def test_structure_round_trip_xi_explicit(tmp_path, aff3):
     assert isinstance(back.partition, ExplicitPartition)
     for mask in (1, 2, 96):
         assert image(back, mask).bits == image(x, mask).bits
+
+
+def test_explicit_xi_at_d81_resaves_byte_identically(tmp_path):
+    # the writer reads class_bits row by row; class_of is the oracle here
+    theta = build_affine(9)
+    recipe = PartitionRecipe(11, 2, theta.base_size)
+    save_algebra(theta.algebra, str(tmp_path / "a.ra"))
+    save_structure(theta, str(tmp_path / "inner.rel"), algebra_path="a.ra")
+    save_algebra(build_lpn(9, 2), str(tmp_path / "l92.ra"))
+    paths = {"algebra_path": "l92.ra", "inner_path": "inner.rel", "explicit": True}
+    save_structure(build_xi(theta, 2, recipe), str(tmp_path / "x.rel"), **paths)
+    text = (tmp_path / "x.rel").read_text()
+    tedges = [line.split() for line in text.splitlines() if line.startswith("tedge ")]
+    assert [tuple(map(int, t[1:3])) for t in tedges] == [
+        (x, y) for x in range(81) for y in range(81)
+    ]
+    assert all(int(i) == recipe.class_of(int(x), int(y)) for _, x, y, i in tedges)
+    back = load_structure(str(tmp_path / "x.rel"))
+    assert isinstance(back.partition, ExplicitPartition)
+    save_structure(back, str(tmp_path / "again.rel"), **paths)
+    assert (tmp_path / "again.rel").read_text() == text
 
 
 def test_structure_parse_errors(tmp_path, aff3):

@@ -10,7 +10,8 @@ The invocations cover every subcommand and both branches of each: a
 verify PASS and FAIL, a check-axioms FAIL on a hand-written algebra file
 that parses but is not associative, degree-audit with and without
 --claim-full, search in fast and strict mode, bounds by --m and by
---d/--k, both embed kinds, falsify FALSIFIED, VALID and random, xi
+--d/--k, both embed kinds, falsify FALSIFIED, VALID and random (UNKNOWN
+on L(3,2), and UNKNOWN and FALSIFIED on the 14-atom L(9,3)), xi
 --explicit and --algebra-out, and outputs in a subdirectory so that the
 relative paths written into structure files are exercised.
 
@@ -91,6 +92,11 @@ STEPS = [
     ["falsify", "l32.ra", "x1;e = x1"],
     ["falsify", "l32.ra", "x1;x2 = x2;x1", "--mode", "random", "--seed", "3",
      "--trials", "50"],
+    ["construct", "--p", "9", "--n", "3", "-o", "l93.ra"],
+    ["falsify", "l93.ra", "x1;(x2;x3) = (x1;x2);x3", "--mode", "random",
+     "--seed", "7", "--trials", "200"],
+    ["falsify", "l93.ra", "x1;(x2&x3) = (x1;x2)&(x1;x3)", "--mode", "random",
+     "--seed", "3", "--trials", "100"],
     ["beta", "--m", "2^7"],
     ["beta", "--m", "1000"],
     ["beta", "--m", "2^100000"],

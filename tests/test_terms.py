@@ -254,6 +254,20 @@ def test_walks_terms_built_past_the_depth_limit():
 
 
 @pytest.mark.parametrize("shape", ["left-comp", "right-comp", "complement", "converse"])
+def test_code_built_terms_compare_hash_and_repr_or_refuse(shape):
+    # two separately built equal terms, so == walks both
+    a, b = _code_built(MAX_TERM_DEPTH)[shape], _code_built(MAX_TERM_DEPTH)[shape]
+    assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.depth == MAX_TERM_DEPTH
+    for depth in (MAX_TERM_DEPTH + 1, 1501):
+        a, b = _code_built(depth)[shape], _code_built(depth)[shape]
+        assert a.depth == depth
+        for op in (hash, repr, lambda t: t == b, lambda t: {t}):
+            with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
+                op(a)
+
+
+@pytest.mark.parametrize("shape", ["left-comp", "right-comp", "complement", "converse"])
 def test_evaluation_refuses_code_built_terms_past_the_depth_limit(shape):
     l31 = build_lpn(3, 1)
     a0 = {1: l31.parse_element("a0")}
@@ -482,7 +496,7 @@ _S3_CASES = [
 ]
 
 
-@pytest.mark.parametrize("entries,kind", [(1 << 20, "_Table"), (1000, "_AtomRows"), (100, "_Direct")])
+@pytest.mark.parametrize("entries,kind", [(1 << 20, "_Table"), (1000, "_HalfTable"), (100, "_Direct")])
 @pytest.mark.parametrize("text,status", _S3_CASES)
 def test_staged_falsify_noncommutative(monkeypatch, entries, kind, text, status):
     alg = _complex_algebra_s3()
@@ -494,7 +508,7 @@ def test_staged_falsify_noncommutative(monkeypatch, entries, kind, text, status)
     assert got == _nested_loop_oracle(eq, alg)
 
 
-@pytest.mark.parametrize("kind", [terms._Table, terms._AtomRows])
+@pytest.mark.parametrize("kind", [terms._Table, terms._HalfTable])
 def test_kernel_tables_match_compose_masks(kind):
     alg = _complex_algebra_s3()
     kernel = kind(alg)
@@ -506,6 +520,54 @@ def test_kernel_tables_match_compose_masks(kind):
     assert kernel.pair(list(elements), list(reversed(elements))) == [
         alg.compose_masks(x, alg.top_mask - x) for x in elements
     ]
+
+
+def _random_table_algebra(k, seed):
+    """k atoms with a seeded composition table, neither commutative nor
+    symmetric: the kernels only OR table entries, so no axiom is needed."""
+    rng = random.Random(seed)
+    converse = [0] + [i + 1 if i % 2 else i - 1 for i in range(1, k)]  # 1<->2, 3<->4, ...
+    if k % 2 == 0:
+        converse[-1] = k - 1
+    comp = [[rng.randrange(1 << k) for _ in range(k)] for _ in range(k)]
+    alg = FiniteRelationAlgebra([f"g{i}" for i in range(k)], [0], converse, comp)
+    assert not alg.is_commutative and not alg.is_symmetric
+    return alg
+
+
+# 11, 14, 15 and 16 atoms, and 13 atoms that tell x;y from y;x
+_HALF_TABLE_ALGEBRAS = {
+    "L(7,2)": lambda: build_lpn(7, 2),
+    "L(9,3)": lambda: build_lpn(9, 3),
+    "L(11,2)": lambda: build_lpn(11, 2),
+    "L(11,3)": lambda: build_lpn(11, 3),
+    "noncommutative-13": lambda: _random_table_algebra(13, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_HALF_TABLE_ALGEBRAS))
+def test_half_table_kernel_matches_compose_masks(name):
+    # odd atom counts pad the high half; the top elements use its last atoms
+    alg = _HALF_TABLE_ALGEBRAS[name]()
+    atoms = alg.atom_count
+    kernel = terms._kernel(alg)
+    assert type(kernel) is terms._HalfTable
+    top = alg.top_mask
+    rng = random.Random(atoms)
+    xs = [0, 1, top, top >> 1, 1 << atoms - 1] + [rng.randrange(top + 1) for _ in range(300)]
+    ys = [top, 1 << atoms - 1, 0, 1, top >> 1] + [rng.randrange(top + 1) for _ in range(300)]
+    assert [kernel.comp(x, y) for x, y in zip(xs, ys)] == list(map(alg.compose_masks, xs, ys))
+    assert kernel.pair(xs, ys) == list(map(alg.compose_masks, xs, ys))
+    assert kernel.conv_all(xs) == list(map(alg.converse_mask, xs))
+    # every element on 11 atoms, a sample on more
+    points = range(top + 1) if atoms == 11 else [0, 1, top, top >> 1] + [
+        rng.randrange(top + 1) for _ in range(200)
+    ]
+    for c in xs[:5] + xs[-2:]:
+        row, column = kernel.row(c), kernel.column(c)
+        assert len(row) == len(column) == top + 1
+        assert [row[y] for y in points] == [alg.compose_masks(c, y) for y in points]
+        assert [column[x] for x in points] == [alg.compose_masks(x, c) for x in points]
 
 
 def _random_oracle(eq, alg, seed, trials):
@@ -542,7 +604,7 @@ def test_algebra_state_unchanged_by_every_operation(monkeypatch):
     for op in operations:
         op()
         assert vars(alg) == before
-    for entries, kind in [(1 << 20, terms._Table), (1000, terms._AtomRows), (100, terms._Direct)]:
+    for entries, kind in [(1 << 20, terms._Table), (1000, terms._HalfTable), (100, terms._Direct)]:
         monkeypatch.setattr(terms, "_TABLE_ENTRIES", entries)
         assert type(terms._kernel(alg)) is kind
         assert falsify(eq, alg).falsified
@@ -552,7 +614,7 @@ def test_algebra_state_unchanged_by_every_operation(monkeypatch):
 
 def test_random_falsify_leaves_algebra_unchanged():
     alg = build_lpn(9, 3)
-    assert isinstance(terms._kernel(alg), terms._AtomRows)
+    assert isinstance(terms._kernel(alg), terms._HalfTable)
     eq = parse_equation("x1;(x2;x3) = (x1;x2);x3")
     before = _state(alg)
     res = falsify(eq, alg, mode="random", seed=5, trials=300)
@@ -560,10 +622,48 @@ def test_random_falsify_leaves_algebra_unchanged():
     assert _outcome(res) == _random_oracle(eq, alg, 5, 300)
 
 
+@pytest.mark.parametrize(
+    "text,seed,status",
+    [("x1;(x2;x3) = (x1;x2);x3", 7, "unknown"), ("x1;(x2&x3) = (x1;x2)&(x1;x3)", 3, "falsified")],
+)
+def test_random_falsify_on_half_tables_matches_oracle(text, seed, status):
+    alg = build_lpn(9, 3)
+    eq = parse_equation(text)
+    got = _outcome(falsify(eq, alg, mode="random", seed=seed, trials=200))
+    assert got[0] == status
+    assert status == "unknown" or got[2] > 1  # a witness found after misses
+    assert got == _random_oracle(eq, alg, seed, 200)
+
+
+@pytest.mark.parametrize(
+    "text,status", [("x2;(x1&e) = x2&x1;x2", "falsified"), ("x1;x2 = x2;x1", "valid")]
+)
+def test_exhaustive_falsify_on_half_tables_matches_oracle(text, status):
+    # L(7,2) has 2^11 elements, so x2 runs over rows and columns of the
+    # half tables for each x1
+    alg = build_lpn(7, 2)
+    assert type(terms._kernel(alg)) is terms._HalfTable
+    eq = parse_equation(text)
+    got = _outcome(falsify(eq, alg))
+    assert got[0] == status
+    if status == "falsified":
+        assert got[2] > alg.top_mask + 1  # past the first row
+        assert got == _nested_loop_oracle(eq, alg)
+        return
+    # the full nested loop is 2^22 assignments, about 30 s: check every x2
+    # for a seeded sample of x1, and the reason the law holds
+    assert got == ("valid", None, (alg.top_mask + 1) ** 2) and alg.is_commutative
+    rng = random.Random(72)
+    for x1 in [0, alg.top_mask] + [rng.randrange(alg.top_mask + 1) for _ in range(30)]:
+        for x2 in range(alg.top_mask + 1):
+            asg = {1: x1, 2: x2}
+            assert _evaluate(eq.lhs, alg, asg) == _evaluate(eq.rhs, alg, asg)
+
+
 @pytest.mark.parametrize("text", ["x1;(x2;x3) = (x1;x2);x3", "x1;x2 = x2"])
 def test_random_falsify_direct_kernel_above_row_limit(text):
-    alg = build_lpn(13, 2)  # 17 atoms: 17 * 2^17 entries exceed the limit
-    assert (alg.atom_count << alg.atom_count) > terms._TABLE_ENTRIES
+    alg = build_lpn(13, 2)  # 17 atoms: masks no longer fit 16-bit table entries
+    assert alg.atom_count == 17
     assert type(terms._kernel(alg)) is terms._Direct
     eq = parse_equation(text)
     before = _state(alg)
