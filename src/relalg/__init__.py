@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "errors": ("ParseError", "ResourceBudgetError"),
     "gf": ("FieldSpec", "field_make", "is_prime_power"),
-    "lpn": ("build_fused", "build_lpn", "fusion_embedding", "notrap_flag"),
+    "lpn": ("build_fused", "build_lpn", "fusion_embedding"),
     "structures": (
         "AtomLabeling",
         "ImageRelation",
@@ -38,7 +38,6 @@ _EXPORTS = {
         "build_power",
         "degree_audit",
         "image",
-        "network_check",
         "verify_full",
         "verify_weak",
     ),

@@ -533,47 +533,6 @@ def generate_subalgebra(
     return SubalgebraDescription(algebra, atoms)
 
 
-def generate_subalgebra_naive(
-    algebra: FiniteRelationAlgebra, gens: Sequence[Element], *, max_size: int = 4096
-) -> tuple[frozenset[int], tuple[Element, ...]]:
-    """Direct fixpoint closure; independent oracle for generate_subalgebra.
-
-    Materializes the carrier, so only usable on small algebras.  Returns
-    the carrier masks and the atoms (minimal nonzero elements, found via
-    pairwise meets, smallest bitmask first).
-    """
-    closure = {0, algebra.top_mask, algebra.identity_mask}
-    closure.update(g.bits for g in gens)
-    frontier = set(closure)
-    while frontier:
-        fresh: set[int] = set()
-        current = list(closure)
-        for x in frontier:
-            fresh.add(x ^ algebra.top_mask)
-            fresh.add(algebra.converse_mask(x))
-            for y in current:
-                fresh.add(x | y)
-                fresh.add(x & y)
-                fresh.add(algebra.compose_masks(x, y))
-                fresh.add(algebra.compose_masks(y, x))
-        fresh -= closure
-        closure |= fresh
-        frontier = fresh
-        if len(closure) > max_size:
-            raise ResourceBudgetError("naive closure exceeded budget")
-    atoms = []
-    for x in sorted(closure):
-        if x == 0:
-            continue
-        minimal = x
-        for y in closure:
-            if y and y & x == y and y < minimal:
-                minimal = y
-        if minimal == x:
-            atoms.append(Element(algebra, x))
-    return frozenset(closure), tuple(atoms)
-
-
 # -- embeddings --------------------------------------------------------------
 
 
@@ -696,9 +655,3 @@ def check_embedding(embedding: Embedding) -> EmbeddingReport:
         )
 
     return EmbeddingReport(True)
-
-
-def full_subalgebra(algebra: FiniteRelationAlgebra) -> SubalgebraDescription:
-    """The improper subalgebra whose atoms are all atoms of the algebra."""
-    atoms = tuple(algebra.atom(i) for i in range(algebra.atom_count))
-    return SubalgebraDescription(algebra, atoms)

@@ -9,11 +9,10 @@ Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 file or
 parse error, 4 resource budget exceeded.  Randomized commands always
 print the seeds they used.
 
-Budgets can also be set through environment variables
-RELALG_VERIFY_MAX_BASE and RELALG_FALSIFY_BUDGET.  ``beta`` and
-``params`` print m and the element count in full, so they refuse
-m >= 2^MAX_BETA_BITS (or an --m longer than that many characters) and
-gamma > MAX_PARAMS_GAMMA before any work starts.
+Budgets are set per call with --max-base (verify) and --budget
+(falsify).  ``beta`` and ``params`` print m and the element count in
+full, so they refuse m >= 2^MAX_BETA_BITS (or an --m longer than that
+many characters) and gamma > MAX_PARAMS_GAMMA before any work starts.
 """
 
 from __future__ import annotations
@@ -53,16 +52,6 @@ EXIT_BUDGET = 4
 
 MAX_BETA_BITS = 4096
 MAX_PARAMS_GAMMA = 13  # L(8209,4105): 2^12316 elements, 3708 digits
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} must be an integer") from None
 
 
 def _parse_m(value: str) -> int:
@@ -228,9 +217,9 @@ def cmd_xi(args):
 
 def cmd_verify(args):
     structure = fileformat.load_structure(args.structure)
-    max_base = _env_int("RELALG_VERIFY_MAX_BASE", structures.DEFAULT_VERIFY_MAX_BASE)
-    if args.max_base is not None:
-        max_base = args.max_base
+    max_base = args.max_base
+    if max_base is None:
+        max_base = structures.DEFAULT_VERIFY_MAX_BASE
     if args.full:
         report = structures.verify_full(structure, max_base=max_base)
     else:
@@ -288,13 +277,12 @@ def cmd_search(args):
 
 def cmd_bounds(args):
     if args.m is not None:
-        report = xi.eval_bounds_power(args.p, args.n, args.m, mode=args.mode)
+        report = xi.eval_bounds_power(args.p, args.n, args.m)
     else:
         if args.d is None or args.k is None:
             raise ValueError("bounds needs either --m or both --d and --k")
-        report = xi.eval_bounds(args.p, args.n, args.d, args.k, mode=args.mode)
+        report = xi.eval_bounds(args.p, args.n, args.d, args.k)
     payload = report._asdict()
-    del payload["failure_bound_exact"]  # a Fraction, which JSON cannot hold
     text = (
         f"d={report.d} k={report.k}: ineq1={report.ineq1} ineq2={report.ineq2} "
         f"failure_bound={report.failure_bound:.6g} ({report.mode})"
@@ -403,9 +391,9 @@ def cmd_embed(args):
 def cmd_falsify(args):
     algebra = fileformat.load_algebra(args.algebra)
     eq = terms.parse_equation(args.equation)
-    budget = _env_int("RELALG_FALSIFY_BUDGET", terms.DEFAULT_FALSIFY_BUDGET)
-    if args.budget is not None:
-        budget = args.budget
+    budget = args.budget
+    if budget is None:
+        budget = terms.DEFAULT_FALSIFY_BUDGET
     result = terms.falsify(
         eq,
         algebra,
@@ -525,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--mode", choices=("auto", "log", "exact"), default="auto")
 
     add("thresholds", cmd_thresholds, "sufficiency thresholds for m and p", pn)
 

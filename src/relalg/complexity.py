@@ -22,7 +22,6 @@ a given size m:  beta(m) > log2(2*log2(m) - 5) - log2(3) for m >= 2^7.
 from __future__ import annotations
 
 import math
-import random
 from typing import NamedTuple, Sequence
 
 from .algebra import (
@@ -112,9 +111,7 @@ class GammaEmbeddingResult(NamedTuple):
     target: FiniteRelationAlgebra
 
 
-def build_gamma_embedding(
-    gens: Sequence[Element], target_p: int, *, gamma: int | None = None
-) -> GammaEmbeddingResult:
+def build_gamma_embedding(gens: Sequence[Element], target_p: int) -> GammaEmbeddingResult:
     """Verified embedding of the subalgebra generated by ``gens`` into
     L(target_p, n).
 
@@ -130,9 +127,8 @@ def build_gamma_embedding(
     if algebra.lpn_params is None:
         raise ValueError("generators must live in an L(p,n) algebra")
     p, n = algebra.lpn_params
-    gamma = len(gens) if gamma is None else gamma
     i, j = pigeonhole_pair(gens)
-    plan = GammaWitnessPlan(gamma, p, n, (i, j), target_p)
+    plan = GammaWitnessPlan(len(gens), p, n, (i, j), target_p)
 
     sub = generate_subalgebra(algebra, list(gens))
     pair_mask = (1 << (1 + i)) | (1 << (1 + j))
@@ -166,15 +162,6 @@ def build_gamma_embedding(
     embedding = Embedding(sub, target, images)
     report = check_embedding(embedding)
     return GammaEmbeddingResult(plan, sub, embedding, report, target)
-
-
-def random_generators(
-    algebra: FiniteRelationAlgebra, gamma: int, rng: random.Random
-) -> list[Element]:
-    """gamma random nonzero elements, for pipeline trials."""
-    return [
-        algebra.element(rng.randrange(1, algebra.top_mask + 1)) for _ in range(gamma)
-    ]
 
 
 def algebra_size(p: int, n: int) -> int:

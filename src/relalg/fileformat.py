@@ -24,8 +24,9 @@ Structure files (extension convention: .rel)::
     xi inner=<path> n=<n> seed=<u64>
     xi inner=<path> n=<n>             followed by d*d "tedge <x> <y> <i>" lines
 
-Paths are resolved relative to the referencing file.  A xi line carries
-either a seed or explicit tedge lines, never both.  Writers emit sorted,
+Each header line appears once.  Paths are resolved relative to the
+referencing file.  A xi line carries either a seed or explicit tedge
+lines, never both.  Writers emit sorted,
 canonical lines so identical objects produce byte-identical files.
 """
 
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import FiniteRelationAlgebra, iter_bits
 from .errors import ParseError
-from .lpn import build_lpn
+from .lpn import _lpn_table
 
 # structures and xi are imported where a structure or an xi file needs
 # them, so that algebra-only commands never run them
@@ -72,8 +73,7 @@ def _detect_lpn(algebra_names: tuple[str, ...], comp) -> tuple[int, int] | None:
         n += 1
     if idx != len(names) or p < 3:
         return None
-    reference = build_lpn(p, n)
-    if reference.comp == tuple(tuple(row) for row in comp):
+    if _lpn_table(p, n) == comp:
         return (p, n)
     return None
 
@@ -287,20 +287,21 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
     if not lines or lines[0].strip() != "structure v1":
         raise ParseError("expected 'structure v1' header", 1)
 
-    kind = None
-    algebra_path = None
+    header: dict[str, str] = {}
     directives: list[tuple[int, str]] = []
     for no, ln in enumerate(lines[1:], start=2):
         ln = ln.strip()
         if not ln:
             continue
         key, _, rest = ln.partition(" ")
-        if key == "kind":
-            kind = rest.strip()
-        elif key == "algebra":
-            algebra_path = rest.strip()
+        if key in ("kind", "algebra"):
+            if key in header:
+                raise ParseError(f"duplicate {key} line", no)
+            header[key] = rest.strip()
         else:
             directives.append((no, ln))
+    kind = header.get("kind")
+    algebra_path = header.get("algebra")
     if kind not in ("atom-labeling", "power", "xi"):
         raise ParseError(f"missing or unknown kind {kind!r}", 2)
     if algebra_path is None:
@@ -310,6 +311,7 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
     if kind == "atom-labeling":
         base = None
         labels: dict[tuple[int, int], int] = {}
+        edge_lines: dict[tuple[int, int], int] = {}
         for no, ln in directives:
             parts = ln.split()
             if parts[0] == "base":
@@ -318,6 +320,8 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
                 if len(parts) != 2:
                     raise ParseError("base line needs 'base d'", no)
                 (base,) = _ints(parts[1:], no)
+                if base < 1:
+                    raise ParseError("base must be nonempty", no)
             elif parts[0] == "edge":
                 if len(parts) != 4:
                     raise ParseError("edge line needs 'edge u v atom'", no)
@@ -330,15 +334,18 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
                     atom = algebra.atom_by_name(parts[3])
                 except ValueError as exc:
                     raise ParseError(str(exc), no) from None
+                if atom.bits & algebra.identity_mask:
+                    raise ParseError("off-diagonal identity label", no)
                 labels[(u, v)] = atom.bits.bit_length() - 1
+                edge_lines[(u, v)] = no
             else:
                 raise ParseError(f"unexpected directive {parts[0]!r}", no)
         if base is None:
             raise ParseError("missing base line", len(lines))
-        try:
-            return AtomLabeling(algebra, base, labels)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        for (u, v), no in edge_lines.items():
+            if v >= base:  # u < v
+                raise ParseError(f"edge ({u},{v}) outside base 0..{base - 1}", no)
+        return AtomLabeling(algebra, base, labels)
 
     if kind == "power":
         spec = None

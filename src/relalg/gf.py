@@ -183,10 +183,10 @@ def _is_irreducible(p: int, poly: list[int]) -> bool:
     return True
 
 
-def field_make(q: int, *, table_limit: int = 256) -> FieldSpec:
+def field_make(q: int) -> FieldSpec:
     """Build GF(q) for a prime power q.
 
-    For q <= table_limit a full multiplication table is precomputed.
+    For q <= 256 a full multiplication table is precomputed.
     """
     if q > 1 << 16:
         raise ValueError(f"fields larger than 2^16 are not supported, got {q}")
@@ -204,6 +204,6 @@ def field_make(q: int, *, table_limit: int = 256) -> FieldSpec:
                 break
         assert modulus is not None  # degree-k irreducibles always exist
         spec = FieldSpec(q, p, k, modulus)
-    if q <= table_limit:
+    if q <= 256:
         spec._build_table()
     return spec

@@ -698,115 +698,6 @@ class _XiBlocks:
         return VerifyFailure(clause, elements, (du * d + u, dv * d + v), detail)
 
 
-# -- the independent atom-level network oracle -------------------------------
-
-
-def network_check(structure: AtomLabeling) -> VerifyReport:
-    """Atom-level check equivalent to verify_weak for atom labelings.
-
-    Conditions: (t1) every two-edge path closes into a labeled triangle
-    whose third label sits below the composition of the other two; (t2)
-    paths returning to their start need the identity below the
-    composition; (s1) every labeled pair (u,v) with label below a;b has a
-    witness w with (u,w) labeled a and (w,v) labeled b; (s2) every point
-    has, for every atom a with 1' <= a;a~, an outgoing a-edge.  Together
-    with the constructor's converse consistency these are exactly the
-    weak-representation clauses, restricted to atoms and extended by
-    additivity.
-    """
-    alg = structure.algebra
-    if len(alg.identity_atoms) != 1:
-        raise ValueError("network check expects an integral algebra")
-    d = structure.base_size
-    k = alg.atom_count
-    conv = alg.converse
-    ident = next(iter(alg.identity_atoms))
-    nb = [[0] * k for _ in range(d)]
-    for (u, v), a in structure.labels.items():
-        nb[u][a] |= 1 << v
-    for u in range(d):
-        nb[u][ident] |= 1 << u  # diagonal is implicitly identity-labeled
-
-    def fail(clause, elements, point, detail):
-        return VerifyReport(
-            False, "weak", VerifyFailure(clause, elements, point, detail), 0
-        )
-
-    for (u, v), a in structure.labels.items():
-        for w in range(d):
-            if w == u or w == v:
-                continue
-            buw = None
-            for b in range(k):
-                if nb[u][b] >> w & 1:
-                    buw = b
-                    break
-            if buw is None:
-                continue
-            bwv = None
-            for b in range(k):
-                if nb[w][b] >> v & 1:
-                    bwv = b
-                    break
-            if bwv is None:
-                continue
-            if not alg.comp[buw][bwv] >> a & 1:
-                return fail(
-                    "network-triangle",
-                    (1 << buw, 1 << bwv, 1 << a),
-                    (u, v),
-                    f"label not below composition via point {w}",
-                )
-
-    # paths u -> w -> u: composition must contain the identity (auto in a
-    # relation algebra, but checked so the oracle stands alone)
-    for u in range(d):
-        for a in range(k):
-            row = nb[u][a]
-            while row:
-                low = row & -row
-                w = low.bit_length() - 1
-                row ^= low
-                b = None
-                for bb in range(k):
-                    if nb[w][bb] >> u & 1:
-                        b = bb
-                        break
-                if b is not None and not alg.comp[a][b] & alg.identity_mask:
-                    return fail(
-                        "network-triangle",
-                        (1 << a, 1 << b),
-                        (u, u),
-                        "identity not below closing composition",
-                    )
-
-    for (u, v), g in structure.labels.items():
-        for a in range(k):
-            row_a = nb[u][a]
-            for b in range(k):
-                if not alg.comp[a][b] >> g & 1:
-                    continue
-                if not row_a & nb[v][conv[b]]:
-                    return fail(
-                        "network-saturation",
-                        (1 << a, 1 << b, 1 << g),
-                        (u, v),
-                        "no witness point for a;b above the label",
-                    )
-
-    for u in range(d):
-        for a in range(k):
-            if alg.comp[a][conv[a]] & alg.identity_mask and not nb[u][a]:
-                return fail(
-                    "network-saturation",
-                    (1 << a,),
-                    (u, u),
-                    "point has no outgoing edge with this label",
-                )
-
-    return VerifyReport(True, "weak", None, 0)
-
-
 # -- constructions -----------------------------------------------------------
 
 

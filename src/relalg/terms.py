@@ -44,8 +44,9 @@ DEFAULT_FALSIFY_BUDGET = 1 << 24
 
 class _TermNode(Frozen):
     """Immutable, and equal when class and fields are: Not(x) != Conv(x).
-    Comparing, hashing and repr recurse once per level, so they raise
-    ValueError past MAX_TERM_DEPTH, a depth counted when the node is built."""
+    Comparing, hashing, repr, copy and pickle recurse once per level, so
+    they raise ValueError past MAX_TERM_DEPTH, a depth counted when the
+    node is built."""
 
     __slots__ = ("depth",)
 
@@ -62,6 +63,9 @@ class _TermNode(Frozen):
     def __repr__(self) -> str:
         fields = ", ".join([f"{n}={v!r}" for n, v in zip(self.__slots__, self._key())])
         return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 class Var(_TermNode):

@@ -85,7 +85,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ResourceBudgetError
 from .lpn import build_lpn
@@ -106,9 +106,6 @@ from .structures import (
     rows_to_bits,
     verify_weak,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -213,31 +210,17 @@ class ExplicitPartition(ClassAssignment):
         return self._bits[i - 1]
 
 
-def build_xi(
-    theta: LabeledStructure,
-    n: int,
-    partition: ClassAssignment | int,
-    *,
-    strict: bool = False,
-) -> Xi:
+def build_xi(theta: LabeledStructure, n: int, partition: ClassAssignment | int) -> Xi:
     """Assemble the doubled structure for L(p,n) over a weak rep of L(p,0).
 
-    ``partition`` is a ClassAssignment or a seed.  With strict=True the
-    inner structure is verified first (otherwise that precondition is
-    the caller's responsibility).
+    ``partition`` is a ClassAssignment or a seed.  That the inner
+    structure is a weak representation is the caller's responsibility.
     """
     if n < 1:
         raise ValueError("need n >= 1 bridge classes")
     params = theta.algebra.lpn_params
     if params is None or params[1] != 0:
         raise ValueError("inner structure must be over an L(p,0) algebra")
-    if strict:
-        inner_report = verify_weak(theta)
-        if not inner_report.ok:
-            raise ValueError(
-                f"inner structure is not a weak representation: "
-                f"{inner_report.summary(theta.algebra)}"
-            )
     p = params[0]
     if isinstance(partition, int):
         partition = PartitionRecipe(partition, n, theta.base_size)
@@ -451,8 +434,7 @@ class BoundReport(NamedTuple):
     ineq1: bool | None  # None: not applicable (n = 1)
     ineq2: bool | None
     failure_bound: float
-    failure_bound_exact: Fraction | None
-    mode: str
+    mode: str  # "log", "log+exact" when a re-check decided, "auto" for n = 1
 
     @property
     def both_hold(self) -> bool:
@@ -476,59 +458,37 @@ def _decide(log_lhs: float, log_rhs: float, exact) -> tuple[bool, bool]:
     return lhs > rhs, True
 
 
-def eval_bounds(
-    p: int, n: int, d: int, k: int, *, m: int | None = None, mode: str = "auto"
-) -> BoundReport:
+def eval_bounds(p: int, n: int, d: int, k: int, *, m: int | None = None) -> BoundReport:
     """Decide inequalities (1) and (2) and the failure-probability bound.
 
-    mode: "auto" (log domain with exact re-check inside the guard band),
-    "log" (floats only), or "exact" (big rationals throughout; exponents
-    are capped to keep this feasible).
+    Both sides of each inequality are compared as logarithms; inside a
+    relative guard band of 1e-9 the comparison is redone in exact
+    rationals (for exponents up to 2^21), and ``mode`` then reads
+    "log+exact".  The failure bound is a float from the same logarithms.
     """
     if p < 3 or n < 1 or d < 1 or k < 0:
         raise ValueError("need p >= 3, n >= 1, d >= 1, k >= 0")
-    from fractions import Fraction  # only the bound calculus needs it
     if n == 1:
-        return BoundReport(p, n, d, k, m, None, None, 0.0, Fraction(0), mode)
-
-    if mode == "exact":
-        if d > _EXACT_LIMIT or k > _EXACT_LIMIT:
-            raise ResourceBudgetError(
-                f"exact evaluation capped at exponent {_EXACT_LIMIT}"
-            )
-        r1 = Fraction(n * n, n * n - 1) ** d
-        ineq1 = r1 > 4 * n * n * d * (d - 1)
-        r2 = Fraction(n, n - 1) ** k
-        ineq2 = r2 > 4 * (p + 1) * n * d * d
-        exact_bound = (
-            Fraction(2 * d * (d - 1) * n * n) / r1
-            + Fraction(2 * (p + 1) * d * d * n) / r2
-        )
-        return BoundReport(p, n, d, k, m, ineq1, ineq2, float(exact_bound), exact_bound, "exact")
+        return BoundReport(p, n, d, k, m, None, None, 0.0, "auto")
+    from fractions import Fraction  # only the bound calculus needs it
 
     log1_lhs = d * -math.log1p(-1 / (n * n))
     log1_rhs = math.log(4 * n * n) + math.log(d) + math.log(max(d - 1, 1))
     log2_lhs = k * -math.log1p(-1 / n) if k else 0.0
     log2_rhs = math.log(4 * (p + 1) * n) + 2 * math.log(d)
 
-    used_exact = False
-    if mode == "log":
-        ineq1 = log1_lhs > log1_rhs
-        ineq2 = log2_lhs > log2_rhs
-    else:
-        def exact1():
-            if d > _EXACT_LIMIT:
-                return None
-            return Fraction(n * n, n * n - 1) ** d, Fraction(4 * n * n * d * (d - 1))
+    def exact1():
+        if d > _EXACT_LIMIT:
+            return None
+        return Fraction(n * n, n * n - 1) ** d, Fraction(4 * n * n * d * (d - 1))
 
-        def exact2():
-            if k > _EXACT_LIMIT:
-                return None
-            return Fraction(n, n - 1) ** k, Fraction(4 * (p + 1) * n * d * d)
+    def exact2():
+        if k > _EXACT_LIMIT:
+            return None
+        return Fraction(n, n - 1) ** k, Fraction(4 * (p + 1) * n * d * d)
 
-        ineq1, e1 = _decide(log1_lhs, log1_rhs, exact1)
-        ineq2, e2 = _decide(log2_lhs, log2_rhs, exact2)
-        used_exact = e1 or e2
+    ineq1, e1 = _decide(log1_lhs, log1_rhs, exact1)
+    ineq2, e2 = _decide(log2_lhs, log2_rhs, exact2)
 
     if d == 1:
         term1 = 0.0
@@ -538,17 +498,15 @@ def eval_bounds(
         )
     term2 = math.exp(min(math.log(2 * (p + 1) * n) + 2 * math.log(d) - log2_lhs, 700.0))
     bound = term1 + term2
-    return BoundReport(
-        p, n, d, k, m, ineq1, ineq2, bound, None, "log+exact" if used_exact else "log"
-    )
+    return BoundReport(p, n, d, k, m, ineq1, ineq2, bound, "log+exact" if e1 or e2 else "log")
 
 
-def eval_bounds_power(p: int, n: int, m: int, *, mode: str = "auto") -> BoundReport:
+def eval_bounds_power(p: int, n: int, m: int) -> BoundReport:
     """eval_bounds at the m-th power of the affine structure: d = p^(2m),
     k = (p-1)^m."""
     if m < 1:
         raise ValueError("need m >= 1")
-    return eval_bounds(p, n, p ** (2 * m), (p - 1) ** m, m=m, mode=mode)
+    return eval_bounds(p, n, p ** (2 * m), (p - 1) ** m, m=m)
 
 
 class Thresholds(NamedTuple):

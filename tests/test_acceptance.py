@@ -25,13 +25,14 @@ from relalg import (
     verify_full,
     verify_weak,
 )
-from relalg.complexity import random_generators
 from relalg.gf import is_prime_power
 from relalg.structures import Xi
 from relalg.terms import equation_length, falsify, parse_equation
 from relalg.xi import PartitionRecipe, XiFastChecker
 
 import random
+
+from oracles import exact_bounds, random_generators
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -142,7 +143,8 @@ def test_criterion_5_oracle_equivalence():
 
 
 def test_criterion_6_bounds():
-    # (a) log-domain verdicts match exact rationals on a 200+ point grid
+    # (a) the shipped verdicts (log domain, exact re-check inside the guard
+    # band) match exact rationals on a 200+ point grid
     grid = []
     for p in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
         for m in range(1, 6):
@@ -154,9 +156,9 @@ def test_criterion_6_bounds():
         (p, n, m)
         for (p, n, m) in grid
         if (
-            (lambda a, b: (a.ineq1, a.ineq2) != (b.ineq1, b.ineq2))(
-                eval_bounds_power(p, n, m, mode="log"),
-                eval_bounds_power(p, n, m, mode="exact"),
+            (lambda a, b: (a.ineq1, a.ineq2) != b[:2])(
+                eval_bounds_power(p, n, m),
+                exact_bounds(p, n, p ** (2 * m), (p - 1) ** m),
             )
         )
     ]

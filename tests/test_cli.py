@@ -205,6 +205,28 @@ def test_oversized_beta_and_params_refused_in_both_modes(capsys):
         assert (out == "") == (code != 0), argv
 
 
+def test_oversized_lpn_refused_in_both_modes(tmp_path, monkeypatch, capsys):
+    # more than 256 atoms: refused before the table is built or a file written
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "--p", "3", "--n", "2", "-o", "l32.ra"]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["construct", "--p", "3000", "--n", "1", "-o", "big.ra"],
+        ["construct", "--p", "400", "--n", "0", "-o", "big.ra"],
+        ["construct", "--p", "200", "--n", "55", "-o", "big.ra"],
+        ["fuse", "--p", "255", "--n", "0", "--i", "0", "--j", "1", "-o", "big.ra"],
+        ["embed", "--kind", "fusion", "--p", "3", "--n", "2", "--i", "0", "--j", "1",
+         "--q", "300"],
+        ["embed", "--kind", "gamma", "--algebra", "l32.ra", "--gens", "a0+a1",
+         "--target-p", "300"],
+    ):
+        assert cli.main(argv) == 4, argv
+        assert cli.main(["--json", *argv]) == 4, argv
+        assert capsys.readouterr().out == "", argv
+    assert os.listdir(tmp_path) == ["l32.ra"]
+    assert cli.main(["construct", "--p", "61", "--n", "5", "-o", "l615.ra"]) == 0
+
+
 def test_oversized_fast_checker_base_refused_in_both_modes(capsys):
     # p = 3, m = 5: 59,049 inner points, refused before any image is built
     for argv in (
@@ -221,22 +243,13 @@ def test_budget_overrides(tmp_path):
     # explicit flag below the base size: refused with the budget exit code
     out = run("verify", "--weak", "a.rel", "--max-base", "4", cwd=tmp_path)
     assert out.returncode == 4
-    # environment override behaves the same
-    out = run(
-        "verify", "--weak", "a.rel", cwd=tmp_path,
-        env_extra={"RELALG_VERIFY_MAX_BASE": "4"},
-    )
+    out = run("verify", "--full", "a.rel", "--max-base", "4", cwd=tmp_path)
     assert out.returncode == 4
-    out = run(
-        "falsify", "l32.ra", "x1;x1 = x1", cwd=tmp_path,
-        env_extra={"RELALG_FALSIFY_BUDGET": "2"},
-    )
+    out = run("falsify", "l32.ra", "x1;x1 = x1", "--budget", "2", cwd=tmp_path)
     # file error takes precedence here; create the algebra first
+    assert out.returncode == 3
     run("construct", "--p", "3", "--n", "2", "-o", "l32.ra", cwd=tmp_path)
-    out = run(
-        "falsify", "l32.ra", "x1;x1 = x1", cwd=tmp_path,
-        env_extra={"RELALG_FALSIFY_BUDGET": "2"},
-    )
+    out = run("falsify", "l32.ra", "x1;x1 = x1", "--budget", "2", cwd=tmp_path)
     assert out.returncode == 4
 
 

@@ -12,9 +12,11 @@ from relalg import (
     eval_term,
     pigeonhole_pair,
 )
-from relalg.complexity import GammaWitnessPlan, random_generators
+from relalg.complexity import GammaWitnessPlan
 from relalg.gf import is_prime_power
 from relalg.terms import parse_equation
+
+from oracles import random_generators
 
 
 @pytest.mark.parametrize("gamma,expected", [(1, (3, 2)), (2, (5, 3)), (3, (9, 5)), (4, (17, 9))])

@@ -177,6 +177,10 @@ def test_malformed_fields_raise_parse_error_with_line(tmp_path, aff3):
         (header + "base\n", 4),
         (header + "base 9 9\n", 4),
         (header + "base x\n", 4),
+        (header + "base 0\n", 4),
+        (header + "base 2\nedge 0 1 1'\n", 5),
+        (header + "base 2\nedge 0 5 a0\n", 5),
+        (header + "edge 0 1 a0\nedge 0 5 a0\nbase 2\n", 5),
         (header + "base 9\nedge 0 x a1\n", 5),
         (xi_header + "xi inner=inner.rel n=2\ntedge 0 x 1\n", 5),
         (xi_header + "xi inner=inner.rel n=2 seed=99999999999999999999999\n", 4),
@@ -187,6 +191,28 @@ def test_malformed_fields_raise_parse_error_with_line(tmp_path, aff3):
         with pytest.raises(ParseError) as info:
             load_structure(str(tmp_path / "v.rel"))
         assert info.value.position == line, text
+
+
+def test_repeated_header_line_is_a_parse_error(tmp_path, aff3):
+    # the last kind or algebra line used to win, so a second algebra line
+    # silently chose which file was loaded
+    save_algebra(aff3.algebra, str(tmp_path / "a.ra"))
+    save_structure(aff3, str(tmp_path / "s.rel"), algebra_path="a.ra")
+    lines = (tmp_path / "s.rel").read_text().splitlines(keepends=True)
+    assert lines[1:4] == ["kind atom-labeling\n", "algebra a.ra\n", "base 9\n"]
+    assert len(lines) == 40
+    cases = [
+        (1, "algebra nonexistent.ra\n", "algebra", 4),
+        (3, "algebra nonexistent.ra\n", "algebra", 4),
+        (40, "algebra a.ra\n", "algebra", 41),
+        (1, "kind atom-labeling\n", "kind", 3),
+        (40, "kind power\n", "kind", 41),
+    ]
+    for at, extra, key, line in cases:
+        text = "".join(lines[:at] + [extra] + lines[at:])
+        with pytest.raises(ParseError, match=f"duplicate {key} line") as info:
+            load_structure_text(tmp_path, text)
+        assert info.value.position == line, (at, extra)
 
 
 def test_numbers_are_ascii_digits_only(tmp_path, aff3):

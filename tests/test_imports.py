@@ -26,11 +26,11 @@ PUBLIC = {
     ],
     "errors": ["ParseError", "ResourceBudgetError"],
     "gf": ["FieldSpec", "field_make", "is_prime_power"],
-    "lpn": ["build_fused", "build_lpn", "fusion_embedding", "notrap_flag"],
+    "lpn": ["build_fused", "build_lpn", "fusion_embedding"],
     "structures": [
         "AtomLabeling", "ImageRelation", "Power", "VerifyReport", "Xi",
         "build_affine", "build_doubled", "build_power", "degree_audit", "image",
-        "network_check", "verify_full", "verify_weak",
+        "verify_full", "verify_weak",
     ],
     "terms": [
         "Equation", "equation_length", "eval_term", "falsify", "parse",

@@ -1,7 +1,17 @@
 import pytest
 
-from relalg import build_fused, build_lpn, check_axioms, fusion_embedding, notrap_flag
-from relalg.lpn import bridge_sum, slope_sum
+from relalg import (
+    build_affine,
+    build_fused,
+    build_lpn,
+    build_xi,
+    check_axioms,
+    degree_audit,
+    fusion_embedding,
+)
+from relalg import lpn
+from relalg.errors import ResourceBudgetError
+from relalg.fileformat import load_algebra, save_algebra
 
 
 def reference_table(p, n):
@@ -77,19 +87,11 @@ def test_additive_expansion(l32):
     assert get("t1+t2") @ get("t1") == get("1'+a0+a1+a2+a3")
 
 
-def test_named_sums(l32):
-    assert slope_sum(l32) == l32.parse_element("a0+a1+a2+a3")
-    assert bridge_sum(l32) == l32.parse_element("t1+t2")
-    l30 = build_lpn(3, 0)
-    assert bridge_sum(l30) == l30.zero
-    assert slope_sum(l30) == ~l30.identity
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bridge_block_rows(n):
     alg = build_lpn(3, n)
-    T = bridge_sum(alg)
-    A = slope_sum(alg)
+    T = alg.parse_element("+".join(f"t{k}" for k in range(1, n + 1)))
+    A = alg.parse_element("a0+a1+a2+a3")
     if n == 1:
         assert T @ T == alg.identity | A
     else:
@@ -200,4 +202,23 @@ def test_fusion_embedding_composes():
     [(3, 2, True), (3, 1, False), (5, 3, True), (9, 4, False), (9, 5, True)],
 )
 def test_notrap_flag(p, n, expected):
-    assert notrap_flag(p, n) is expected
+    # 2n > p certifies that L(p,n) has no representation: a full claim on
+    # a structure whose slope degrees are all p-1 fails exactly then
+    audit = degree_audit(build_xi(build_affine(p), n, 0), claim_full=True)
+    assert ("no representation exists" in audit.detail) is expected
+    assert audit.ok is not expected
+
+
+def test_build_lpn_refuses_more_than_max_atoms(tmp_path, monkeypatch):
+    limit = lpn.MAX_LPN_ATOMS
+    assert build_lpn(limit - 2, 0).atom_count == limit
+    assert build_lpn(61, 5).atom_count == 68
+    for p, n in ((limit - 1, 0), (200, limit - 201), (3000, 1), (10**12, 0)):
+        with pytest.raises(ResourceBudgetError, match="atoms; the limit is"):
+            build_lpn(p, n)
+    # a file is recognized as L(p,n) whatever the limit
+    save_algebra(build_lpn(9, 3), str(tmp_path / "l93.ra"))
+    monkeypatch.setattr(lpn, "MAX_LPN_ATOMS", 10)
+    with pytest.raises(ResourceBudgetError):
+        build_lpn(9, 3)
+    assert load_algebra(str(tmp_path / "l93.ra")).lpn_params == (9, 3)

@@ -11,7 +11,6 @@ from relalg import (
     build_power,
     degree_audit,
     image,
-    network_check,
     verify_full,
     verify_weak,
 )
@@ -28,6 +27,8 @@ from relalg.structures import (
     product_rows,
     rows_to_bits,
 )
+
+from oracles import network_check
 from relalg.xi import PartitionRecipe
 
 

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import relalg
 from relalg import build_lpn, check_axioms, check_embedding, generate_subalgebra, terms
-from relalg.algebra import Embedding, FiniteRelationAlgebra, full_subalgebra
+from relalg.algebra import Embedding, FiniteRelationAlgebra
 from relalg.errors import ParseError, ResourceBudgetError
 from relalg.fileformat import save_algebra
 from relalg.terms import (
@@ -33,6 +34,8 @@ from relalg.terms import (
     print_term,
     variables,
 )
+
+from oracles import full_subalgebra
 
 
 def test_parse_identity_law():
@@ -259,10 +262,15 @@ def test_code_built_terms_compare_hash_and_repr_or_refuse(shape):
     a, b = _code_built(MAX_TERM_DEPTH)[shape], _code_built(MAX_TERM_DEPTH)[shape]
     assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a.depth == MAX_TERM_DEPTH
+    # copy and pickle round-trip, and rebuild the depth they do not store
+    eq = Equation(a, Var(2))
+    for twin in (copy.deepcopy(eq), pickle.loads(pickle.dumps(eq))):
+        assert twin == eq and twin.lhs is not a and twin.lhs.depth == MAX_TERM_DEPTH
     for depth in (MAX_TERM_DEPTH + 1, 1501):
         a, b = _code_built(depth)[shape], _code_built(depth)[shape]
         assert a.depth == depth
-        for op in (hash, repr, lambda t: t == b, lambda t: {t}):
+        for op in (hash, repr, lambda t: t == b, lambda t: {t}, copy.deepcopy, pickle.dumps,
+                   lambda t: pickle.dumps(Equation(Var(1), t))):
             with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
                 op(a)
 

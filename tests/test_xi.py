@@ -12,7 +12,6 @@ from relalg import (
     eval_bounds_power,
     image,
     montecarlo,
-    network_check,
     search_weakrep,
     sufficiency_thresholds,
     verify_full,
@@ -21,6 +20,8 @@ from relalg import (
 from relalg.errors import ResourceBudgetError
 from relalg.structures import AtomLabeling, Xi, bits_to_rows, product_rows
 from relalg.xi import ExplicitPartition, PartitionRecipe, XiFastChecker, mix64
+
+from oracles import exact_bounds, network_check
 
 
 def mix64_reference(z):
@@ -266,11 +267,10 @@ def test_eval_bounds_examples():
     assert r.d == 9 and r.k == 2
     assert r.ineq1 is False and r.ineq2 is False
     # exact cross-check of the bound at (p,n,d,k) = (3,2,9,2)
-    exact = eval_bounds(3, 2, 9, 2, mode="exact")
     expected = Fraction(2 * 9 * 8 * 4, 1) * Fraction(3, 4) ** 9 + Fraction(
         2 * 4 * 81 * 2, 1
     ) * Fraction(1, 2) ** 2
-    assert exact.failure_bound_exact == expected
+    assert exact_bounds(3, 2, 9, 2) == (False, False, expected)
     assert math.isclose(r.failure_bound, float(expected), rel_tol=1e-9)
 
 
@@ -292,11 +292,11 @@ def test_eval_bounds_log_agrees_with_exact_on_grid():
     for p in (3, 4, 5, 7, 9):
         for n in (2, 3, 4):
             for m in (1, 2, 3, 4):
-                if p ** (2 * m) > 1 << 21:  # exact-mode exponent cap
+                d = p ** (2 * m)
+                if d > 1 << 21:  # keeps the exact powers cheap
                     continue
-                log = eval_bounds_power(p, n, m, mode="log")
-                exact = eval_bounds_power(p, n, m, mode="exact")
-                assert (log.ineq1, log.ineq2) == (exact.ineq1, exact.ineq2)
+                log = eval_bounds_power(p, n, m)
+                assert (log.ineq1, log.ineq2) == exact_bounds(p, n, d, (p - 1) ** m)[:2]
                 points += 1
     assert points >= 30
 
