@@ -292,13 +292,7 @@ def cmd_bounds(args):
 
 def cmd_thresholds(args):
     th = xi.sufficiency_thresholds(args.p, args.n)
-    payload = {**th._asdict(), "m_all": th.m_all}
-    lines = [
-        f"m thresholds: {th.m_ineq1:.4f}, {th.m_ineq2_growth:.4f}, "
-        f"{th.m_ineq2_start:.4f} (all: {th.m_all:.4f})",
-        f"p thresholds: {th.p_ineq1} (ineq1), {th.p_ineq2} (ineq2)",
-    ]
-    return EXIT_OK, payload, lines
+    return EXIT_OK, th._asdict(), [f"p thresholds: {th.p_ineq1} (ineq1), {th.p_ineq2} (ineq2)"]
 
 
 def cmd_montecarlo(args):
@@ -514,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int)
 
-    add("thresholds", cmd_thresholds, "sufficiency thresholds for m and p", pn)
+    add("thresholds", cmd_thresholds, "sufficiency thresholds for p at m = 1", pn)
 
     p = add(
         "montecarlo", cmd_montecarlo, "empirical failure rate vs analytic bound", pn

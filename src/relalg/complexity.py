@@ -31,11 +31,10 @@ from .algebra import (
     FiniteRelationAlgebra,
     Frozen,
     SubalgebraDescription,
-    check_embedding,
     generate_subalgebra,
 )
 from .gf import is_prime_power
-from .lpn import build_lpn
+from .lpn import _lift
 
 
 def _next_odd_prime_power(above: int) -> int:
@@ -140,27 +139,8 @@ def build_gamma_embedding(gens: Sequence[Element], target_p: int) -> GammaEmbedd
                 "pigeonhole selection is broken"
             )
 
-    target = build_lpn(target_p, n)
-    ext_mask = 0
-    for kk in range(p + 1, target_p + 1):
-        ext_mask |= target.atom_by_name(f"a{kk}").bits
-
-    def translate(mask: int) -> int:
-        # same atom layout: 1' and a0..ap occupy the same bit positions;
-        # bridge atoms shift by the number of new slope atoms
-        low = mask & ((1 << (p + 2)) - 1)
-        high = mask >> (p + 2)
-        return low | (high << (target_p + 2))
-
-    images: dict[int, int] = {}
-    for cell in sub.atoms:
-        img = translate(cell.bits)
-        if cell.bits & pair_mask:
-            img |= ext_mask
-        images[cell.bits] = img
-
-    embedding = Embedding(sub, target, images)
-    report = check_embedding(embedding)
+    masks = {cell.bits: cell.bits for cell in sub.atoms}
+    target, embedding, report = _lift(sub, masks, p, n, pair_mask, target_p)
     return GammaEmbeddingResult(plan, sub, embedding, report, target)
 
 

@@ -203,26 +203,28 @@ def fusion_embedding(p: int, n: int, i: int, j: int, q: int) -> FusionEmbedding:
     if q < p:
         raise ValueError(f"target parameter q={q} must be at least p={p}")
     fused = build_fused(p, n, i, j)
+    inclusion = fused.inclusion
+    pair = (1 << (1 + fused.i)) | (1 << (1 + fused.j))
+    target, embedding, report = _lift(inclusion.domain, inclusion.atom_images, p, n, pair, q)
+    return FusionEmbedding(fused, target, embedding, report)
+
+
+def _lift(
+    domain: SubalgebraDescription, masks: dict[int, int], p: int, n: int, pair: int, q: int
+) -> tuple[FiniteRelationAlgebra, Embedding, EmbeddingReport]:
+    """Verified embedding into L(q,n), q >= p, of a subalgebra whose atoms
+    sit in L(p,n) as ``masks`` (keyed by domain atom bits), none of which
+    separates the two slope atoms in ``pair``.
+
+    1' and a0..ap keep their bits, the bridge atoms move up by q - p, and
+    an atom holding the pair also takes a(p+1)..aq.
+    """
     target = build_lpn(q, n)
-    i, j = fused.i, fused.j
-
-    def target_atom(name: str) -> int:
-        return target.atom_by_name(name).bits
-
-    images: dict[int, int] = {}
-    for idx, name in enumerate(fused.algebra.atom_names):
-        if name == f"a{i}a{j}":
-            img = target_atom(f"a{i}") | target_atom(f"a{j}")
-            for kk in range(p + 1, q + 1):
-                img |= target_atom(f"a{kk}")
-        else:
-            img = target_atom(name)
-        images[1 << idx] = img
-
-    domain = SubalgebraDescription(
-        fused.algebra,
-        tuple(fused.algebra.atom(x) for x in range(fused.algebra.atom_count)),
-    )
-    emb = Embedding(domain, target, images)
-    report = check_embedding(emb)
-    return FusionEmbedding(fused, target, emb, report)
+    low = (1 << (p + 2)) - 1
+    new_slopes = ((1 << (q + 2)) - 1) ^ low
+    images = {}
+    for key, mask in masks.items():
+        img = mask & low | (mask >> (p + 2)) << (q + 2)
+        images[key] = img | new_slopes if mask & pair else img
+    embedding = Embedding(domain, target, images)
+    return target, embedding, check_embedding(embedding)

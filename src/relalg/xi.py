@@ -58,8 +58,9 @@ order, which fixes the certificate and the number of conditions counted
 as checked.  Equality of its verdict with verify_weak over seeded
 instances is an acceptance property of the package.
 
-Bound calculus.  For a random assignment the probability that some W1 or
-W2 witness is missing is below
+Bound calculus.  Over an additive theta (m = 1) UD holds, and for a
+random assignment the probability that some W1 or W2 witness is missing
+is below
 
     2*d*(d-1)*n^2*((n^2-1)/n^2)^d  +  2*(p+1)*d^2*n*((n-1)/n)^k
 
@@ -70,14 +71,17 @@ summands are below 1/2 each exactly when
     (n/(n-1))^k     > 4*(p+1)*n*d^2        (2)
 
 eval_bounds decides (1), (2) and the failure bound in the log domain
-with an exact big-rational re-check inside a relative guard band.  For
-theta the m-th power of the affine structure, d = p^(2m), k = (p-1)^m;
-(1) holds once m > log_p(16 n^2), and (2) once m > 2 log_(p-1)(24 n) and
-m > (1/3) log_(p-1)(4n(p+1)).  Fixing m = 1 (d = p^2, k = p-1), (1)
-holds once p > 16 n^2 and (2) once p > 1 + (48 n)^2.  These thresholds
-are what sufficiency_thresholds reports; the regime they describe is far
-beyond what can be materialized, which is why they are checked
-symbolically rather than by building structures.
+with an exact big-rational re-check inside a relative guard band.  At
+m = 1 (d = p^2, k = p-1), (1) holds once p > 16 n^2 and (2) once
+p > 1 + (48 n)^2; these are what sufficiency_thresholds reports.  That
+regime holds only representable algebras: there 2n <= p, and a pass
+over an additive theta is a full representation.  Over a proper power
+(m >= 2) with n >= 2 failure is certain, since UD fails for every
+assignment: points 0 and 1 differ in one coordinate only, so the pair
+(0, 1) lies in theta(1'+A) but in neither theta(1') nor theta(A), and
+the checker names it with e = 1'.  eval_bounds_power
+reports exactly that, with failure probability 1 and mode
+"union-defect", and evaluates neither inequality.
 """
 
 from __future__ import annotations
@@ -431,14 +435,12 @@ class BoundReport(NamedTuple):
     d: int
     k: int
     m: int | None
-    ineq1: bool | None  # None: not applicable (n = 1)
+    ineq1: bool | None  # None: not applicable (n = 1, or union-defect)
     ineq2: bool | None
     failure_bound: float
-    mode: str  # "log", "log+exact" when a re-check decided, "auto" for n = 1
-
-    @property
-    def both_hold(self) -> bool:
-        return bool(self.ineq1 and self.ineq2)
+    # "log", "log+exact" when a re-check decided, "auto" for n = 1,
+    # "union-defect" when UD fails for every assignment (m >= 2, n >= 2)
+    mode: str
 
 
 _GUARD = 1e-9
@@ -458,7 +460,7 @@ def _decide(log_lhs: float, log_rhs: float, exact) -> tuple[bool, bool]:
     return lhs > rhs, True
 
 
-def eval_bounds(p: int, n: int, d: int, k: int, *, m: int | None = None) -> BoundReport:
+def eval_bounds(p: int, n: int, d: int, k: int) -> BoundReport:
     """Decide inequalities (1) and (2) and the failure-probability bound.
 
     Both sides of each inequality are compared as logarithms; inside a
@@ -469,7 +471,7 @@ def eval_bounds(p: int, n: int, d: int, k: int, *, m: int | None = None) -> Boun
     if p < 3 or n < 1 or d < 1 or k < 0:
         raise ValueError("need p >= 3, n >= 1, d >= 1, k >= 0")
     if n == 1:
-        return BoundReport(p, n, d, k, m, None, None, 0.0, "auto")
+        return BoundReport(p, n, d, k, None, None, None, 0.0, "auto")
     from fractions import Fraction  # only the bound calculus needs it
 
     log1_lhs = d * -math.log1p(-1 / (n * n))
@@ -498,51 +500,38 @@ def eval_bounds(p: int, n: int, d: int, k: int, *, m: int | None = None) -> Boun
         )
     term2 = math.exp(min(math.log(2 * (p + 1) * n) + 2 * math.log(d) - log2_lhs, 700.0))
     bound = term1 + term2
-    return BoundReport(p, n, d, k, m, ineq1, ineq2, bound, "log+exact" if e1 or e2 else "log")
+    return BoundReport(p, n, d, k, None, ineq1, ineq2, bound, "log+exact" if e1 or e2 else "log")
 
 
 def eval_bounds_power(p: int, n: int, m: int) -> BoundReport:
-    """eval_bounds at the m-th power of the affine structure: d = p^(2m),
-    k = (p-1)^m."""
+    """The bound at the m-th power of the affine structure: d = p^(2m),
+    k = (p-1)^m.  For m >= 2 and n >= 2, UD fails for every assignment
+    (certificate e = 1' at pair (0, 1)), so failure is certain."""
     if m < 1:
         raise ValueError("need m >= 1")
-    return eval_bounds(p, n, p ** (2 * m), (p - 1) ** m, m=m)
+    d, k = p ** (2 * m), (p - 1) ** m
+    if m == 1 or n < 2 or p < 3:  # eval_bounds refuses p < 3 and n < 1
+        return eval_bounds(p, n, d, k)._replace(m=m)
+    return BoundReport(p, n, d, k, m, None, None, 1.0, "union-defect")
 
 
 class Thresholds(NamedTuple):
     p: int
     n: int
-    m_ineq1: float  # log_p(16 n^2)
-    m_ineq2_growth: float  # 2 log_(p-1)(24 n)
-    m_ineq2_start: float  # (1/3) log_(p-1)(4 n (p+1))
     p_ineq1: int  # 16 n^2
     p_ineq2: int  # 1 + (48 n)^2
 
-    @property
-    def m_all(self) -> float:
-        return max(self.m_ineq1, self.m_ineq2_growth, self.m_ineq2_start)
-
 
 def sufficiency_thresholds(p: int, n: int) -> Thresholds:
-    """Exponents and parameters beyond which both inequalities hold.
+    """Parameters beyond which both inequalities hold at m = 1.
 
-    Any integer m above all three m-thresholds makes (1) and (2) true at
-    d = p^(2m), k = (p-1)^m; and p above both p-thresholds makes them
-    true already at m = 1 (d = p^2, k = p-1).
+    p above both thresholds makes (1) and (2) true at d = p^2, k = p-1.
+    Every such p has 2n <= p, so the regime holds only representable
+    algebras; over proper powers UD fails and no threshold exists.
     """
     if p < 3 or n < 2:
         raise ValueError("thresholds need p >= 3 and n >= 2")
-    lp = math.log(p)
-    lp1 = math.log(p - 1)
-    return Thresholds(
-        p,
-        n,
-        math.log(16 * n * n) / lp,
-        2 * math.log(24 * n) / lp1,
-        math.log(4 * n * (p + 1)) / (3 * lp1),
-        16 * n * n,
-        1 + (48 * n) ** 2,
-    )
+    return Thresholds(p, n, 16 * n * n, 1 + (48 * n) ** 2)
 
 
 # -- search driver and Monte Carlo -------------------------------------------
@@ -648,6 +637,8 @@ def montecarlo(
     One-sided consistency: the Wilson 95% lower confidence bound on the
     failure probability must not exceed the analytic upper bound; when
     the bound is >= 1 the comparison is vacuous (and reported as such).
+    Where union-defect makes failure certain, the run is consistent
+    exactly when every trial failed.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -665,8 +656,11 @@ def montecarlo(
     spread = z * math.sqrt(rate * (1 - rate) / trials + z * z / (4 * trials * trials))
     low = min(max(0.0, (center - spread) / denom), rate)
     high = max(min(1.0, (center + spread) / denom), rate)
-    analytic = eval_bounds_power(p, n, m).failure_bound
-    if analytic >= 1.0:
+    bound = eval_bounds_power(p, n, m)
+    analytic = bound.failure_bound
+    if bound.mode == "union-defect":  # failure is certain
+        consistency = "consistent" if failures == trials else "INCONSISTENT"
+    elif analytic >= 1.0:
         consistency = "vacuous, consistent"
     elif low <= analytic:
         consistency = "consistent"

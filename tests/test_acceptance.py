@@ -11,7 +11,6 @@ from relalg import (
     build_doubled,
     build_lpn,
     build_power,
-    build_xi,
     check_axioms,
     beta_lower_bound,
     build_gamma_embedding,
@@ -157,23 +156,27 @@ def test_criterion_6_bounds():
         for (p, n, m) in grid
         if (
             (lambda a, b: (a.ineq1, a.ineq2) != b[:2])(
-                eval_bounds_power(p, n, m),
+                eval_bounds(p, n, p ** (2 * m), (p - 1) ** m),
                 exact_bounds(p, n, p ** (2 * m), (p - 1) ** m),
             )
         )
     ]
     ok_grid = len(grid) >= 200 and not mismatches
 
-    # (b) every integer m above all three thresholds satisfies both
-    # inequalities at d = p^(2m), k = (p-1)^m
-    ok_thresholds = True
-    for p in (3, 5, 7, 9):
-        for n in (2, 3):
-            th = sufficiency_thresholds(p, n)
-            m0 = math.floor(th.m_all) + 1
-            for m in (m0, m0 + 1, m0 + 2):
-                if not eval_bounds_power(p, n, m).both_hold:
-                    ok_thresholds = False
+    # (b) over a proper power the bound reports the union defect that the
+    # checker finds for every assignment: e = 1' at the pair (0, 1)
+    ok_union_defect = True
+    for p, n, m in [(3, 2, 2), (3, 3, 2), (4, 2, 2), (5, 2, 2), (3, 2, 3)]:
+        bound = eval_bounds_power(p, n, m)
+        theta = build_power(build_affine(p), m)
+        checker = XiFastChecker(theta, n)
+        cert = checker.check(PartitionRecipe(0, n, theta.base_size)).certificate
+        ok_union_defect &= (
+            (bound.ineq1, bound.ineq2, bound.failure_bound, bound.mode)
+            == (None, None, 1.0, "union-defect")
+            and checker.union_defect == (theta.algebra.identity_mask, (0, 1))
+            and (cert.condition, cert.point) == ("union-defect", (0, 1))
+        )
 
     # (c) p beyond both p-thresholds satisfies the inequalities at m = 1
     ok_pbound = True
@@ -186,20 +189,19 @@ def test_criterion_6_bounds():
         if not (r.ineq1 and r.ineq2):
             ok_pbound = False
 
-    ok = ok_grid and ok_thresholds and ok_pbound
+    ok = ok_grid and ok_union_defect and ok_pbound
     report(
         6,
         ok,
         f"log=exact on {len(grid)}-point grid"
         + ("" if not mismatches else f" (mismatches: {mismatches[:3]})")
-        + f"; m-thresholds sufficient: {ok_thresholds}; p-thresholds: {ok_pbound}",
+        + f"; union-defect matches the checker: {ok_union_defect}; p-thresholds: {ok_pbound}",
     )
 
 
 def test_criterion_7_search_report():
     seeds = range(40)  # documented sweep: seeds 0..39 at (p,n) = (3,2)
     verdicts = {}
-    passes = []
     for m in (1, 2, 3):
         rep_a = search_weakrep(3, 2, m, seeds)
         rep_b = search_weakrep(3, 2, m, seeds)
@@ -207,19 +209,15 @@ def test_criterion_7_search_report():
         vb = [(r.seed, r.ok, r.condition) for r in rep_b.results]
         assert va == vb  # deterministic verdicts
         verdicts[m] = va
-        for r in rep_a.results:
-            if r.ok and m <= 2:
-                x = build_xi(build_power(build_affine(3), m), 2, r.seed)
-                assert verify_weak(x).ok
-                passes.append((m, r.seed))
     completed = all(len(verdicts[m]) == 40 for m in (1, 2, 3))
-    ok = completed  # absence of PASS is acceptable at these parameters
-    n_pass = len(passes) + sum(r[1] for r in verdicts[3])
+    n_pass = sum(ok for m in verdicts for _, ok, _ in verdicts[m])
+    union_defect = all(c == "union-defect" for m in (2, 3) for _, _, c in verdicts[m])
+    ok = completed and n_pass == 0 and union_defect
     report(
         7,
         ok,
-        f"sweep (3,2) m=1,2,3 x 40 seeds deterministic; "
-        f"{n_pass} PASS seeds (re-verified where found, absence acceptable)",
+        f"sweep (3,2) m=1,2,3 x 40 seeds deterministic; {n_pass} PASS seeds; "
+        f"absence is forced: at m=1 by p-1 < 2n-1, at m=2,3 by union-defect on every seed",
     )
 
 

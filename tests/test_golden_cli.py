@@ -9,11 +9,13 @@ command wrote.  The list runs twice, once in text mode and once with
 The invocations cover every subcommand and both branches of each: a
 verify PASS and FAIL, a check-axioms FAIL on a hand-written algebra file
 that parses but is not associative, degree-audit with and without
---claim-full, search in fast and strict mode, bounds by --m and by
---d/--k, both embed kinds, falsify FALSIFIED, VALID and random (UNKNOWN
-on L(3,2), and UNKNOWN and FALSIFIED on the 14-atom L(9,3)), xi
---explicit and --algebra-out, and outputs in a subdirectory so that the
-relative paths written into structure files are exercised.
+--claim-full, search in fast and strict mode, bounds by --m (at m = 1,
+and at m = 2, where union-defect makes failure certain) and by
+--d/--k, montecarlo at m = 1 and at m = 2, both embed kinds, falsify
+FALSIFIED, VALID and random (UNKNOWN on L(3,2), and UNKNOWN and
+FALSIFIED on the 14-atom L(9,3)), xi --explicit and --algebra-out, and
+outputs in a subdirectory so that the relative paths written into
+structure files are exercised.
 
 Regenerate the fixture (only when an output change is deliberate):
 
@@ -79,9 +81,11 @@ STEPS = [
     ["search", "--p", "3", "--n", "2", "--m", "1", "--seeds", "0:4"],
     ["search", "--p", "3", "--n", "1", "--m", "1", "--seeds", "0,1", "--mode", "strict"],
     ["bounds", "--p", "3", "--n", "2", "--m", "1"],
+    ["bounds", "--p", "3", "--n", "2", "--m", "2"],
     ["bounds", "--p", "5", "--n", "2", "--d", "50", "--k", "3"],
     ["thresholds", "--p", "3", "--n", "2"],
     ["montecarlo", "--p", "3", "--n", "1", "--m", "1", "--trials", "5", "--seed0", "1"],
+    ["montecarlo", "--p", "3", "--n", "2", "--m", "2", "--trials", "5", "--seed0", "0"],
     ["subalgebra", "l32.ra", "--gens", "a0"],
     ["pigeonhole", "l32.ra", "--gens", "a0+a1"],
     ["embed", "--kind", "fusion", "--p", "3", "--n", "2", "--i", "0", "--j", "1",

@@ -8,6 +8,7 @@ from relalg import (
     build_power,
     build_xi,
     check_xi_fast,
+    degree_audit,
     eval_bounds,
     eval_bounds_power,
     image,
@@ -275,10 +276,25 @@ def test_eval_bounds_examples():
 
 
 def test_eval_bounds_minimal_m_regression():
-    # first exponent where both inequalities hold for (p,n) = (3,2),
-    # frozen from an exact-rational scan
-    flags = [eval_bounds_power(3, 2, m).both_hold for m in range(1, 8)]
-    assert flags == [False, False, False, False, False, True, True]
+    # no exponent makes both inequalities hold for (p,n) = (3,2): m = 1
+    # fails both, and over every proper power UD fails with certainty
+    r = eval_bounds_power(3, 2, 1)
+    assert (r.m, r.ineq1, r.ineq2, r.mode) == (1, False, False, "log")
+    for m in range(2, 8):
+        r = eval_bounds_power(3, 2, m)
+        assert (r.m, r.d, r.k) == (m, 3 ** (2 * m), 2**m)
+        assert (r.ineq1, r.ineq2, r.failure_bound, r.mode) == (None, None, 1.0, "union-defect")
+
+
+def test_eval_bounds_power_argument_checks():
+    with pytest.raises(ValueError, match="m >= 1"):
+        eval_bounds_power(3, 2, 0)
+    with pytest.raises(ValueError, match="p >= 3"):
+        eval_bounds_power(2, 2, 2)
+    with pytest.raises(ValueError, match="n >= 1"):
+        eval_bounds_power(3, 0, 2)
+    # n = 1 has no UD condition: the power keeps the n = 1 verdict
+    assert eval_bounds_power(3, 1, 2).mode == "auto"
 
 
 def test_eval_bounds_n1_not_applicable():
@@ -295,7 +311,7 @@ def test_eval_bounds_log_agrees_with_exact_on_grid():
                 d = p ** (2 * m)
                 if d > 1 << 21:  # keeps the exact powers cheap
                     continue
-                log = eval_bounds_power(p, n, m)
+                log = eval_bounds(p, n, d, (p - 1) ** m)
                 assert (log.ineq1, log.ineq2) == exact_bounds(p, n, d, (p - 1) ** m)[:2]
                 points += 1
     assert points >= 30
@@ -303,21 +319,10 @@ def test_eval_bounds_log_agrees_with_exact_on_grid():
 
 def test_thresholds_values():
     th = sufficiency_thresholds(3, 2)
-    assert math.isclose(th.m_ineq1, math.log(64) / math.log(3), rel_tol=1e-12)
-    assert math.isclose(th.m_ineq2_growth, 2 * math.log2(48), rel_tol=1e-12)
-    assert math.isclose(th.m_ineq2_start, math.log2(32) / 3, rel_tol=1e-12)
-    assert th.p_ineq1 == 64
-    assert th.p_ineq2 == 1 + 96**2
+    assert th == (3, 2, 64, 1 + 96**2)
+    assert th._fields == ("p", "n", "p_ineq1", "p_ineq2")
     with pytest.raises(ValueError):
         sufficiency_thresholds(3, 1)
-
-
-def test_thresholds_are_sufficient():
-    for p, n in [(3, 2), (5, 2), (9, 3)]:
-        th = sufficiency_thresholds(p, n)
-        m0 = math.ceil(th.m_all)
-        for m in (m0, m0 + 1):
-            assert eval_bounds_power(p, n, m).both_hold, (p, n, m)
 
 
 def test_montecarlo_reports():
@@ -328,3 +333,48 @@ def test_montecarlo_reports():
     assert r.analytic_bound >= 1.0
     assert r.consistency == "vacuous, consistent"
     assert 0.0 <= r.wilson_low <= r.rate <= r.wilson_high <= 1.0
+
+
+def test_montecarlo_union_defect_is_certain_failure(monkeypatch):
+    r = montecarlo(3, 2, 2, trials=5, seed0=0)
+    assert (r.failures, r.analytic_bound, r.consistency) == (5, 1.0, "consistent")
+    # a single passing trial would contradict the certainty
+    check = XiFastChecker.check
+
+    def pass_seed_1(self, partition):
+        report = check(self, partition)
+        return report._replace(ok=True) if partition.seed == 1 else report
+
+    monkeypatch.setattr(XiFastChecker, "check", pass_seed_1)
+    r = montecarlo(3, 2, 2, trials=5, seed0=0)
+    assert (r.failures, r.consistency) == (4, "INCONSISTENT")
+
+
+# -- the dichotomy: no passing xi structure is weak but not full -----------------
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 3), (7, 4)])
+def test_additive_inner_fails_when_2n_exceeds_p(p, n):
+    # m = 1: a pass would be a full representation, which the degree
+    # bound p - 1 >= 2n - 1 rules out
+    assert 2 * n > p
+    theta = build_affine(p)
+    checker = XiFastChecker(theta, n)
+    assert checker.union_defect is None
+    assert not any(checker.check(PartitionRecipe(s, n, theta.base_size)).ok for s in range(40))
+    audit = degree_audit(build_xi(theta, n, 0), claim_full=True)
+    assert not audit.lpn_ok
+    assert audit.detail == f"p-1 = {p - 1} < 2n-1 = {2 * n - 1}: no representation exists"
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 2, 2), (3, 3, 2), (4, 2, 2), (5, 2, 2), (3, 2, 3)])
+def test_proper_power_fails_union_defect(p, n, m):
+    # m >= 2, n >= 2: every assignment fails UD with e = 1' at (0, 1)
+    theta = build_power(build_affine(p), m)
+    checker = XiFastChecker(theta, n)
+    assert checker.union_defect == (theta.algebra.identity_mask, (0, 1))
+    for s in range(40):
+        cert = checker.check(PartitionRecipe(s, n, theta.base_size)).certificate
+        assert (cert.condition, cert.point) == ("union-defect", (0, 1))
+        assert "for e = 1';" in cert.detail
+    assert eval_bounds_power(p, n, m).mode == "union-defect"
