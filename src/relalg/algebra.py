@@ -7,8 +7,10 @@ pair to an element.  Elements are sets of atoms, stored as int bitmasks
 operations and composition extends additively from the atom table.
 
 Axiom checking works at atom level.  Associativity, the identity law and
-the involution laws are all preserved by additive extension, so checking
-them on atoms (triples/pairs) decides them for all elements.  The triangle
+the converse law (a;b)~ = b~;a~ are all preserved by additive extension,
+so checking them on atoms (triples/pairs) decides them for all elements;
+the converse family checks only that law, since an algebra whose
+converse is not an involution is refused when it is built.  The triangle
 law  x~;complement(x;y) <= complement(y)  is equivalent, over atom
 structures, to the Peircean condition on atom triples
 
@@ -24,6 +26,7 @@ Peircean condition exhaustively on atom triples.
 
 from __future__ import annotations
 
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ResourceBudgetError
@@ -316,83 +319,63 @@ class AxiomReport(NamedTuple):
         return f"FAIL {f.family} at atoms ({names}): {f.detail}"
 
 
+# check_axioms takes time about k^4 in the atom count k: 7.4 s at 68 atoms
+# (L(61,5)) and 16.8 s at 80 (L(78,0)); the README has the measurements
+MAX_AXIOM_ATOMS = 80
+
+
 def check_axioms(algebra: FiniteRelationAlgebra) -> AxiomReport:
     """Exhaustively verify the relation algebra axioms on atoms.
 
-    Families checked: associativity on all atom triples, the identity law
-    on atoms, converse involution together with (a;b)~ = b~;a~ on atom
-    pairs, and the triangle law via the Peircean atom-triple condition.
-    Additivity holds by construction of the atomwise extension.  Both
-    left and right additivity are built in, so either reading of the
-    one-sided additivity axiom is covered.
+    Families checked, in this order: the identity law on atoms,
+    (a;b)~ = b~;a~ on atom pairs (that converse is an involution is
+    refused when the algebra is built), the triangle law via the Peircean
+    atom-triple condition, and associativity on all atom triples.  A
+    family holds when its scan finds no failure, and ``first_failure`` is
+    the first failure of the first family that has one.  Additivity holds
+    by construction of the atomwise extension.  Both left and right
+    additivity are built in, so either reading of the one-sided
+    additivity axiom is covered.  More than MAX_AXIOM_ATOMS atoms are
+    refused (ResourceBudgetError) before any work.
     """
     k = algebra.atom_count
+    if k > MAX_AXIOM_ATOMS:
+        raise ResourceBudgetError(
+            f"algebra has {k} atoms; check_axioms refuses more than {MAX_AXIOM_ATOMS}"
+        )
     comp = algebra.comp
     conv = algebra.converse
-    first: AxiomFailure | None = None
+    fmt = algebra.format_mask
 
-    identity_ok = True
-    ident = algebra.identity_mask
-    for a in range(k):
-        left = algebra.compose_masks(ident, 1 << a)
-        right = algebra.compose_masks(1 << a, ident)
-        if left != 1 << a or right != 1 << a:
-            identity_ok = False
-            if first is None:
-                first = AxiomFailure(
-                    "identity",
-                    (a,),
-                    f"1';{algebra.atom_names[a]} = {algebra.format_mask(left)}, "
-                    f"{algebra.atom_names[a]};1' = {algebra.format_mask(right)}",
-                )
-            break
+    # one generator per family, yielding its failures in scan order
 
-    converse_ok = True
-    for a in range(k):
-        if conv[conv[a]] != a:
-            converse_ok = False
-            if first is None:
-                first = AxiomFailure("converse", (a,), "converse not involutive")
-            break
-    if converse_ok:
+    def identity():
         for a in range(k):
-            for b in range(k):
-                lhs = algebra.converse_mask(comp[a][b])
-                rhs = comp[conv[b]][conv[a]]
-                if lhs != rhs:
-                    converse_ok = False
-                    if first is None:
-                        first = AxiomFailure(
-                            "converse",
-                            (a, b),
-                            f"(a;b)~ = {algebra.format_mask(lhs)} but "
-                            f"b~;a~ = {algebra.format_mask(rhs)}",
-                        )
-                    break
-            if not converse_ok:
-                break
+            left = algebra.compose_masks(algebra.identity_mask, 1 << a)
+            right = algebra.compose_masks(1 << a, algebra.identity_mask)
+            if left != 1 << a or right != 1 << a:
+                name = algebra.atom_names[a]
+                detail = f"1';{name} = {fmt(left)}, {name};1' = {fmt(right)}"
+                yield AxiomFailure("identity", (a,), detail)
 
-    peircean_ok = True
-    for a in range(k):
-        for b in range(k):
-            ab = comp[a][b]
+    def converse():
+        for a, b in product(range(k), repeat=2):
+            lhs = algebra.converse_mask(comp[a][b])
+            rhs = comp[conv[b]][conv[a]]
+            if lhs != rhs:
+                detail = f"(a;b)~ = {fmt(lhs)} but b~;a~ = {fmt(rhs)}"
+                yield AxiomFailure("converse", (a, b), detail)
+
+    def peircean():
+        for a, b in product(range(k), repeat=2):
+            ab, row, cb = comp[a][b], comp[conv[a]], conv[b]
             for c in range(k):
                 in_ab = bool(ab >> c & 1)
-                in_ac = bool(comp[conv[a]][c] >> b & 1)
-                in_cb = bool(comp[c][conv[b]] >> a & 1)
+                in_ac = bool(row[c] >> b & 1)
+                in_cb = bool(comp[c][cb] >> a & 1)
                 if in_ab != in_ac or in_ab != in_cb:
-                    peircean_ok = False
-                    if first is None:
-                        first = AxiomFailure(
-                            "peircean",
-                            (a, b, c),
-                            f"c<=a;b:{in_ab} b<=a~;c:{in_ac} a<=c;b~:{in_cb}",
-                        )
-                    break
-            if not peircean_ok:
-                break
-        if not peircean_ok:
-            break
+                    detail = f"c<=a;b:{in_ab} b<=a~;c:{in_ac} a<=c;b~:{in_cb}"
+                    yield AxiomFailure("peircean", (a, b, c), detail)
 
     # the 2k^3 products below repeat their mask pairs (about 45k distinct
     # of 138k on L(31,8)); the memo lives only for this call
@@ -405,34 +388,29 @@ def check_axioms(algebra: FiniteRelationAlgebra) -> AxiomReport:
             out = memo[key] = algebra.compose_masks(x, y)
         return out
 
-    associativity_ok = True
-    for a in range(k):
-        for b in range(k):
-            ab = comp[a][b]
+    def associativity():
+        for a, b in product(range(k), repeat=2):
+            ab, bc = comp[a][b], comp[b]
             for c in range(k):
                 lhs = compose(ab, 1 << c)
-                rhs = compose(1 << a, comp[b][c])
+                rhs = compose(1 << a, bc[c])
                 if lhs != rhs:
-                    associativity_ok = False
-                    if first is None:
-                        first = AxiomFailure(
-                            "associativity",
-                            (a, b, c),
-                            f"(a;b);c = {algebra.format_mask(lhs)} but "
-                            f"a;(b;c) = {algebra.format_mask(rhs)}",
-                        )
-                    break
-            if not associativity_ok:
-                break
-        if not associativity_ok:
-            break
+                    detail = f"(a;b);c = {fmt(lhs)} but a;(b;c) = {fmt(rhs)}"
+                    yield AxiomFailure("associativity", (a, b, c), detail)
 
+    families = (identity, converse, peircean, associativity)
+    first = [next(family(), None) for family in families]
+    identity_ok, converse_ok, peircean_ok, associativity_ok = (f is None for f in first)
+    failure = next(filter(None, first), None)
     return AxiomReport(
-        algebra, associativity_ok, identity_ok, converse_ok, peircean_ok, first
+        algebra, associativity_ok, identity_ok, converse_ok, peircean_ok, failure
     )
 
 
 # -- subalgebra generation --------------------------------------------------
+
+
+MAX_LISTED_ATOMS = 20  # element_masks lists at most 2^20 elements
 
 
 class SubalgebraDescription(NamedTuple):
@@ -455,8 +433,8 @@ class SubalgebraDescription(NamedTuple):
             bits &= ~cell.bits
         return bits == 0
 
-    def element_masks(self, *, max_atoms: int = 20) -> frozenset[int]:
-        if len(self.atoms) > max_atoms:
+    def element_masks(self) -> frozenset[int]:
+        if len(self.atoms) > MAX_LISTED_ATOMS:
             raise ResourceBudgetError(
                 f"subalgebra has {len(self.atoms)} atoms; carrier too large to list"
             )
@@ -499,37 +477,20 @@ def generate_subalgebra(
         patterns[key] = patterns.get(key, 0) | (1 << i)
     cells = sorted(patterns.values())
 
-    def split_by(mask: int) -> bool:
-        nonlocal cells
-        changed = False
-        new_cells = []
-        for cell in cells:
-            inter = cell & mask
-            if inter and inter != cell:
-                new_cells.append(inter)
-                new_cells.append(cell & ~mask)
-                changed = True
-            else:
-                new_cells.append(cell)
-        if changed:
-            cells = sorted(new_cells)
-        return changed
+    def splitting_masks():
+        # each cell's converse, then its products with every cell, in
+        # order, as far as they split some cell
+        for u in cells:
+            products = map(algebra.compose_masks, repeat(u), cells)
+            for mask in chain([algebra.converse_mask(u)], products):
+                for cell in cells:
+                    if 0 != cell & mask != cell:
+                        yield mask
 
-    stable = False
-    while not stable:
-        stable = True
-        for u in list(cells):
-            if split_by(algebra.converse_mask(u)):
-                stable = False
-                break
-            for v in list(cells):
-                if split_by(algebra.compose_masks(u, v)):
-                    stable = False
-                    break
-            if not stable:
-                break
+    while (mask := next(splitting_masks(), None)) is not None:
+        cells = sorted(part for c in cells for part in (c & mask, c & ~mask) if part)
 
-    atoms = tuple(Element(algebra, cell) for cell in sorted(cells))
+    atoms = tuple(Element(algebra, cell) for cell in cells)
     return SubalgebraDescription(algebra, atoms)
 
 
@@ -578,80 +539,50 @@ def check_embedding(embedding: Embedding) -> EmbeddingReport:
     disjoint (injectivity plus meet preservation), image of the identity,
     converse preservation, composition preservation, and last that the
     images cover the target's top, so that complements are preserved.
-    Join preservation holds by the additive definition.
+    Join preservation holds by the additive definition.  The report
+    carries the first failure found, clauses and atoms in this order.
     """
-    dom = embedding.domain
-    src = dom.algebra
+    src = embedding.domain.algebra
     tgt = embedding.target
-    images = embedding.atom_images
-    for cell in dom.atoms:
-        if cell.bits not in images:
-            raise ValueError(
-                f"embedding not defined on domain atom {src.format_mask(cell.bits)}"
-            )
-
-    for idx, cell in enumerate(dom.atoms):
-        if images[cell.bits] == 0:
-            return EmbeddingReport(
-                False, EmbeddingFailure("injective", (idx,), "atom image is zero")
-            )
-        for jdx in range(idx):
-            other = dom.atoms[jdx]
-            if images[cell.bits] & images[other.bits]:
-                return EmbeddingReport(
-                    False,
-                    EmbeddingFailure(
-                        "meet", (jdx, idx), "distinct atom images overlap"
-                    ),
-                )
-
-    ident_image = 0
-    for cell in dom.atoms:
-        if cell.bits & src.identity_mask:
-            ident_image |= images[cell.bits]
-    if ident_image != tgt.identity_mask:
-        return EmbeddingReport(
-            False,
-            EmbeddingFailure(
-                "identity", (), f"1' maps to {tgt.format_mask(ident_image)}"
-            ),
-        )
+    fmt = tgt.format_mask
+    try:  # (atom, image) for each domain atom, in order
+        pairs = [(c.bits, embedding.atom_images[c.bits]) for c in embedding.domain.atoms]
+    except KeyError as missing:
+        name = src.format_mask(missing.args[0])
+        raise ValueError(f"embedding not defined on domain atom {name}") from None
 
     def image_of_mask(bits: int) -> int:
         out = 0
-        for cell in dom.atoms:
-            if cell.bits & bits:
-                out |= images[cell.bits]
+        for cell, img in pairs:
+            if cell & bits:
+                out |= img
         return out
 
-    for idx, cell in enumerate(dom.atoms):
-        lhs = image_of_mask(src.converse_mask(cell.bits))
-        rhs = tgt.converse_mask(images[cell.bits])
-        if lhs != rhs:
-            return EmbeddingReport(
-                False, EmbeddingFailure("converse", (idx,), "converse not preserved")
-            )
+    # the clauses in the order above, yielding their failures
+    def failures():
+        for idx, (_, img) in enumerate(pairs):
+            if img == 0:
+                yield EmbeddingFailure("injective", (idx,), "atom image is zero")
+            for jdx in range(idx):
+                if img & pairs[jdx][1]:
+                    detail = "distinct atom images overlap"
+                    yield EmbeddingFailure("meet", (jdx, idx), detail)
+        ident = image_of_mask(src.identity_mask)
+        if ident != tgt.identity_mask:
+            yield EmbeddingFailure("identity", (), f"1' maps to {fmt(ident)}")
+        for idx, (cell, img) in enumerate(pairs):
+            if image_of_mask(src.converse_mask(cell)) != tgt.converse_mask(img):
+                yield EmbeddingFailure("converse", (idx,), "converse not preserved")
+        for idx, (u, fu) in enumerate(pairs):
+            for jdx, (v, fv) in enumerate(pairs):
+                lhs = image_of_mask(src.compose_masks(u, v))
+                rhs = tgt.compose_masks(fu, fv)
+                if lhs != rhs:
+                    detail = f"f(u;v) = {fmt(lhs)} but f(u);f(v) = {fmt(rhs)}"
+                    yield EmbeddingFailure("compose", (idx, jdx), detail)
+        top = image_of_mask(src.top_mask)
+        if top != tgt.top_mask:
+            yield EmbeddingFailure("top", (), f"1 maps to {fmt(top)}")
 
-    for idx, u in enumerate(dom.atoms):
-        for jdx, v in enumerate(dom.atoms):
-            lhs = image_of_mask(src.compose_masks(u.bits, v.bits))
-            rhs = tgt.compose_masks(images[u.bits], images[v.bits])
-            if lhs != rhs:
-                return EmbeddingReport(
-                    False,
-                    EmbeddingFailure(
-                        "compose",
-                        (idx, jdx),
-                        f"f(u;v) = {tgt.format_mask(lhs)} but "
-                        f"f(u);f(v) = {tgt.format_mask(rhs)}",
-                    ),
-                )
-
-    top_image = image_of_mask(src.top_mask)
-    if top_image != tgt.top_mask:
-        return EmbeddingReport(
-            False,
-            EmbeddingFailure("top", (), f"1 maps to {tgt.format_mask(top_image)}"),
-        )
-
-    return EmbeddingReport(True)
+    failure = next(failures(), None)
+    return EmbeddingReport(failure is None, failure)

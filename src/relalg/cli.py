@@ -12,7 +12,10 @@ print the seeds they used.
 Budgets are set per call with --max-base (verify) and --budget
 (falsify).  ``beta`` and ``params`` print m and the element count in
 full, so they refuse m >= 2^MAX_BETA_BITS (or an --m longer than that
-many characters) and gamma > MAX_PARAMS_GAMMA before any work starts.
+many characters) and gamma > MAX_PARAMS_GAMMA before any work starts,
+and ``check-axioms`` refuses more than algebra.MAX_AXIOM_ATOMS atoms.
+A flag that the chosen mode of ``embed`` or ``bounds`` would ignore is
+a usage error.
 """
 
 from __future__ import annotations
@@ -279,8 +282,6 @@ def cmd_bounds(args):
     if args.m is not None:
         report = xi.eval_bounds_power(args.p, args.n, args.m)
     else:
-        if args.d is None or args.k is None:
-            raise ValueError("bounds needs either --m or both --d and --k")
         report = xi.eval_bounds(args.p, args.n, args.d, args.k)
     payload = report._asdict()
     text = (
@@ -553,17 +554,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_mode_flags(parser: argparse.ArgumentParser, args) -> None:
+    """A usage error (exit 2) for a flag that the chosen mode of embed or
+    bounds needs and was not given, or was given and would ignore."""
+    fusion, gamma = ("p", "n", "i", "j", "q"), ("algebra", "gens", "target_p")
+    if args.command == "embed" and args.kind == "fusion":
+        mode, needs, ignores = "embed --kind fusion", fusion, gamma
+    elif args.command == "embed":
+        mode, needs, ignores = "embed --kind gamma", gamma, fusion
+    elif args.command == "bounds" and args.m is not None:
+        mode, needs, ignores = "bounds --m", (), ("d", "k")
+    elif args.command == "bounds":
+        mode, needs, ignores = "bounds without --m", ("d", "k"), ()
+    else:
+        return
+    missing = [f for f in needs if getattr(args, f) is None]
+    ignored = [f for f in ignores if getattr(args, f) is not None]
+    for problem, fields in (("needs", missing), ("does not take", ignored)):
+        if fields:
+            names = " ".join("--" + f.replace("_", "-") for f in fields)
+            parser.error(f"{mode} {problem} {names}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "embed":
-        if args.kind == "fusion":
-            missing = [f for f in ("p", "n", "i", "j", "q") if getattr(args, f) is None]
-            if missing:
-                parser.error(f"embed --kind fusion needs --{' --'.join(missing)}")
-        else:
-            if not (args.algebra and args.gens and args.target_p):
-                parser.error("embed --kind gamma needs --algebra, --gens, --target-p")
+    _check_mode_flags(parser, args)
     try:
         code, payload, lines = args.fn(args)
     except ResourceBudgetError as exc:

@@ -288,18 +288,17 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
         raise ParseError("expected 'structure v1' header", 1)
 
     header: dict[str, str] = {}
-    directives: list[tuple[int, str]] = []
+    directives: list[tuple[int, str, str]] = []
     for no, ln in enumerate(lines[1:], start=2):
-        ln = ln.strip()
-        if not ln:
+        if not ln.strip():
             continue
-        key, _, rest = ln.partition(" ")
+        key, *rest = ln.split(None, 1)
         if key in ("kind", "algebra"):
             if key in header:
                 raise ParseError(f"duplicate {key} line", no)
-            header[key] = rest.strip()
+            header[key] = rest[0].strip() if rest else ""
         else:
-            directives.append((no, ln))
+            directives.append((no, key, ln.strip()))
     kind = header.get("kind")
     algebra_path = header.get("algebra")
     if kind not in ("atom-labeling", "power", "xi"):
@@ -312,9 +311,9 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
         base = None
         labels: dict[tuple[int, int], int] = {}
         edge_lines: dict[tuple[int, int], int] = {}
-        for no, ln in directives:
+        for no, key, ln in directives:
             parts = ln.split()
-            if parts[0] == "base":
+            if key == "base":
                 if base is not None:
                     raise ParseError("duplicate base line", no)
                 if len(parts) != 2:
@@ -322,7 +321,7 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
                 (base,) = _ints(parts[1:], no)
                 if base < 1:
                     raise ParseError("base must be nonempty", no)
-            elif parts[0] == "edge":
+            elif key == "edge":
                 if len(parts) != 4:
                     raise ParseError("edge line needs 'edge u v atom'", no)
                 u, v = _ints(parts[1:3], no)
@@ -339,7 +338,7 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
                 labels[(u, v)] = atom.bits.bit_length() - 1
                 edge_lines[(u, v)] = no
             else:
-                raise ParseError(f"unexpected directive {parts[0]!r}", no)
+                raise ParseError(f"unexpected directive {key!r}", no)
         if base is None:
             raise ParseError("missing base line", len(lines))
         for (u, v), no in edge_lines.items():
@@ -349,8 +348,8 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
 
     if kind == "power":
         spec = None
-        for no, ln in directives:
-            if ln.startswith("power "):
+        for no, key, ln in directives:
+            if key == "power":
                 if spec is not None:
                     raise ParseError("duplicate power line", no)
                 spec = (no, ln)
@@ -375,12 +374,13 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
     # xi
     spec = None
     tedges: dict[tuple[int, int], int] = {}
-    for no, ln in directives:
-        if ln.startswith("xi "):
+    tedge_lines: dict[tuple[int, int], int] = {}
+    for no, key, ln in directives:
+        if key == "xi":
             if spec is not None:
                 raise ParseError("duplicate xi line", no)
             spec = (no, ln)
-        elif ln.startswith("tedge "):
+        elif key == "tedge":
             parts = ln.split()
             if len(parts) != 4:
                 raise ParseError("tedge line needs 'tedge x y class'", no)
@@ -388,6 +388,7 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
             if (x, y) in tedges:
                 raise ParseError(f"duplicate tedge {x} {y}", no)
             tedges[(x, y)] = cls
+            tedge_lines[(x, y)] = no
         else:
             raise ParseError("unexpected directive in xi structure", no)
     if spec is None:
@@ -411,6 +412,12 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
         raise ParseError("xi line carries a seed and explicit tedges", no)
     if seed is None and not tedges:
         raise ParseError("xi needs a seed or explicit tedges", no)
+    d = inner.base_size
+    for (x, y), tedge_no in tedge_lines.items():
+        if x >= d or y >= d:
+            raise ParseError(f"tedge ({x},{y}) outside base 0..{d - 1}", tedge_no)
+        if not 1 <= tedges[(x, y)] <= n:
+            raise ParseError(f"class {tedges[(x, y)]} outside 1..{n}", tedge_no)
     from .xi import ExplicitPartition, PartitionRecipe
 
     try:

@@ -268,20 +268,16 @@ class ClassAssignment:
 # -- images ------------------------------------------------------------------
 
 
-def image(
-    structure: LabeledStructure,
-    x: Element | int,
-    *,
-    max_base: int = DEFAULT_IMAGE_MAX_BASE,
-) -> ImageRelation:
-    """The relation assigned to element x by the structure."""
+def image(structure: LabeledStructure, x: Element | int) -> ImageRelation:
+    """The relation assigned to element x by the structure; a base above
+    DEFAULT_IMAGE_MAX_BASE points is refused (ResourceBudgetError)."""
     mask = x.bits if isinstance(x, Element) else x
     if isinstance(x, Element) and x.algebra is not structure.algebra:
         raise ValueError("element belongs to a different algebra")
     d = structure.base_size
-    if d > max_base:
+    if d > DEFAULT_IMAGE_MAX_BASE:
         raise ResourceBudgetError(
-            f"base {d} exceeds image budget {max_base}; raise max_base to override"
+            f"base {d} exceeds image budget {DEFAULT_IMAGE_MAX_BASE}"
         )
     return ImageRelation(d, _image_bits(structure, mask))
 

@@ -1,8 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from relalg import build_lpn, check_axioms, check_embedding, generate_subalgebra
-from relalg.algebra import Embedding, FiniteRelationAlgebra
+from relalg import algebra, build_lpn, check_axioms, check_embedding, generate_subalgebra
+from relalg.algebra import (
+    AxiomFailure,
+    AxiomReport,
+    Embedding,
+    EmbeddingFailure,
+    EmbeddingReport,
+    FiniteRelationAlgebra,
+)
+from relalg.errors import ResourceBudgetError
 
 from oracles import full_subalgebra, generate_subalgebra_naive
 
@@ -54,6 +62,71 @@ def test_axioms_catch_injected_fault(l32):
     assert report.first_failure is not None
     assert report.first_failure.family in ("identity", "peircean", "associativity")
     assert report.first_failure.atoms  # witness triple/pair present
+
+
+def test_check_axioms_refuses_more_than_max_atoms(monkeypatch):
+    # 81 atoms: refused at once, where the check would take over 15 s
+    with pytest.raises(ResourceBudgetError, match="refuses more than 80"):
+        check_axioms(build_lpn(algebra.MAX_AXIOM_ATOMS - 1, 0))
+    monkeypatch.setattr(algebra, "MAX_AXIOM_ATOMS", 7)
+    assert check_axioms(build_lpn(3, 2)).ok  # 7 atoms
+    with pytest.raises(ResourceBudgetError):
+        check_axioms(build_lpn(4, 2))
+
+
+_E, _A, _B = 1, 2, 4  # atoms e (the identity), a and b of the tables below
+
+
+@pytest.mark.parametrize(
+    "names,comp,flags,failure",
+    [
+        # e;a = a but a;e = e+a
+        ("ea", [[_E, _A], [_E | _A, _E | _A]], (True, False, False, False),
+         ("identity", (1,), "1';a = a, a;1' = e+a")),
+        # symmetric, but a;b = a and b;a = b
+        ("eab", [[_E, _A, _B], [_A, _E | _A | _B, _A], [_B, _B, _E | _A | _B]],
+         (False, True, False, False),
+         ("converse", (1, 2), "(a;b)~ = a but b~;a~ = b")),
+        # a;a = 0: a <= e;a, but e is not below a;a
+        ("ea", [[_E, _A], [_A, 0]], (True, True, True, False),
+         ("peircean", (0, 1, 1), "c<=a;b:True b<=a~;c:True a<=c;b~:False")),
+        # a;a = e+a, b;b = e+b, a;b = 0: (a;a);b = b but a;(a;b) = 0
+        ("eab", [[_E, _A, _B], [_A, _E | _A, 0], [_B, 0, _E | _B]],
+         (False, True, True, True),
+         ("associativity", (1, 1, 2), "(a;b);c = b but a;(b;c) = 0")),
+    ],
+)
+def test_axiom_report_certificates(names, comp, flags, failure):
+    alg = FiniteRelationAlgebra(names, [0], range(len(names)), comp)
+    assert check_axioms(alg) == AxiomReport(alg, *flags, AxiomFailure(*failure))
+
+
+def test_embedding_report_certificates(l30, l32):
+    full32, full30 = full_subalgebra(l32), full_subalgebra(l30)
+    ident = {a.bits: a.bits for a in full32.atoms}
+    bit = {name: l32.atom_by_name(name).bits for name in l32.atom_names}
+    z3 = FiniteRelationAlgebra(  # the group Z3, where r~ = s
+        ["e", "r", "s"], [0], [0, 2, 1], [[_E, _A, _B], [_A, _B, _E], [_B, _E, _A]]
+    )
+    l31 = build_lpn(3, 1)
+    cases = [
+        (full32, l32, {**ident, bit["a2"]: 0}, ("injective", (3,), "atom image is zero")),
+        (full32, l32, {**ident, bit["a1"]: bit["a0"]},
+         ("meet", (1, 2), "distinct atom images overlap")),
+        (full32, l32, {**ident, bit["1'"]: bit["a0"], bit["a0"]: bit["1'"]},
+         ("identity", (), "1' maps to a0")),
+        (full_subalgebra(z3), l30,
+         {_E: 1, _A: l30.parse_element("a0").bits, _B: l30.parse_element("a1+a2+a3").bits},
+         ("converse", (1,), "converse not preserved")),
+        (full32, l32, {**ident, bit["a0"]: bit["t1"], bit["t1"]: bit["a0"]},
+         ("compose", (1, 1), "f(u;v) = 1'+t1 but f(u);f(v) = 1'+a0+a1+a2+a3")),
+        (full30, l31, {1 << i: l31.atom_by_name(nm).bits for i, nm in enumerate(l30.atom_names)},
+         ("top", (), "1 maps to 1'+a0+a1+a2+a3")),
+    ]
+    for dom, target, images, failure in cases:
+        report = check_embedding(Embedding(dom, target, images))
+        assert report == EmbeddingReport(False, EmbeddingFailure(*failure))
+    assert check_embedding(Embedding(full32, l32, ident)) == EmbeddingReport(True, None)
 
 
 def test_subalgebra_of_identity(l32):
@@ -129,6 +202,15 @@ def test_subalgebra_closed_under_operations(data):
             assert sub.contains(x | y)
             assert sub.contains(x & y)
             assert sub.contains(x @ y)
+
+
+def test_element_masks_refuses_more_than_max_listed_atoms(monkeypatch):
+    with pytest.raises(ResourceBudgetError, match="too large to list"):
+        full_subalgebra(build_lpn(19, 0)).element_masks()  # 21 atoms
+    monkeypatch.setattr(algebra, "MAX_LISTED_ATOMS", 7)
+    assert len(full_subalgebra(build_lpn(3, 2)).element_masks()) == 128
+    with pytest.raises(ResourceBudgetError):
+        full_subalgebra(build_lpn(4, 2)).element_masks()
 
 
 def test_check_embedding_identity(l32):

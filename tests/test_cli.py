@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import relalg
 from relalg import cli
 from relalg.fileformat import load_structure
@@ -227,6 +229,16 @@ def test_oversized_lpn_refused_in_both_modes(tmp_path, monkeypatch, capsys):
     assert cli.main(["construct", "--p", "61", "--n", "5", "-o", "l615.ra"]) == 0
 
 
+def test_oversized_check_axioms_refused_in_both_modes(tmp_path, monkeypatch, capsys):
+    # 81 atoms, one more than check_axioms takes
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "--p", "79", "--n", "0", "-o", "l79.ra"]) == 0
+    capsys.readouterr()
+    for argv in (["check-axioms", "l79.ra"], ["--json", "check-axioms", "l79.ra"]):
+        assert cli.main(argv) == 4, argv
+        assert capsys.readouterr().out == "", argv
+
+
 def test_oversized_fast_checker_base_refused_in_both_modes(capsys):
     # p = 3, m = 5: 59,049 inner points, refused before any image is built
     for argv in (
@@ -271,3 +283,28 @@ def test_emitted_files_reparse_to_equal_objects(tmp_path):
 
     back = load_algebra(str(tmp_path / "l41.ra"))
     assert format_algebra(back) == first
+
+
+def test_flags_the_mode_ignores_are_usage_errors(tmp_path, monkeypatch, capsys):
+    # each of these used to run with exit 0 and ignore the named flags
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "--p", "3", "--n", "2", "-o", "l32.ra"]) == 0
+    gamma = ["embed", "--kind", "gamma", "--algebra", "l32.ra", "--gens", "a0+a1"]
+    for argv, message in (
+        (["bounds", "--p", "3", "--n", "2", "--m", "1", "--d", "50", "--k", "3"],
+         "bounds --m does not take --d --k"),
+        (["bounds", "--p", "3", "--n", "2", "--d", "50"], "bounds without --m needs --k"),
+        (["embed", "--kind", "fusion", "--p", "3", "--n", "2", "--i", "0", "--j", "1",
+          "--q", "5", "--gens", "a0", "--target-p", "9"],
+         "embed --kind fusion does not take --gens --target-p"),
+        (gamma + ["--target-p", "7", "--q", "11", "--i", "0"],
+         "embed --kind gamma does not take --i --q"),
+        (gamma, "embed --kind gamma needs --target-p"),
+    ):
+        for json_flag in ([], ["--json"]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as info:
+                cli.main(json_flag + argv)
+            out = capsys.readouterr()
+            assert info.value.code == 2, argv
+            assert out.out == "" and message in out.err, (argv, out.err)

@@ -6,6 +6,7 @@ from relalg import build_lpn, build_power, build_xi
 from relalg.errors import ParseError
 from relalg.fileformat import (
     format_algebra,
+    format_structure,
     load_algebra,
     load_structure,
     parse_algebra,
@@ -122,6 +123,25 @@ def test_structure_round_trip_xi_explicit(tmp_path, aff3):
         assert image(back, mask).bits == image(x, mask).bits
 
 
+def test_structure_lines_split_on_any_whitespace(tmp_path, aff3):
+    # kind, algebra, power, xi and tedge lines were split on one space only
+    save_algebra(aff3.algebra, str(tmp_path / "a.ra"))
+    save_structure(aff3, str(tmp_path / "inner.rel"), algebra_path="a.ra")
+    x = build_xi(aff3, 2, 7)
+    save_algebra(x.algebra, str(tmp_path / "l32.ra"))
+    files = [
+        (aff3, {"algebra_path": "a.ra"}),
+        (build_power(aff3, 2), {"algebra_path": "a.ra", "inner_path": "inner.rel"}),
+        (x, {"algebra_path": "l32.ra", "inner_path": "inner.rel"}),
+        (x, {"algebra_path": "l32.ra", "inner_path": "inner.rel", "explicit": True}),
+    ]
+    for structure, where in files:
+        text = format_structure(structure, **where)
+        magic, rest = text.split("\n", 1)
+        back = load_structure_text(tmp_path, magic + "\n" + rest.replace(" ", "\t"))
+        assert format_structure(back, **where) == text, text.splitlines()[1]
+
+
 def test_explicit_xi_at_d81_resaves_byte_identically(tmp_path):
     # the writer reads class_bits row by row; class_of is the oracle here
     theta = build_affine(9)
@@ -184,7 +204,9 @@ def test_malformed_fields_raise_parse_error_with_line(tmp_path, aff3):
         (header + "base 9\nedge 0 x a1\n", 5),
         (xi_header + "xi inner=inner.rel n=2\ntedge 0 x 1\n", 5),
         (xi_header + "xi inner=inner.rel n=2 seed=99999999999999999999999\n", 4),
-        (xi_header + "xi inner=inner.rel n=2\ntedge 0 0 7\n", 4),
+        (xi_header + "xi inner=inner.rel n=2\ntedge 0 0 7\n", 5),
+        (xi_header + "xi inner=inner.rel n=2\ntedge 0 9 1\n", 5),
+        (xi_header + "tedge 0 0 1\ntedge 0 1 3\nxi inner=inner.rel n=2\n", 5),
     ]
     for text, line in cases:
         (tmp_path / "v.rel").write_text(text)
