@@ -1,5 +1,11 @@
 """Versioned text formats for algebras and labeled structures.
 
+Both formats share one line grammar.  The first line names the format
+and its version; every later nonblank line is a key, read once or any
+number of times, and its fields.  Every line, the first too, splits on
+any run of whitespace.  A repeated once-key, a missing line or an
+unexpected key is a ParseError that names its line.
+
 Algebra files (extension convention: .ra)::
 
     ra v1
@@ -17,17 +23,17 @@ Structure files (extension convention: .rel)::
     structure v1
     kind atom-labeling|power|xi
     algebra <path>
-    # then, per kind:
+    # then, per kind (_KINDS):
     base <d>
     edge <u> <v> <atom>               u < v; converse closure implicit
     power m=<m> inner=<path>
     xi inner=<path> n=<n> seed=<u64>
     xi inner=<path> n=<n>             followed by d*d "tedge <x> <y> <i>" lines
 
-Each header line appears once.  Paths are resolved relative to the
-referencing file.  A xi line carries either a seed or explicit tedge
-lines, never both.  Writers emit sorted,
-canonical lines so identical objects produce byte-identical files.
+Paths are resolved relative to the referencing file; an inner file more
+than 16 files deep is refused at the line that names it.  A xi line
+carries either a seed or explicit tedge lines, never both.  Writers emit
+sorted, canonical lines so identical objects produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import TYPE_CHECKING
 
 from .algebra import FiniteRelationAlgebra, iter_bits
 from .errors import ParseError
-from .lpn import _lpn_table
+from .lpn import _lpn_names, _lpn_table
 
 # structures and xi are imported where a structure or an xi file needs
 # them, so that algebra-only commands never run them
@@ -47,6 +53,61 @@ if TYPE_CHECKING:
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9']+$")
 _DIGITS = re.compile(r"[0-9]+")
+# the lines each structure kind takes after the header: its once-only
+# keys, then its keys that may repeat
+_KINDS = {
+    "atom-labeling": (("base",), ("edge",)),
+    "power": (("power",), ()),
+    "xi": (("xi",), ("tedge",)),
+}
+
+
+def _read(text: str, magic: str) -> tuple[dict[str, list[tuple[int, str]]], int]:
+    """Check the first line, and group every later nonblank line, as
+    (line number, text), by its key.  Also returns the number of lines."""
+    lines = text.splitlines()
+    if not lines or lines[0].split() != magic.split():
+        raise ParseError(f"expected '{magic}' header", 1)
+    groups: dict[str, list[tuple[int, str]]] = {}
+    for no, line in enumerate(lines[1:], start=2):
+        key = line.split(None, 1)
+        if key:
+            groups.setdefault(key[0], []).append((no, line))
+    return groups, len(lines)
+
+
+def _once(groups: dict, key: str) -> tuple[int, str] | None:
+    """Pop the one line of `key`, or None; a second one is refused."""
+    found = groups.pop(key, [None])
+    if len(found) > 1:
+        raise ParseError(f"duplicate {key} line", found[1][0])
+    return found[0]
+
+
+def _take(groups: dict, once: tuple, many: tuple, last: int) -> list:
+    """Pop the line of each once-key, then the lines of each any-number
+    key.  A key left over is refused at its first line, and a missing
+    once-key at the file's last line."""
+    taken = [_once(groups, key) for key in once] + [groups.pop(key, []) for key in many]
+    if groups:
+        key, found = next(iter(groups.items()))  # the earliest: dicts keep insertion order
+        raise ParseError(f"unexpected directive {key!r}", found[0][0])
+    for key, line in zip(once, taken):
+        if line is None:
+            raise ParseError(f"missing {key} line", last)
+    return taken
+
+
+def _named(no: int, line: str, names: tuple[str, ...], need: int) -> list[str]:
+    """The values of a line's name=value fields, whose names must be the
+    first `need` or more of `names`, in order."""
+    key, *fields = line.split()
+    pairs = [field.partition("=") for field in fields]
+    if not need <= len(pairs) <= len(names) or any(
+        (name, eq) != (want, "=") or not value for (name, eq, value), want in zip(pairs, names)
+    ):
+        raise ParseError(f"malformed {key} line", no)
+    return [value for _, _, value in pairs]
 
 
 def _number(text: str, no: int, what: str) -> int:
@@ -57,23 +118,15 @@ def _number(text: str, no: int, what: str) -> int:
     return int(text)
 
 
-def _detect_lpn(algebra_names: tuple[str, ...], comp) -> tuple[int, int] | None:
+def _ints(fields: list[str], no: int) -> list[int]:
+    return [_number(f, no, "field") for f in fields]
+
+
+def _detect_lpn(names: list[str], comp) -> tuple[int, int] | None:
     """Recover (p,n) when names and table match the built family exactly."""
-    names = list(algebra_names)
-    if not names or names[0] != "1'":
-        return None
-    p = -1
-    idx = 1
-    while idx < len(names) and names[idx] == f"a{idx - 1}":
-        idx += 1
-        p += 1
-    n = 0
-    while idx < len(names) and names[idx] == f"t{n + 1}":
-        idx += 1
-        n += 1
-    if idx != len(names) or p < 3:
-        return None
-    if _lpn_table(p, n) == comp:
+    n = sum(name[0] == "t" for name in names)
+    p = len(names) - n - 2
+    if p >= 3 and names == _lpn_names(p, n) and comp == _lpn_table(p, n):
         return (p, n)
     return None
 
@@ -83,21 +136,19 @@ def format_algebra(algebra: FiniteRelationAlgebra) -> str:
         raise ValueError("the v1 algebra format only carries symmetric algebras")
     if len(algebra.identity_atoms) != 1:
         raise ValueError("the v1 algebra format needs a single identity atom")
-    for name in algebra.atom_names:
+    names = algebra.atom_names
+    for name in names:
         if not _NAME_RE.match(name):
             raise ValueError(f"atom name {name!r} not writable in the v1 format")
     lines = [
         "ra v1",
-        f"atoms {algebra.atom_count} {' '.join(algebra.atom_names)}",
-        f"identity {algebra.atom_names[next(iter(algebra.identity_atoms))]}",
+        f"atoms {algebra.atom_count} {' '.join(names)}",
+        f"identity {names[next(iter(algebra.identity_atoms))]}",
         "symmetric true",
     ]
     for a in range(algebra.atom_count):
         for b in range(a, algebra.atom_count):
-            lines.append(
-                f"comp {algebra.atom_names[a]} {algebra.atom_names[b]} = "
-                f"{algebra.format_mask(algebra.comp[a][b])}"
-            )
+            lines.append(f"comp {names[a]} {names[b]} = {algebra.format_mask(algebra.comp[a][b])}")
     return "\n".join(lines) + "\n"
 
 
@@ -107,30 +158,12 @@ def save_algebra(algebra: FiniteRelationAlgebra, path: str) -> None:
 
 
 def parse_algebra(text: str, *, name: str | None = None) -> FiniteRelationAlgebra:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    if not lines or lines[0].strip() != "ra v1":
-        raise ParseError("expected 'ra v1' header", 1)
-    fields: dict[str, tuple[int, str]] = {}
-    comp_lines: list[tuple[int, str]] = []
-    for no, ln in enumerate(lines[1:], start=2):
-        ln = ln.strip()
-        if not ln:
-            continue
-        key = ln.split(None, 1)[0]
-        if key == "comp":
-            comp_lines.append((no, ln))
-        elif key in ("atoms", "identity", "symmetric"):
-            if key in fields:
-                raise ParseError(f"duplicate '{key}' line", no)
-            fields[key] = (no, ln)
-        else:
-            raise ParseError(f"unknown directive {key!r}", no)
-    for key in ("atoms", "identity", "symmetric"):
-        if key not in fields:
-            raise ParseError(f"missing '{key}' line", len(lines))
-
-    no, ln = fields["atoms"]
-    parts = ln.split()
+    groups, last = _read(text, "ra v1")
+    atoms, identity, symmetric, comp_lines = _take(
+        groups, ("atoms", "identity", "symmetric"), ("comp",), last
+    )
+    no, line = atoms
+    parts = line.split()
     if len(parts) < 3:
         raise ParseError("atoms line needs a count and names", no)
     k = _number(parts[1], no, "atom count")
@@ -144,14 +177,14 @@ def parse_algebra(text: str, *, name: str | None = None) -> FiniteRelationAlgebr
         raise ParseError("duplicate atom names", no)
     index = {nm: i for i, nm in enumerate(names)}
 
-    no, ln = fields["identity"]
-    parts = ln.split()
+    no, line = identity
+    parts = line.split()
     if len(parts) != 2 or parts[1] not in index:
         raise ParseError("identity line must name one declared atom", no)
     ident = index[parts[1]]
 
-    no, ln = fields["symmetric"]
-    parts = ln.split()
+    no, line = symmetric
+    parts = line.split()
     if len(parts) != 2 or parts[1] not in ("true", "false"):
         raise ParseError("symmetric line must be 'true' or 'false'", no)
     if parts[1] == "false":
@@ -160,42 +193,36 @@ def parse_algebra(text: str, *, name: str | None = None) -> FiniteRelationAlgebr
         )
 
     comp = [[None] * k for _ in range(k)]
-    for no, ln in comp_lines:
-        m = re.match(r"^comp\s+(\S+)\s+(\S+)\s*=\s*(\S+)$", ln)
-        if not m:
+    for no, line in comp_lines:
+        pair, eq, value = line.partition("=")
+        pair, value = pair.split(), value.split()
+        if not eq or len(pair) != 3 or len(value) != 1:
             raise ParseError("malformed comp line", no)
-        a_name, b_name, expr = m.groups()
+        _, a_name, b_name = pair
         if a_name not in index or b_name not in index:
-            raise ParseError(f"unknown atom in comp line", no)
+            raise ParseError("unknown atom in comp line", no)
         a, b = index[a_name], index[b_name]
         mask = 0
-        if expr != "0":
-            for part in expr.split("+"):
+        if value[0] != "0":
+            for part in value[0].split("+"):
                 if part not in index:
                     raise ParseError(f"unknown atom {part!r} in comp value", no)
                 mask |= 1 << index[part]
-        if comp[a][b] is not None and comp[a][b] != mask:
+        # the table stays mirrored, so one entry speaks for both
+        if comp[a][b] not in (None, mask):
             raise ParseError(f"conflicting comp entries for {a_name} {b_name}", no)
-        comp[a][b] = mask
-        if comp[b][a] is None:
-            comp[b][a] = mask
-        elif comp[b][a] != mask:
-            raise ParseError(f"comp entry conflicts with its mirror", no)
+        comp[a][b] = comp[b][a] = mask
     for a in range(k):
         for b in range(k):
             if comp[a][b] is None:
-                raise ParseError(
-                    f"missing comp line for pair {names[a]} {names[b]}",
-                    len(lines),
-                )
+                raise ParseError(f"missing comp line for pair {names[a]} {names[b]}", last)
 
-    lpn = _detect_lpn(tuple(names), comp)
     return FiniteRelationAlgebra(
         names,
         identity_atoms=[ident],
         converse=range(k),
         comp=comp,
-        lpn_params=lpn,
+        lpn_params=_detect_lpn(names, comp),
         name=name,
     )
 
@@ -235,9 +262,7 @@ def format_structure(
 
         part = structure.partition
         if isinstance(part, PartitionRecipe) and not explicit:
-            lines.append(
-                f"xi inner={inner_path} n={structure.n} seed={part.seed}"
-            )
+            lines.append(f"xi inner={inner_path} n={structure.n} seed={part.seed}")
         else:
             lines.append(f"xi inner={inner_path} n={structure.n}")
             d = structure.inner.base_size
@@ -261,170 +286,107 @@ def save_structure(
     inner_path: str | None = None,
     explicit: bool = False,
 ) -> None:
+    text = format_structure(
+        structure, algebra_path=algebra_path, inner_path=inner_path, explicit=explicit
+    )
     with open(path, "w") as fh:
-        fh.write(
-            format_structure(
-                structure,
-                algebra_path=algebra_path,
-                inner_path=inner_path,
-                explicit=explicit,
-            )
-        )
-
-
-def _ints(fields: list[str], no: int) -> list[int]:
-    return [_number(f, no, "field") for f in fields]
+        fh.write(text)
 
 
 def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
     from .structures import AtomLabeling, Power, Xi
 
-    if _depth > 16:
-        raise ParseError(f"structure files nest too deeply at {path}")
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh.read().splitlines()]
-    if not lines or lines[0].strip() != "structure v1":
-        raise ParseError("expected 'structure v1' header", 1)
-
-    header: dict[str, str] = {}
-    directives: list[tuple[int, str, str]] = []
-    for no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        key, *rest = ln.split(None, 1)
-        if key in ("kind", "algebra"):
-            if key in header:
-                raise ParseError(f"duplicate {key} line", no)
-            header[key] = rest[0].strip() if rest else ""
-        else:
-            directives.append((no, key, ln.strip()))
-    kind = header.get("kind")
-    algebra_path = header.get("algebra")
-    if kind not in ("atom-labeling", "power", "xi"):
+        groups, last = _read(fh.read(), "structure v1")
+    # the text after the key of the kind and algebra lines (a path may hold spaces)
+    kind, algebra_path = (
+        line and (line[1].split(None, 1) + [""])[1].strip()
+        for line in [_once(groups, "kind"), _once(groups, "algebra")]
+    )
+    if kind not in _KINDS:
         raise ParseError(f"missing or unknown kind {kind!r}", 2)
     if algebra_path is None:
         raise ParseError("missing algebra line", 2)
     algebra = load_algebra(os.path.join(base_dir, algebra_path))
+    taken = _take(groups, *_KINDS[kind], last)
+
+    def load_inner(inner_path: str, no: int) -> LabeledStructure:
+        if _depth >= 16:
+            raise ParseError(f"structure files nest too deeply in {path}", no)
+        return load_structure(os.path.join(base_dir, inner_path), _depth=_depth + 1)
 
     if kind == "atom-labeling":
-        base = None
+        (no, line), edges = taken
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("base line needs 'base d'", no)
+        (base,) = _ints(parts[1:], no)
+        if base < 1:
+            raise ParseError("base must be nonempty", no)
         labels: dict[tuple[int, int], int] = {}
-        edge_lines: dict[tuple[int, int], int] = {}
-        for no, key, ln in directives:
-            parts = ln.split()
-            if key == "base":
-                if base is not None:
-                    raise ParseError("duplicate base line", no)
-                if len(parts) != 2:
-                    raise ParseError("base line needs 'base d'", no)
-                (base,) = _ints(parts[1:], no)
-                if base < 1:
-                    raise ParseError("base must be nonempty", no)
-            elif key == "edge":
-                if len(parts) != 4:
-                    raise ParseError("edge line needs 'edge u v atom'", no)
-                u, v = _ints(parts[1:3], no)
-                if u >= v:
-                    raise ParseError("edge lines require u < v", no)
-                if (u, v) in labels:
-                    raise ParseError(f"duplicate edge {u} {v}", no)
-                try:
-                    atom = algebra.atom_by_name(parts[3])
-                except ValueError as exc:
-                    raise ParseError(str(exc), no) from None
-                if atom.bits & algebra.identity_mask:
-                    raise ParseError("off-diagonal identity label", no)
-                labels[(u, v)] = atom.bits.bit_length() - 1
-                edge_lines[(u, v)] = no
-            else:
-                raise ParseError(f"unexpected directive {key!r}", no)
-        if base is None:
-            raise ParseError("missing base line", len(lines))
-        for (u, v), no in edge_lines.items():
-            if v >= base:  # u < v
+        for no, line in edges:
+            parts = line.split()
+            if len(parts) != 4:
+                raise ParseError("edge line needs 'edge u v atom'", no)
+            u, v = _ints(parts[1:3], no)
+            if u >= v:
+                raise ParseError("edge lines require u < v", no)
+            if v >= base:
                 raise ParseError(f"edge ({u},{v}) outside base 0..{base - 1}", no)
+            if (u, v) in labels:
+                raise ParseError(f"duplicate edge {u} {v}", no)
+            try:
+                atom = algebra.atom_by_name(parts[3])
+            except ValueError as exc:
+                raise ParseError(str(exc), no) from None
+            if atom.bits & algebra.identity_mask:
+                raise ParseError("off-diagonal identity label", no)
+            labels[(u, v)] = atom.bits.bit_length() - 1
         return AtomLabeling(algebra, base, labels)
 
     if kind == "power":
-        spec = None
-        for no, key, ln in directives:
-            if key == "power":
-                if spec is not None:
-                    raise ParseError("duplicate power line", no)
-                spec = (no, ln)
-            else:
-                raise ParseError("unexpected directive in power structure", no)
-        if spec is None:
-            raise ParseError("missing power line", len(lines))
-        no, ln = spec
-        m = re.match(r"^power\s+m=(\S+)\s+inner=(\S+)$", ln)
-        if not m:
-            raise ParseError("malformed power line", no)
-        exponent = _number(m.group(1), no, "power exponent")
+        ((no, line),) = taken
+        exponent, inner_path = _named(no, line, ("m", "inner"), 2)
+        exponent = _number(exponent, no, "power exponent")
         if exponent < 1:
             raise ParseError("power exponent must be at least 1", no)
-        inner = load_structure(os.path.join(base_dir, m.group(2)), _depth=_depth + 1)
+        inner = load_inner(inner_path, no)
         if inner.algebra.comp != algebra.comp or inner.algebra.atom_names != algebra.atom_names:
             raise ParseError("power structure's algebra differs from its inner's", no)
-        if exponent == 1:
-            return inner
-        return Power(inner, exponent)
+        return inner if exponent == 1 else Power(inner, exponent)
 
-    # xi
-    spec = None
-    tedges: dict[tuple[int, int], int] = {}
-    tedge_lines: dict[tuple[int, int], int] = {}
-    for no, key, ln in directives:
-        if key == "xi":
-            if spec is not None:
-                raise ParseError("duplicate xi line", no)
-            spec = (no, ln)
-        elif key == "tedge":
-            parts = ln.split()
-            if len(parts) != 4:
-                raise ParseError("tedge line needs 'tedge x y class'", no)
-            x, y, cls = _ints(parts[1:], no)
-            if (x, y) in tedges:
-                raise ParseError(f"duplicate tedge {x} {y}", no)
-            tedges[(x, y)] = cls
-            tedge_lines[(x, y)] = no
-        else:
-            raise ParseError("unexpected directive in xi structure", no)
-    if spec is None:
-        raise ParseError("missing xi line", len(lines))
-    no, ln = spec
-    m = re.match(r"^xi\s+inner=(\S+)\s+n=(\S+)(?:\s+seed=(\S+))?$", ln)
-    if not m:
-        raise ParseError("malformed xi line", no)
-    n = _number(m.group(2), no, "class count")
-    seed = None if m.group(3) is None else _number(m.group(3), no, "seed")
-    inner = load_structure(os.path.join(base_dir, m.group(1)), _depth=_depth + 1)
+    (no, line), tedge_lines = taken
+    inner_path, n, *seed = _named(no, line, ("inner", "n", "seed"), 2)
+    n = _number(n, no, "class count")
+    seed = _number(seed[0], no, "seed") if seed else None
+    inner = load_inner(inner_path, no)
     params = inner.algebra.lpn_params
     if params is None or params[1] != 0:
         raise ParseError("xi inner structure must be over an L(p,0) algebra", no)
     if algebra.lpn_params != (params[0], n):
-        raise ParseError(
-            f"xi algebra must be the slope-and-bridge algebra with p={params[0]}, n={n}",
-            no,
-        )
-    if seed is not None and tedges:
-        raise ParseError("xi line carries a seed and explicit tedges", no)
-    if seed is None and not tedges:
-        raise ParseError("xi needs a seed or explicit tedges", no)
+        message = f"xi algebra must be the slope-and-bridge algebra with p={params[0]}, n={n}"
+        raise ParseError(message, no)
+    if (seed is None) == (not tedge_lines):
+        raise ParseError("xi needs a seed or explicit tedges, not both", no)
     d = inner.base_size
-    for (x, y), tedge_no in tedge_lines.items():
+    tedges: dict[tuple[int, int], int] = {}
+    for tedge_no, tedge in tedge_lines:
+        parts = tedge.split()
+        if len(parts) != 4:
+            raise ParseError("tedge line needs 'tedge x y class'", tedge_no)
+        x, y, cls = _ints(parts[1:], tedge_no)
+        if (x, y) in tedges:
+            raise ParseError(f"duplicate tedge {x} {y}", tedge_no)
         if x >= d or y >= d:
             raise ParseError(f"tedge ({x},{y}) outside base 0..{d - 1}", tedge_no)
-        if not 1 <= tedges[(x, y)] <= n:
-            raise ParseError(f"class {tedges[(x, y)]} outside 1..{n}", tedge_no)
+        if not 1 <= cls <= n:
+            raise ParseError(f"class {cls} outside 1..{n}", tedge_no)
+        tedges[(x, y)] = cls
     from .xi import ExplicitPartition, PartitionRecipe
 
     try:
-        if seed is not None:
-            partition = PartitionRecipe(seed, n, inner.base_size)
-        else:
-            partition = ExplicitPartition(n, inner.base_size, tedges)
+        partition = ExplicitPartition(n, d, tedges) if seed is None else PartitionRecipe(seed, n, d)
     except ValueError as exc:
         raise ParseError(str(exc), no) from None
     # the lpn_params check above guarantees the loaded algebra's table

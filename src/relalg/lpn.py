@@ -66,15 +66,18 @@ def build_lpn(p: int, n: int) -> FiniteRelationAlgebra:
     k = p + n + 2
     if k > MAX_LPN_ATOMS:
         raise ResourceBudgetError(f"L({p},{n}) has {k} atoms; the limit is {MAX_LPN_ATOMS}")
-    names = ["1'"] + [f"a{i}" for i in range(p + 1)] + [f"t{j}" for j in range(1, n + 1)]
     return FiniteRelationAlgebra(
-        names,
+        _lpn_names(p, n),
         identity_atoms=[0],
         converse=range(k),
         comp=_lpn_table(p, n),
         lpn_params=(p, n),
         name=f"L({p},{n})",
     )
+
+
+def _lpn_names(p: int, n: int) -> list[str]:
+    return ["1'"] + [f"a{i}" for i in range(p + 1)] + [f"t{j}" for j in range(1, n + 1)]
 
 
 def _lpn_table(p: int, n: int) -> list[list[int]]:

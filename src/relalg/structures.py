@@ -72,6 +72,10 @@ from .lpn import build_lpn
 
 DEFAULT_VERIFY_MAX_BASE = 4096
 DEFAULT_IMAGE_MAX_BASE = 8192
+# Largest plane order build_affine takes; it stores q^2 (q^2 - 1) labels.
+# `affine --q 27` takes 1.8 s and 151 MB peak, `double --q 27` 7.3 s and
+# 552 MB; `affine --q 31` takes 3.3 s and 269 MB.
+MAX_AFFINE_Q = 27
 
 
 # -- bit-matrix helpers ------------------------------------------------------
@@ -703,10 +707,13 @@ def build_affine(q: int) -> AtomLabeling:
     Point (x1,x2) has index x1*q + x2.  A pair of distinct points gets
     the slope atom a_s of the line through them (s = dy/dx as a field
     index), or a_q for vertical lines (dx = 0).  Every point then has
-    exactly q-1 partners per slope atom.
+    exactly q-1 partners per slope atom.  q above MAX_AFFINE_Q is refused
+    (ResourceBudgetError) before any work.
     """
     if q < 3:
         raise ValueError("affine construction needs q >= 3")
+    if q > MAX_AFFINE_Q:
+        raise ResourceBudgetError(f"affine plane of order {q}; the limit is {MAX_AFFINE_Q}")
     from .gf import field_make  # the only user of gf here
 
     fld = field_make(q)

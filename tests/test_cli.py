@@ -250,6 +250,23 @@ def test_oversized_fast_checker_base_refused_in_both_modes(capsys):
         assert capsys.readouterr().out == "", argv
 
 
+def test_oversized_affine_plane_refused_in_both_modes(tmp_path, monkeypatch, capsys):
+    # q = 29, above structures.MAX_AFFINE_Q: refused before the plane is
+    # built or a file written
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["affine", "--q", "29", "-o", "big.rel"],
+        ["double", "--q", "29", "-o", "big.rel"],
+        ["search", "--p", "29", "--n", "2", "--m", "1", "--seeds", "0:1"],
+        ["montecarlo", "--p", "29", "--n", "2", "--m", "1", "--trials", "1", "--seed0", "0"],
+    ):
+        assert cli.main(argv) == 4, argv
+        assert cli.main(["--json", *argv]) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "affine plane of order 29" in err, argv
+    assert os.listdir(tmp_path) == []
+
+
 def test_budget_overrides(tmp_path):
     run("affine", "--q", "3", "-o", "a.rel", cwd=tmp_path)
     # explicit flag below the base size: refused with the budget exit code

@@ -105,6 +105,14 @@ def test_affine_needs_prime_power():
         build_affine(2)
 
 
+def test_affine_refuses_planes_above_max_q():
+    # the tests build planes up to q = 16; q = 29 would store 706,440 labels
+    assert structures.MAX_AFFINE_Q >= 16
+    for q in (structures.MAX_AFFINE_Q + 1, 29, 64, 251):
+        with pytest.raises(ResourceBudgetError):
+            build_affine(q)
+
+
 def test_doubled_structure(doubled3):
     assert doubled3.base_size == 18
     t1 = 5  # atom index of t1 in L(3,1)
