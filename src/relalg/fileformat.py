@@ -53,12 +53,12 @@ if TYPE_CHECKING:
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9']+$")
 _DIGITS = re.compile(r"[0-9]+")
-# the lines each structure kind takes after the header: its once-only
+# the lines each structure kind takes after its kind line: its once-only
 # keys, then its keys that may repeat
 _KINDS = {
-    "atom-labeling": (("base",), ("edge",)),
-    "power": (("power",), ()),
-    "xi": (("xi",), ("tedge",)),
+    "atom-labeling": (("algebra", "base"), ("edge",)),
+    "power": (("algebra", "power"), ()),
+    "xi": (("algebra", "xi"), ("tedge",)),
 }
 
 
@@ -96,6 +96,11 @@ def _take(groups: dict, once: tuple, many: tuple, last: int) -> list:
         if line is None:
             raise ParseError(f"missing {key} line", last)
     return taken
+
+
+def _value(line: str) -> str:
+    """The text after a line's key (a path may hold spaces)."""
+    return (line.split(None, 1) + [""])[1].strip()
 
 
 def _named(no: int, line: str, names: tuple[str, ...], need: int) -> list[str]:
@@ -294,22 +299,20 @@ def save_structure(
 
 
 def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
-    from .structures import AtomLabeling, Power, Xi
+    from .structures import AtomLabeling, Xi, build_power
 
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path) as fh:
         groups, last = _read(fh.read(), "structure v1")
-    # the text after the key of the kind and algebra lines (a path may hold spaces)
-    kind, algebra_path = (
-        line and (line[1].split(None, 1) + [""])[1].strip()
-        for line in [_once(groups, "kind"), _once(groups, "algebra")]
-    )
+    kind_line = _once(groups, "kind")
+    kind = kind_line and _value(kind_line[1])
     if kind not in _KINDS:
-        raise ParseError(f"missing or unknown kind {kind!r}", 2)
-    if algebra_path is None:
-        raise ParseError("missing algebra line", 2)
+        raise ParseError(f"missing or unknown kind {kind!r}", kind_line[0] if kind_line else last)
+    (no, line), *taken = _take(groups, *_KINDS[kind], last)
+    algebra_path = _value(line)
+    if not algebra_path:
+        raise ParseError("algebra line needs a path", no)
     algebra = load_algebra(os.path.join(base_dir, algebra_path))
-    taken = _take(groups, *_KINDS[kind], last)
 
     def load_inner(inner_path: str, no: int) -> LabeledStructure:
         if _depth >= 16:
@@ -354,7 +357,7 @@ def load_structure(path: str, *, _depth: int = 0) -> LabeledStructure:
         inner = load_inner(inner_path, no)
         if inner.algebra.comp != algebra.comp or inner.algebra.atom_names != algebra.atom_names:
             raise ParseError("power structure's algebra differs from its inner's", no)
-        return inner if exponent == 1 else Power(inner, exponent)
+        return build_power(inner, exponent)
 
     (no, line), tedge_lines = taken
     inner_path, n, *seed = _named(no, line, ("inner", "n", "seed"), 2)

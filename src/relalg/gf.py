@@ -10,7 +10,10 @@ package, so the modulus choice must be reproducible: field_make scans
 monic degree-k polynomials by increasing base-p integer value of the
 non-leading coefficient vector and takes the first irreducible one.
 Irreducibility is checked exhaustively (no monic divisor of degree
-1..k//2), which is fine at the supported sizes (q <= 2^16).
+1..k//2), which is fine at the supported sizes (q <= 256).
+
+A FieldSpec builds its sum and product tables when it is made, and
+every operation indexes them after one range check of its arguments.
 """
 
 from __future__ import annotations
@@ -54,23 +57,30 @@ class FieldSpec:
 
     ``modulus`` lists the k non-leading coefficients of the modulus
     polynomial, constant term first (the leading X^k coefficient is 1).
-    ``_mul_table`` caches every product once field_make builds it.
+    The q x q sum and product tables and the negations are built here.
     """
 
-    __slots__ = ("q", "p", "k", "modulus", "_mul_table")
+    __slots__ = ("q", "p", "k", "modulus", "_sum", "_prod", "_neg")
 
     def __init__(self, q: int, p: int, k: int, modulus: tuple[int, ...]):
         self.q, self.p, self.k, self.modulus = q, p, k, modulus
-        self._mul_table: list[int] | None = None
+        cs = [self.coeffs(x) for x in range(q)]
+        self._sum = [self._encode(list(map(int.__add__, xs, ys))) for xs in cs for ys in cs]
+        self._prod = [self._product(xs, ys) for xs in cs for ys in cs]
+        self._neg = [self._sum[x * q : (x + 1) * q].index(0) for x in range(q)]
 
     def __repr__(self) -> str:
         return f"FieldSpec(q={self.q}, p={self.p}, k={self.k}, modulus={self.modulus})"
 
     # -- encoding ----------------------------------------------------------
 
-    def coeffs(self, x: int) -> list[int]:
+    def _index(self, x: int) -> int:
         if not 0 <= x < self.q:
             raise ValueError(f"field element index {x} out of range 0..{self.q - 1}")
+        return x
+
+    def coeffs(self, x: int) -> list[int]:
+        x = self._index(x)
         out = []
         for _ in range(self.k):
             out.append(x % self.p)
@@ -83,28 +93,8 @@ class FieldSpec:
             out = out * self.p + c % self.p
         return out
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        xs, ys = self.coeffs(x), self.coeffs(y)
-        return self._encode([(a + b) % self.p for a, b in zip(xs, ys)])
-
-    def neg(self, x: int) -> int:
-        return self._encode([(-a) % self.p for a in self.coeffs(x)])
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def mul(self, x: int, y: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[x * self.q + y]
-        return self._mul_raw(x, y)
-
-    def _mul_raw(self, x: int, y: int) -> int:
-        if self.k == 1:
-            self.coeffs(x), self.coeffs(y)  # range checks
-            return x * y % self.p
-        xs, ys = self.coeffs(x), self.coeffs(y)
+    def _product(self, xs: list[int], ys: list[int]) -> int:
+        """The index of the product of two coefficient vectors."""
         prod = [0] * (2 * self.k - 1)
         for i, a in enumerate(xs):
             if a:
@@ -119,14 +109,27 @@ class FieldSpec:
                     prod[deg - self.k + i] = (prod[deg - self.k + i] - c * m) % self.p
         return self._encode(prod)
 
+    # -- arithmetic ----------------------------------------------------------
+
+    def add(self, x: int, y: int) -> int:
+        return self._sum[self._index(x) * self.q + self._index(y)]
+
+    def neg(self, x: int) -> int:
+        return self._neg[self._index(x)]
+
+    def sub(self, x: int, y: int) -> int:
+        return self._sum[self._index(x) * self.q + self.neg(y)]
+
+    def mul(self, x: int, y: int) -> int:
+        return self._prod[self._index(x) * self.q + self._index(y)]
+
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return self.pow(x, self.q - 2)
 
     def pow(self, x: int, e: int) -> int:
-        self.coeffs(x)  # range check
-        if x == 0:
+        if self._index(x) == 0:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero field element")
             return 1 if e == 0 else 0
@@ -141,11 +144,6 @@ class FieldSpec:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def _build_table(self) -> None:
-        self._mul_table = [
-            self._mul_raw(x, y) for x in range(self.q) for y in range(self.q)
-        ]
 
 
 def _poly_divides(p: int, divisor: list[int], poly: list[int]) -> bool:
@@ -174,8 +172,6 @@ def _monic_polys(p: int, deg: int):
 
 def _is_irreducible(p: int, poly: list[int]) -> bool:
     deg = len(poly) - 1
-    if poly[0] == 0:
-        return False  # divisible by X
     for d in range(1, deg // 2 + 1):
         for cand in _monic_polys(p, d):
             if _poly_divides(p, cand, poly):
@@ -184,26 +180,13 @@ def _is_irreducible(p: int, poly: list[int]) -> bool:
 
 
 def field_make(q: int) -> FieldSpec:
-    """Build GF(q) for a prime power q.
-
-    For q <= 256 a full multiplication table is precomputed.
-    """
-    if q > 1 << 16:
-        raise ValueError(f"fields larger than 2^16 are not supported, got {q}")
+    """Build GF(q) for a prime power q <= 256."""
+    if q > 256:
+        raise ValueError(f"fields larger than 256 are not supported, got {q}")
     pk = factor_prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
     p, k = pk
-    if k == 1:
-        spec = FieldSpec(q, p, 1, (0,))
-    else:
-        modulus = None
-        for cand in _monic_polys(p, k):
-            if _is_irreducible(p, cand):
-                modulus = tuple(cand[:-1])
-                break
-        assert modulus is not None  # degree-k irreducibles always exist
-        spec = FieldSpec(q, p, k, modulus)
-    if q <= 256:
-        spec._build_table()
-    return spec
+    # degree-k irreducibles always exist; for k = 1 the first is X itself
+    modulus = next(cand[:-1] for cand in _monic_polys(p, k) if _is_irreducible(p, cand))
+    return FieldSpec(q, p, k, tuple(modulus))

@@ -13,9 +13,10 @@ Concrete grammar (whitespace insignificant):
 
 "-" is complement, postfix "~" is converse and binds tighter than "-",
 "e" is the identity constant.  Binary operators are left-associative.
-Terms nest at most MAX_TERM_DEPTH levels; the parser refuses deeper ones,
-and comparing, hashing, repr, eval_term and falsify refuse deeper terms
-built in code.
+Terms nest at most MAX_TERM_DEPTH levels: building a deeper node raises
+ValueError, and the parser refuses a deeper term with a ParseError, so
+no term deeper than the limit exists and every term prints to text the
+parser accepts.
 The canonical printer emits binary operators without spaces, a single
 " = " in equations, and parentheses only where precedence requires, so
 print(parse(s)) == s on canonical strings and parse(print(t)) == t.
@@ -44,28 +45,18 @@ DEFAULT_FALSIFY_BUDGET = 1 << 24
 
 class _TermNode(Frozen):
     """Immutable, and equal when class and fields are: Not(x) != Conv(x).
-    Comparing, hashing, repr, copy and pickle recurse once per level, so
-    they raise ValueError past MAX_TERM_DEPTH, a depth counted when the
-    node is built."""
+    A node deeper than MAX_TERM_DEPTH, its depth counted as it is built,
+    raises ValueError, so every recursion over a term stays shallow."""
 
     __slots__ = ("depth",)
 
     def __init__(self, *fields):
-        super().__init__(*fields)
         below = [f.depth for f in fields if isinstance(f, _TermNode)]
-        object.__setattr__(self, "depth", 1 + max(below, default=0))
-
-    def _key(self) -> tuple:
-        if self.depth > MAX_TERM_DEPTH:
+        depth = 1 + max(below, default=0)
+        if depth > MAX_TERM_DEPTH:
             raise ValueError(f"term nests deeper than {MAX_TERM_DEPTH} levels")
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __repr__(self) -> str:
-        fields = ", ".join([f"{n}={v!r}" for n, v in zip(self.__slots__, self._key())])
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._key()
+        super().__init__(*fields)
+        object.__setattr__(self, "depth", depth)
 
 
 class Var(_TermNode):
@@ -120,13 +111,12 @@ class Equation(Frozen):
 
 # A term nests at most this many levels, counted on its tree: x1 has
 # depth 1, -x1 and x1;x1 depth 2, and x1;x1;...;x1 with k operands depth
-# k, with or without parentheses.  Comparing, hashing, repr and compiling
-# recurse once per level, so the parser refuses a deeper term,
-# and more than this many pending "(" and prefix "-" (a printed term of
-# depth d has fewer than d), with a ParseError at the offending token.
-# Both keep every step inside the default recursion limit.  A term built
-# in code counts its depth as it is built, and each of those steps
-# raises ValueError on it past this depth.
+# k, with or without parentheses.  Comparing, hashing, repr, printing and
+# compiling recurse once per level, so a node refuses a deeper term when
+# it is built, and the parser refuses more than this many pending "(" and
+# prefix "-" (a printed term of depth d has fewer than d), each with a
+# ParseError at the offending token.  Both keep every step inside the
+# default recursion limit.
 MAX_TERM_DEPTH = 150
 
 # binary operators: symbol -> (binding level, node); all left-associative
@@ -134,7 +124,8 @@ _BINARY = {"+": (1, Join), "&": (2, Meet), ";": (3, Comp)}
 
 
 class _Parser:
-    """Recursive descent, checking each node's depth where it is built."""
+    """Recursive descent, building nodes through ``build`` so that a term
+    past the depth limit is refused at the token that nests it."""
 
     def __init__(self, text: str):
         self.text = text
@@ -164,6 +155,13 @@ class _Parser:
             raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", at)
         return depth
 
+    def build(self, node: type, at: int, *fields) -> Term:
+        """node(*fields), or the node's refusal as a ParseError at ``at``."""
+        try:
+            return node(*fields)
+        except ValueError as exc:
+            raise ParseError(str(exc), at) from None
+
     def parse_binary(self, level: int = 1) -> Term:
         """Operators binding at ``level`` or tighter."""
         t = self.parse_unary()
@@ -173,21 +171,18 @@ class _Parser:
                 return t
             at = self.pos
             self.pos += 1
-            t = op[1](t, self.parse_binary(op[0] + 1))
-            self.check(t.depth, at)
+            t = self.build(op[1], at, t, self.parse_binary(op[0] + 1))
 
     def parse_unary(self) -> Term:
         if self.take("-"):
             at = self.pos - 1
             self.pending = self.check(self.pending + 1, at)
-            t = Not(self.parse_unary())
+            t = self.build(Not, at, self.parse_unary())
             self.pending -= 1
-            self.check(t.depth, at)
             return t
         t = self.parse_primary()
         while self.take("~"):
-            t = Conv(t)
-            self.check(t.depth, self.pos - 1)
+            t = self.build(Conv, self.pos - 1, t)
         return t
 
     def parse_primary(self) -> Term:
@@ -253,29 +248,23 @@ _SYMBOL = {Join: "+", Meet: "&", Comp: ";"}
 
 
 def print_term(t: Term) -> str:
-    out = []
-    todo: list = [(t, 0)]  # text, and (term, least level its place binds)
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        t, min_level = item
-        level = _LEVEL[type(t)]
-        if isinstance(t, Var):
-            parts = [f"x{t.index}"]
-        elif isinstance(t, Const):
-            parts = [t.name]
-        elif isinstance(t, Not):
-            parts = ["-", (t.arg, 4)]
-        elif isinstance(t, Conv):
-            parts = [(t.arg, 5), "~"]
-        else:  # left-associative: the same level is allowed on the left
-            parts = [(t.left, level), _SYMBOL[type(t)], (t.right, level + 1)]
-        if level < min_level:
-            parts = ["(", *parts, ")"]
-        todo += reversed(parts)
-    return "".join(out)
+    return _print(t, 0)
+
+
+def _print(t: Term, min_level: int) -> str:
+    """t in a place that binds at least ``min_level``."""
+    level = _LEVEL[type(t)]
+    if isinstance(t, Var):
+        text = f"x{t.index}"
+    elif isinstance(t, Const):
+        text = t.name
+    elif isinstance(t, Not):
+        text = "-" + _print(t.arg, 4)
+    elif isinstance(t, Conv):
+        text = _print(t.arg, 5) + "~"
+    else:  # left-associative: the same level is allowed on the left
+        text = _print(t.left, level) + _SYMBOL[type(t)] + _print(t.right, level + 1)
+    return f"({text})" if level < min_level else text
 
 
 def print_equation(eq: Equation) -> str:
@@ -286,16 +275,13 @@ def print_equation(eq: Equation) -> str:
 
 
 def _nodes(*roots: Term) -> Iterator[Term]:
-    """Every node of the terms, from a stack rather than by recursion, so
-    terms built in code walk at any depth."""
-    todo = list(roots)
-    while todo:
-        t = todo.pop()
+    """Every node of the terms, parents before children."""
+    for t in roots:
         yield t
         if isinstance(t, (Not, Conv)):
-            todo.append(t.arg)
+            yield from _nodes(t.arg)
         elif isinstance(t, (Join, Meet, Comp)):
-            todo += (t.right, t.left)
+            yield from _nodes(t.left, t.right)
 
 
 def variables(t: Term | Equation) -> set[int]:
@@ -490,8 +476,6 @@ def _compile(
     c and x;c its column, each hoisted to the level of c and gathered at
     the indices the other operand gives.  A root that does not use the
     variable is broadcast to a list, so both sides compare as lists.
-    A term deeper than MAX_TERM_DEPTH raises ValueError when its root is
-    hashed, before any step is built.
     """
     size = algebra.top_mask + 1
     inner = len(order) - 1 if vector and order else None

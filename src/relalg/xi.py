@@ -296,20 +296,20 @@ class XiFastChecker:
             aq = _image_bits(theta, 1 << (1 + q))
             self.atom_bits.append((aq, _transpose_square(aq, d)))
 
-        # structural union-defect scan: theta(e+A) must split as
+        # structural union-defect check: theta(e+A) must split as
         # theta(e) | theta(A) for every inner element e (needed iff n >= 2;
         # labeling images are unions of atom images, so they always split).
         # e+A is A, which splits, when 1' is not in e, and 1 when it is.
+        # Every image kind is monotone, so for each e that contains 1',
+        # theta(e) | theta(A) contains theta(1') | theta(A) while
+        # theta(e+A) = theta(1): e = 1', the least such e, alone decides.
         self.union_defect: tuple[int, tuple[int, int]] | None = None
         if n >= 2 and not isinstance(theta, AtomLabeling):
-            for e in range(inner.top_mask + 1):
-                if not e & inner.identity_mask:
-                    continue
-                extra = self.top_bits & ~(_image_bits(theta, e) | self.a_bits)
-                if extra:
-                    low = extra & -extra
-                    self.union_defect = (e, divmod(low.bit_length() - 1, d))
-                    break
+            e = inner.identity_mask
+            extra = self.top_bits & ~(_image_bits(theta, e) | self.a_bits)
+            if extra:
+                low = extra & -extra
+                self.union_defect = (e, divmod(low.bit_length() - 1, d))
 
     def _element(self, inner_mask: int, classes: Sequence[int]) -> int:
         out = inner_mask

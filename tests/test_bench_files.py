@@ -15,6 +15,7 @@ import glob
 import importlib
 import json
 import os
+import subprocess
 import sys
 
 import relalg.cli  # noqa: F401  (binds every layer, as the tracer's install does)
@@ -84,3 +85,38 @@ def test_traced_benchmark_names_exist_and_are_restored(monkeypatch):
     } <= changed
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+FRESH_INSTALL = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import relalg.cli  # noqa: F401
+from traced import Tracer
+
+names = [("gf", "field_make"), ("terms", "parse_equation"), ("terms", "falsify")]
+
+
+def bound():
+    return [getattr(sys.modules["relalg." + module], attr) for module, attr in names]
+
+
+tracer = Tracer()
+tracer.install()
+wrapped = bound()
+tracer.uninstall()
+restored = bound()
+print(json.dumps([getattr(w, "__wrapped__", None) is r and w is not r
+                  for w, r in zip(wrapped, restored)]))
+"""
+
+
+def test_tracer_binds_names_in_a_fresh_interpreter(tmp_path):
+    # as bench/traced.py runs it: relalg.cli imported, no module executed
+    # beforehand, so a name found only through some earlier side effect fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relalg.cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_INSTALL, os.path.join(ROOT, "bench")],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [True, True, True]

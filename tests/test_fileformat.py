@@ -362,9 +362,10 @@ STRUCTURE_REFUSALS = [
     ("\n" + LABELING + "base 1\n", 1),
     (LABELING + "kind atom-labeling\nbase 1\n", 4),
     (LABELING + "base 1\nalgebra a.ra\n", 5),
-    ("structure v1\nalgebra a.ra\nbase 1\n", 2),
-    ("structure v1\nalgebra a.ra\n\nbase 1\nkind cayley\n", 2),
-    ("structure v1\nkind atom-labeling\nbase 1\n", 2),
+    ("structure v1\nalgebra a.ra\nbase 1\n", 3),
+    ("structure v1\nalgebra a.ra\n\nbase 1\nkind cayley\n", 5),
+    ("structure v1\nkind atom-labeling\nbase 1\n", 3),
+    ("structure v1\nkind atom-labeling\nalgebra\nbase 1\n", 3),
     ("structure v1\nkind atom-labeling\nalgebra broken.ra\nbase 1\n", 4),
     (LABELING + "base 1\nbase 1\n", 5),
     (LABELING + "base\n", 4),

@@ -76,7 +76,25 @@ def test_index_encoding_round_trip():
 
 
 def test_multiplication_table_is_a_cache_hidden_from_repr():
-    tabled, untabled = field_make(9), field_make(257)
-    assert tabled._mul_table is not None and untabled._mul_table is None
-    assert repr(tabled) == "FieldSpec(q=9, p=3, k=2, modulus=(1, 0))"
-    assert all(tabled.mul(x, y) == tabled._mul_raw(x, y) for x in range(9) for y in range(9))
+    f = field_make(9)
+    assert repr(f) == "FieldSpec(q=9, p=3, k=2, modulus=(1, 0))"
+    with pytest.raises(ValueError, match="larger than 256"):
+        field_make(257)
+    # GF(9) = GF(3)[X]/(X^2 + 1): (a + bX)(c + dX) = (ac - bd) + (ad + bc)X
+    for x in range(9):
+        for y in range(9):
+            (a, b), (c, d) = divmod(x, 3)[::-1], divmod(y, 3)[::-1]
+            assert f.mul(x, y) == (a * c - b * d) % 3 + 3 * ((a * d + b * c) % 3)
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9])
+def test_every_operation_refuses_indices_out_of_range(q):
+    f = field_make(q)
+    for bad in (-1, q, q + 1, 10 * q):
+        for op in (f.add, f.sub, f.mul):
+            for args in ((0, bad), (bad, 0), (1, bad), (bad, 1)):
+                with pytest.raises(ValueError, match="out of range"):
+                    op(*args)
+        for op in (f.neg, f.inv, lambda x: f.pow(x, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                op(bad)

@@ -230,68 +230,98 @@ def test_equation_round_trip(lhs, rhs):
     assert parse_equation(print_equation(eq)) == eq
 
 
-def _code_built(depth):
-    """Left and right Comp chains and Not and Conv chains of a tree depth."""
-    x = Var(1)
-    left = right = neg = conv = x
-    for _ in range(depth - 1):
-        left, right, neg, conv = Comp(left, x), Comp(x, right), Not(neg), Conv(conv)
-    return {"left-comp": left, "right-comp": right, "complement": neg, "converse": conv}
+# one level of a chain, by name: the node that wraps t, with x1 as other operand
+_WRAP = {
+    "left-comp": lambda t: Comp(t, Var(1)),
+    "right-comp": lambda t: Comp(Var(1), t),
+    "left-meet": lambda t: Meet(t, Var(1)),
+    "right-meet": lambda t: Meet(Var(1), t),
+    "left-join": lambda t: Join(t, Var(1)),
+    "right-join": lambda t: Join(Var(1), t),
+    "complement": Not,
+    "converse": Conv,
+}
 
 
-def test_walks_terms_built_past_the_depth_limit():
-    # built in code, not parsed: 1,501 operands or 1,500 unary levels
-    k = 1500
-    built = _code_built(k + 1)
+def _code_built(depth, *shape):
+    """x1 wrapped depth - 1 times, cycling through the wrappers named."""
+    t = Var(1)
+    for _, wrap in zip(range(depth - 1), itertools.cycle(_WRAP[name] for name in shape)):
+        t = wrap(t)
+    return t
+
+
+def test_walks_terms_built_at_the_depth_limit():
+    # built in code, not parsed: 150 operands or 149 unary levels
+    k = MAX_TERM_DEPTH - 1
     for shape, text, length in (
         ("left-comp", "x1" + ";x1" * k, 2 * k + 1),
         ("right-comp", "x1;(" * (k - 1) + "x1;x1" + ")" * (k - 1), 2 * k + 1),
         ("complement", "-" * k + "x1", k + 1),
         ("converse", "x1" + "~" * k, k + 1),
     ):
-        t = built[shape]
+        t = _code_built(k + 1, shape)
         assert print_term(t) == text
         assert equation_length(Equation(t, Var(2))) == length + 1
         assert variables(t) == {1}
         assert variables(Equation(Var(2), t)) == {1, 2}
 
 
+@pytest.mark.parametrize("shape", _WRAP)
+def test_nodes_past_the_depth_limit_are_refused_when_built(shape):
+    at_limit = _code_built(MAX_TERM_DEPTH, shape)
+    assert at_limit.depth == MAX_TERM_DEPTH
+    for t in (at_limit, _code_built(MAX_TERM_DEPTH, "complement")):
+        with pytest.raises(ValueError, match=f"^term nests deeper than {MAX_TERM_DEPTH} levels$"):
+            _WRAP[shape](t)
+    with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
+        _code_built(1501, shape)
+    with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
+        Equation(Var(1), _WRAP[shape](at_limit))
+
+
+@pytest.mark.parametrize("outer", _WRAP)
+def test_every_depth_limit_shape_prints_to_text_that_parses_back(outer):
+    # each wrapper alone and alternating with each other one, so every
+    # level of some term needs parentheses or a prefix "-"
+    for inner in _WRAP:
+        t = _code_built(MAX_TERM_DEPTH, outer, inner)
+        assert t.depth == MAX_TERM_DEPTH
+        assert parse_term(print_term(t)) == t
+        eq = Equation(t, _code_built(MAX_TERM_DEPTH, inner, outer))
+        assert parse_equation(print_equation(eq)) == eq
+
+
 @pytest.mark.parametrize("shape", ["left-comp", "right-comp", "complement", "converse"])
 def test_code_built_terms_compare_hash_and_repr_or_refuse(shape):
     # two separately built equal terms, so == walks both
-    a, b = _code_built(MAX_TERM_DEPTH)[shape], _code_built(MAX_TERM_DEPTH)[shape]
+    a, b = _code_built(MAX_TERM_DEPTH, shape), _code_built(MAX_TERM_DEPTH, shape)
     assert a is not b and a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a.depth == MAX_TERM_DEPTH
     # copy and pickle round-trip, and rebuild the depth they do not store
     eq = Equation(a, Var(2))
     for twin in (copy.deepcopy(eq), pickle.loads(pickle.dumps(eq))):
         assert twin == eq and twin.lhs is not a and twin.lhs.depth == MAX_TERM_DEPTH
+    # a deeper term cannot be built, so there is nothing past the limit to compare
     for depth in (MAX_TERM_DEPTH + 1, 1501):
-        a, b = _code_built(depth)[shape], _code_built(depth)[shape]
-        assert a.depth == depth
-        for op in (hash, repr, lambda t: t == b, lambda t: {t}, copy.deepcopy, pickle.dumps,
-                   lambda t: pickle.dumps(Equation(Var(1), t))):
-            with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
-                op(a)
+        with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
+            _code_built(depth, shape)
 
 
 @pytest.mark.parametrize("shape", ["left-comp", "right-comp", "complement", "converse"])
 def test_evaluation_refuses_code_built_terms_past_the_depth_limit(shape):
     l31 = build_lpn(3, 1)
     a0 = {1: l31.parse_element("a0")}
-    t = _code_built(MAX_TERM_DEPTH)[shape]
+    t = _code_built(MAX_TERM_DEPTH, shape)
     assert eval_term(t, l31, a0).algebra is l31
     result = falsify(Equation(t, Var(1)), l31)
     assert result.status == "valid" or eval_term(t, l31, result.assignment) != result.assignment[1]
     assert falsify(Equation(Var(1), t), l31, mode="random", trials=5).tried >= 1
+    # past the limit the refusal comes when the term is built, before any
+    # evaluation or search could start
     for depth in (MAX_TERM_DEPTH + 1, 1501):
-        t = _code_built(depth)[shape]
         with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
-            eval_term(t, l31, a0)
-        for eq in (Equation(t, Var(1)), Equation(Var(1), t)):
-            for mode in ("exhaustive", "random"):
-                with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
-                    falsify(eq, l31, mode=mode)
+            _code_built(depth, shape)
 
 
 def test_equation_length_examples():
