@@ -30,14 +30,16 @@ for verify_full top and complement.  It compares whole images, held as
 int bitsets in a fixed layout per kind: row-major d*d for AtomLabeling
 and Power; for Xi four d*d blocks D | D' | C | C^T (first copy, mirror
 copy, cross pairs (x,y'), pairs (y',x)), so that a failure names the
-block it was found in.  Products of images are formed in one of two
-ways, chosen from the structure:
+block it was found in.  A Power whose inner structure passes is decided
+there (see Power); only top and complement read its images.  Products of
+images are formed in one of two ways, chosen from the structure:
 
 * additive images (AtomLabeling, and Xi over an AtomLabeling) are
   unions of atom images, and both the matrix product and composition
   distribute over unions, so the k^2 atom-pair products are formed once
   and each pair's product is a union of them, grown one atom of y at a
-  time;
+  time.  A labeling forms them in one product_rows pass per atom, over
+  rows that hold every atom image side by side;
 * the other kinds (Power, and Xi over a Power) form the product of each
   pair; Xi caches the products of inner-element and class-set parts.
 
@@ -54,7 +56,7 @@ its certificate and its count do not depend on the route.
 Transposition is additive, so converse is checked on the atoms of
 additive images, on the inner elements of other Xi images (their bridge
 blocks are transposes of each other by construction) and on every
-element of a Power.  For symmetric
+element of a Power whose inner structure fails.  For symmetric
 commutative algebras the ordered pair (y,x) check is the transpose of
 the (x,y) check once converse respect is established, so the pair loop
 runs over unordered pairs; the verdict is unchanged.  Before building
@@ -202,7 +204,20 @@ class AtomLabeling:
 class Power(Frozen):
     """Coordinatewise m-th power of an inner structure (build_power
     collapses m = 1 to the inner structure itself; a file's m = 1 power
-    line loads as the inner structure)."""
+    line loads as the inner structure).
+
+    The image of x is the m-fold Kronecker power T^m of the inner image
+    T = theta(x).  Kronecker powers commute with the boolean product, with
+    intersection and with transposition, and S^m = T^m only when S = T
+    (a pair (u,v) of T puts ((u,..,u),(v,..,v)) in T^m, and that fixes
+    every other coordinate).  The diagonal, the empty and the full
+    relation are powers of their own kind, so zero, identity, converse,
+    compose, meet, injective and top hold for the power exactly when they
+    hold for the inner structure.  Complement is the one clause that does
+    not factor: T^m and theta(-x)^m both miss every pair of tuples whose
+    coordinate pairs mix T and theta(-x), which is why a power is a weak
+    representation only.
+    """
 
     __slots__ = ("inner", "m")
     inner: "LabeledStructure"
@@ -398,16 +413,51 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
     if d > max_base:
         raise ResourceBudgetError(f"base {d} exceeds verification budget {max_base}")
     alg = structure.algebra
-    k = alg.atom_count
-    n_elems = 1 << k
+    n_elems = 1 << alg.atom_count
     # every clause reads every element image; refuse before building them
     if n_elems * d * d // 8 > 1 << 29:
         raise ResourceBudgetError(
             f"verifying {n_elems} images of {d}x{d} bits needs too much memory"
         )
-    layout = (_XiBlocks if isinstance(structure, Xi) else _RowMajor)(structure)
-    img = layout.img
     mode = "full" if full else "weak"
+    # A power's image of x is the Kronecker power theta(x)^m, which
+    # commutes with the product, intersection and transposition and is
+    # one-to-one: every weak clause holds for the power exactly when it
+    # holds for the inner structure, and only complement does not factor
+    # (see Power).  A failing inner's certificate need not be the power's
+    # (an xi inner names a C^T compose failure with the elements swapped),
+    # so the power's own scan runs then and names it.
+    report = None
+    if isinstance(structure, Power):
+        report = _verify(structure.inner, full=False, max_base=max_base)
+        if report.ok and not full:
+            return report
+    layout = (_XiBlocks if isinstance(structure, Xi) else _RowMajor)(structure)
+    if report is None or not report.ok:
+        report = _verify_weak_clauses(layout, alg, mode)
+    if not (full and report.ok):
+        return report
+    img, pairs = layout.img, report.pairs_checked
+
+    def fail(clause, elements, diff):
+        return VerifyReport(False, mode, layout.failure(clause, elements, diff, None), pairs)
+
+    top = img[alg.top_mask]
+    if top != layout.full:
+        return fail("top", (alg.top_mask,), top ^ layout.full)
+    for x in range(n_elems):
+        diff = layout.full ^ img[x] ^ img[x ^ alg.top_mask]
+        if diff:
+            return fail("complement", (x,), diff)
+    return VerifyReport(True, mode, None, pairs)
+
+
+def _verify_weak_clauses(layout, alg: FiniteRelationAlgebra, mode: str) -> VerifyReport:
+    """zero, identity, converse, compose, meet and injective on a layout's
+    images, in that order, up to the first failure."""
+    img = layout.img
+    k = alg.atom_count
+    n_elems = 1 << k
     pairs = 0
 
     def fail(clause, elements, diff=0, z=None):
@@ -429,7 +479,7 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
     decided = False
     if additive:
         atom_img = [img[1 << a] for a in range(k)]
-        atom_prod = [[layout.product(p, q) for q in atom_img] for p in atom_img]
+        atom_prod = layout.atom_products(atom_img)
         # both sides of each clause distribute over the atoms of x and y:
         # image(x).image(y) is the union of atom_prod[a][b] and image(x;y)
         # the union of img[a;b], while image(x) & image(y) is image(x.y)
@@ -474,15 +524,6 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
         other = seen.setdefault(bits, x)
         if other != x:
             return fail("injective", (other, x))
-
-    if full:
-        top = img[alg.top_mask]
-        if top != layout.full:
-            return fail("top", (alg.top_mask,), top ^ layout.full)
-        for x in range(n_elems):
-            diff = layout.full ^ img[x] ^ img[x ^ alg.top_mask]
-            if diff:
-                return fail("complement", (x,), diff)
 
     return VerifyReport(True, mode, None, pairs)
 
@@ -549,7 +590,7 @@ class _RowMajor:
     """Images of AtomLabeling and Power structures as row-major d*d bitsets.
 
     Labeling images are unions of atom images (additive); power images
-    are not, so their products are formed pair by pair.
+    are not, so a failing power's products are formed pair by pair.
     """
 
     def __init__(self, structure: AtomLabeling | Power):
@@ -567,11 +608,23 @@ class _RowMajor:
     def transpose(self, bits: int) -> int:
         return _transpose_square(bits, self.d)
 
-    def product(self, xbits: int, ybits: int) -> int:
-        return _square_product(xbits, ybits, self.d)
+    def atom_products(self, atom_img: list[int]) -> list[list[int]]:
+        """out[a][b] = atom_img[a] . atom_img[b], in one pass over the point
+        pairs: row w of `wide` holds row w of every atom image side by
+        side, so product_rows of image(a)'s rows against it holds row u of
+        image(a).image(b) for every b at once, at bit b*d."""
+        d = self.d
+        row = (1 << d) - 1
+        rows = [bits_to_rows(bits, d) for bits in atom_img]
+        wide = [rows_to_bits(list(side), d) for side in zip(*rows)]
+        slots = range(0, len(rows) * d, d)
+        return [
+            [rows_to_bits([r >> s & row for r in prod], d) for s in slots]
+            for prod in (product_rows(x, wide) for x in rows)
+        ]
 
     def pair_product(self, x: int, y: int) -> int:
-        return self.product(self.img[x], self.img[y])
+        return _square_product(self.img[x], self.img[y], self.d)
 
     def failure(self, clause, elements, diff, z) -> VerifyFailure:
         detail = _DETAILS[clause]
@@ -666,6 +719,9 @@ class _XiBlocks:
         cross = _square_product(m1, c2, d) | _square_product(c1, m2, d)
         back = _square_product(t1, m2, d) | _square_product(m1, t2, d)
         return first | mirror << dd | cross << 2 * dd | back << 3 * dd
+
+    def atom_products(self, atom_img: list[int]) -> list[list[int]]:
+        return [[self.product(p, q) for q in atom_img] for p in atom_img]
 
     def pair_product(self, x: int, y: int) -> int:
         out = 0

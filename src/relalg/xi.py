@@ -290,11 +290,6 @@ class XiFastChecker:
         a_mask = inner.top_mask ^ inner.identity_mask
         self.a_bits = _image_bits(theta, a_mask)
         self.full = full_bits(d, d)
-        # (A_q, A_q^T) for every slope atom a_q
-        self.atom_bits = []
-        for q in range(self.p + 1):
-            aq = _image_bits(theta, 1 << (1 + q))
-            self.atom_bits.append((aq, _transpose_square(aq, d)))
 
         # structural union-defect check: theta(e+A) must split as
         # theta(e) | theta(A) for every inner element e (needed iff n >= 2;
@@ -310,6 +305,13 @@ class XiFastChecker:
             if extra:
                 low = extra & -extra
                 self.union_defect = (e, divmod(low.bit_length() - 1, d))
+        # (A_q, A_q^T) for every slope atom a_q; a union defect fails every
+        # partition before any product, so it needs none
+        self.atom_bits = []
+        if self.union_defect is None:
+            for q in range(self.p + 1):
+                aq = _image_bits(theta, 1 << (1 + q))
+                self.atom_bits.append((aq, _transpose_square(aq, d)))
 
     def _element(self, inner_mask: int, classes: Sequence[int]) -> int:
         out = inner_mask

@@ -189,6 +189,45 @@ def test_power_m1_file_reloads_to_the_reported_structure(tmp_path, monkeypatch, 
         assert verify_weak(back) == verify_weak(want)
 
 
+_FULL_FAIL = (
+    "FAIL (full): complement failed for (1') at point pair (0, 1): "
+    "image of complement(x) is not the complement of image(x)"
+)
+_FULL_JSON = (
+    '{"command": "verify", "failure": {"clause": "complement", "detail": '
+    '"image of complement(x) is not the complement of image(x)", "elements": '
+    '["1\'"], "point": [0, 1]}, "mode": "full", "ok": false, "pairs_checked": %d, '
+    '"structure": "%s"}'
+)
+_WEAK_JSON = (
+    '{"command": "verify", "mode": "weak", "ok": true, "pairs_checked": %d, '
+    '"structure": "%s"}'
+)
+# (file, mode): exit code, text line, --json line
+LARGE_POWER_OUTPUTS = {
+    ("cube.rel", "weak"): (0, "PASS (weak, 528 element pairs)", _WEAK_JSON % (528, "cube.rel")),
+    ("cube.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (528, "cube.rel")),
+    ("xsq.rel", "weak"): (0, "PASS (weak, 2080 element pairs)", _WEAK_JSON % (2080, "xsq.rel")),
+    ("xsq.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (2080, "xsq.rel")),
+}
+
+
+def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
+    # the cube of affine 3 (729 points) and the square of xi over it (324
+    # points), decided on their inner images
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
+    assert cli.main(["power", "--inner", "a.rel", "-m", "3", "-o", "cube.rel"]) == 0
+    assert cli.main(["xi", "--inner", "a.rel", "--n", "1", "--seed", "5", "-o", "x.rel"]) == 0
+    assert cli.main(["power", "--inner", "x.rel", "-m", "2", "-o", "xsq.rel"]) == 0
+    for (path, mode), (code, text, line) in LARGE_POWER_OUTPUTS.items():
+        capsys.readouterr()
+        assert cli.main(["verify", f"--{mode}", path]) == code
+        assert capsys.readouterr().out == text + "\n"
+        assert cli.main(["--json", "verify", f"--{mode}", path]) == code
+        assert capsys.readouterr().out == line + "\n"
+
+
 def test_oversized_beta_and_params_refused_in_both_modes(capsys):
     for argv, code in (
         (["beta", "--m", "2^4095"], 0),

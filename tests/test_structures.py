@@ -22,6 +22,8 @@ from relalg.structures import (
     ImageRelation,
     Power,
     Xi,
+    _RowMajor,
+    _square_product,
     _transpose_square,
     bits_to_rows,
     product_rows,
@@ -533,6 +535,12 @@ CASES = {
     "xi n=2 over affine 3, seed 0": lambda: _xi(3, 2, 0),
     "xi n=2 over affine 3, seed 1": lambda: _xi(3, 2, 1),
     "xi n=2 over affine 4, seed 2": lambda: _xi(4, 2, 2),
+    "square of affine 3": lambda: build_power(build_affine(3), 2),
+    "square of affine 3, one edge corrupted": lambda: build_power(
+        _corrupted(build_affine(3), 1), 2
+    ),
+    "square of S3 cayley": lambda: build_power(_s3_cayley(), 2),
+    "square of two affine 3 planes": lambda: build_power(_two_copies(3), 2),
 }
 # verify_weak and verify_full: None for PASS, else the failing clause
 EXPECTED = {
@@ -552,6 +560,10 @@ EXPECTED = {
     "xi n=2 over affine 3, seed 0": ("compose", "compose"),
     "xi n=2 over affine 3, seed 1": ("compose", "compose"),
     "xi n=2 over affine 4, seed 2": ("compose", "compose"),
+    "square of affine 3": (None, "complement"),
+    "square of affine 3, one edge corrupted": ("compose", "compose"),
+    "square of S3 cayley": (None, "complement"),
+    "square of two affine 3 planes": (None, "top"),
 }
 # the reference takes about 15 s on the 65,536 ordered pairs of 50-point
 # images of xi over affine 5; the loop-skip test below still runs it
@@ -569,7 +581,8 @@ def test_atom_pair_decision_matches_element_pairs(name):
         assert report.mode == mode
         assert report.pairs_checked == pairs
         if cert is None:
-            assert report.ok or report.failure.clause == "top"
+            # compose and meet hold; a power's complement never does
+            assert report.ok or report.failure.clause in ("top", "complement")
             continue
         clause, elements, point, z = cert
         failure = report.failure
@@ -598,11 +611,45 @@ def test_additive_pass_skips_the_element_pair_loop(name, monkeypatch):
         assert len(calls) > setup
 
 
-def test_power_pass_runs_the_element_pair_loop(monkeypatch):
-    # power images are not additive: the loop runs, one _spans per element
-    calls = []
-    spans = structures._spans
-    monkeypatch.setattr(structures, "_spans", lambda v: calls.append(1) or spans(v))
-    s = build_power(build_affine(3), 2)
+def test_power_decides_on_its_inner_images(monkeypatch):
+    # a passing power forms no product above its inner base; a failing one
+    # scans its own images and names a point pair where they differ
+    sizes = []
+    square = structures._square_product
+    monkeypatch.setattr(
+        structures, "_square_product", lambda a, b, d: sizes.append(d) or square(a, b, d)
+    )
+    s = build_power(_xi(3, 1, 5), 2)
     assert verify_weak(s).ok
-    assert len(calls) == s.algebra.top_mask + 1
+    assert sizes and max(sizes) <= s.inner.base_size
+    sizes.clear()
+    s = CASES["square of affine 3, one edge corrupted"]()
+    d = s.base_size
+    failure = verify_weak(s).failure
+    assert failure.clause == "compose" and max(sizes) == d
+    x, y = failure.elements
+    u, v = failure.point
+    product = square(image(s, x).bits, image(s, y).bits, d)
+    composed = image(s, s.algebra.compose_masks(x, y))
+    assert bool(product >> (u * d + v) & 1) != composed.has(u, v)
+
+
+LABELINGS = [name for name in sorted(CASES) if not name.startswith(("xi", "square"))]
+
+
+@pytest.mark.parametrize("name", LABELINGS)
+def test_labeling_atom_products_equal_square_products(name, monkeypatch):
+    s = CASES[name]()
+    assert isinstance(s, AtomLabeling)
+    d, k = s.base_size, s.algebra.atom_count
+    atom_img = [image(s, 1 << a).bits for a in range(k)]
+    want = [[_square_product(p, q, d) for q in atom_img] for p in atom_img]
+    assert _RowMajor(s).atom_products(atom_img) == want
+    # and a passing labeling forms no d*d product at all
+    calls = []
+    monkeypatch.setattr(
+        structures, "_square_product", lambda *a: calls.append(a) or _square_product(*a)
+    )
+    passed = verify_weak(s).ok
+    verify_full(s)
+    assert calls == [] or not passed
