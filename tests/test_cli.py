@@ -203,21 +203,38 @@ _WEAK_JSON = (
     '{"command": "verify", "mode": "weak", "ok": true, "pairs_checked": %d, '
     '"structure": "%s"}'
 )
+_CUBE_FAIL = (
+    "compose failed for (a0, a0) at point pair (0, 1): "
+    "image of x;y differs from the matrix product (x;y = 1'+a0)"
+)
+_CUBE_JSON = (
+    '{"command": "verify", "failure": {"clause": "compose", "detail": '
+    '"image of x;y differs from the matrix product (x;y = 1\'+a0)", "elements": '
+    '["a0", "a0"], "point": [0, 1]}, "mode": "%s", "ok": false, "pairs_checked": 64, '
+    '"structure": "ccube.rel"}'
+)
 # (file, mode): exit code, text line, --json line
 LARGE_POWER_OUTPUTS = {
     ("cube.rel", "weak"): (0, "PASS (weak, 528 element pairs)", _WEAK_JSON % (528, "cube.rel")),
     ("cube.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (528, "cube.rel")),
     ("xsq.rel", "weak"): (0, "PASS (weak, 2080 element pairs)", _WEAK_JSON % (2080, "xsq.rel")),
     ("xsq.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (2080, "xsq.rel")),
+    ("ccube.rel", "weak"): (1, "FAIL (weak): " + _CUBE_FAIL, _CUBE_JSON % "weak"),
+    ("ccube.rel", "full"): (1, "FAIL (full): " + _CUBE_FAIL, _CUBE_JSON % "full"),
 }
 
 
 def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
-    # the cube of affine 3 (729 points) and the square of xi over it (324
-    # points), decided on their inner images
+    # the cube of affine 3 (729 points), the square of xi over it (324
+    # points) and the cube of affine 3 with one edge relabeled, decided on
+    # their inner images
     monkeypatch.chdir(tmp_path)
     assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
     assert cli.main(["power", "--inner", "a.rel", "-m", "3", "-o", "cube.rel"]) == 0
+    plane = (tmp_path / "a.rel").read_text()
+    assert "edge 0 1 a3\n" in plane
+    (tmp_path / "c.rel").write_text(plane.replace("edge 0 1 a3\n", "edge 0 1 a0\n"))
+    assert cli.main(["power", "--inner", "c.rel", "-m", "3", "-o", "ccube.rel"]) == 0
     assert cli.main(["xi", "--inner", "a.rel", "--n", "1", "--seed", "5", "-o", "x.rel"]) == 0
     assert cli.main(["power", "--inner", "x.rel", "-m", "2", "-o", "xsq.rel"]) == 0
     for (path, mode), (code, text, line) in LARGE_POWER_OUTPUTS.items():

@@ -194,6 +194,19 @@ def corpus():
     for p, n, m in ((3, 2, 2), (3, 3, 2)):
         for seed in range(16):
             out.append(record(["xi", ["power", ["affine", p], m], n, seed], "weak"))
+
+    # failing powers, named on the power's own images: a corrupted cube,
+    # squares of failing xi (row-classes mask 1 fails first in C^T, where
+    # the xi names the swapped pair and its square the raw one) and a
+    # power of a power
+    for mode in ("weak", "full"):
+        out.append(record(["power", ["corrupt", aff3, 0], 3], mode))
+    for seed in range(4):
+        out.append(record(["power", ["xi", aff3, 2, seed], 2], "weak"))
+    for spec in (["row-classes", aff3, 1], ["power", ["row-classes", aff3, 1], 2]):
+        out.append(record(spec, "weak"))
+    for mode in ("weak", "full"):
+        out.append(record(["power", ["power", ["labels", 3, 2, [[0, 1, 1]]], 2], 2], mode))
     return out, missing
 
 
