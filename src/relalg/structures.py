@@ -24,44 +24,37 @@ two remaining clauses: image(1) is the full square and images respect
 complement.  Both verdicts come with a first-failure certificate naming
 the clause, the element pair and a witness point pair.
 
-One clause loop, _verify, decides both.  It runs zero, identity,
-converse, then compose and meet (below), then injective, and
-for verify_full top and complement.  It compares whole images, held as
-int bitsets in a fixed layout per kind: row-major d*d for AtomLabeling
-and Power; for Xi four d*d blocks D | D' | C | C^T (first copy, mirror
-copy, cross pairs (x,y'), pairs (y',x)), so that a failure names the
-block it was found in.  A Power whose inner structure passes is decided
-there (see Power); only top and complement read its images.  Products of
-images are formed in one of two ways, chosen from the structure:
+One clause loop, _verify, decides both: zero, identity, converse,
+compose and meet (below), injective, and for verify_full top and
+complement.  It compares whole images, held as int bitsets in a fixed
+layout per kind: row-major d*d for AtomLabeling; for Xi four d*d blocks
+D | D' | C | C^T (first copy, mirror copy, cross pairs (x,y'), pairs
+(y',x)), so that a failure names the block it was found in.  A Power is
+scanned on its innermost structure, whose first failing clause and
+ordered element pair are the power's (see Power); the power names the
+point on its own images, each formed when read, as top and complement do.
 
-* additive images (AtomLabeling, and Xi over an AtomLabeling) are
-  unions of atom images, and both the matrix product and composition
-  distribute over unions, so the k^2 atom-pair products are formed once
-  and each pair's product is a union of them, grown one atom of y at a
-  time.  A labeling forms them in one product_rows pass per atom, over
-  rows that hold every atom image side by side;
-* the other kinds (Power, and Xi over a Power) form the product of each
-  pair; Xi caches the products of inner-element and class-set parts.
-
-For additive images compose and meet are decided on the atom pairs:
-both sides of each clause distribute over the atoms of x and y, so when
-every atom pair (a,b) has image(a).image(b) = image(a;b) and distinct
-atoms have disjoint images, every element pair holds.  Otherwise, and
-for the other kinds, compose and meet compare expected and computed
-relations element pair by element pair up to the first failure; the
-shared subcomputations are exact identities of boolean matrix algebra.
-pairs_checked counts the element pairs decided either way, so a verdict,
-its certificate and its count do not depend on the route.
+Images of AtomLabeling, and of Xi over an AtomLabeling, are unions of
+atom images (additive).  The matrix product and composition distribute
+over unions, so the k^2 atom-pair products are formed once (a labeling's
+in one product_rows pass per atom), and compose and meet are decided on
+the atom pairs: when every (a,b) has image(a).image(b) = image(a;b) and
+distinct atoms have disjoint images, every element pair holds.
+Otherwise the element pairs are compared one by one up to the first
+failure, a pair's product grown from atom-pair products one atom of y at
+a time; Xi over a Power forms the products of its inner-element and
+class-set parts once each.  pairs_checked counts the element pairs
+decided either way, so a verdict, its certificate and its count do not
+depend on the route.
 
 Transposition is additive, so converse is checked on the atoms of
-additive images, on the inner elements of other Xi images (their bridge
-blocks are transposes of each other by construction) and on every
-element of a Power whose inner structure fails.  For symmetric
-commutative algebras the ordered pair (y,x) check is the transpose of
-the (x,y) check once converse respect is established, so the pair loop
-runs over unordered pairs; the verdict is unchanged.  Before building
-any image, verification refuses (ResourceBudgetError) when the images of
-all 2^k elements would exceed 2^29 bytes.
+additive images and on the inner elements of other Xi images (their
+bridge blocks are transposes of each other by construction).  For
+symmetric commutative algebras the ordered pair (y,x) check is the
+transpose of the (x,y) check once converse respect is established, so
+the pair loop runs over unordered pairs; the verdict is unchanged.
+Before building any image, verification refuses (ResourceBudgetError)
+when the images of all 2^k elements would exceed 2^29 bytes.
 """
 
 from __future__ import annotations
@@ -213,7 +206,9 @@ class Power(Frozen):
     every other coordinate).  The diagonal, the empty and the full
     relation are powers of their own kind, so zero, identity, converse,
     compose, meet, injective and top hold for the power exactly when they
-    hold for the inner structure.  Complement is the one clause that does
+    hold for the inner structure, element by element: verification scans
+    the innermost structure, and a failure there is the power's, named at
+    a point of the power's images.  Complement is the one clause that does
     not factor: T^m and theta(-x)^m both miss every pair of tuples whose
     coordinate pairs mix T and theta(-x), which is why a power is a weak
     representation only.
@@ -293,6 +288,8 @@ def image(structure: LabeledStructure, x: Element | int) -> ImageRelation:
     mask = x.bits if isinstance(x, Element) else x
     if isinstance(x, Element) and x.algebra is not structure.algebra:
         raise ValueError("element belongs to a different algebra")
+    if not 0 <= mask <= structure.algebra.top_mask:
+        raise ValueError(f"mask {mask} is not an element of {structure.algebra}")
     d = structure.base_size
     if d > DEFAULT_IMAGE_MAX_BASE:
         raise ResourceBudgetError(
@@ -309,8 +306,7 @@ def _image_bits(structure: LabeledStructure, mask: int) -> int:
             out |= atom_bits[a]
         return out
     if isinstance(structure, Power):
-        rows = _power_rows(structure, mask)
-        return rows_to_bits(rows, structure.base_size)
+        return rows_to_bits(_image_rows(structure, mask), structure.base_size)
     if isinstance(structure, Xi):
         return _xi_bits(structure, mask)
     raise TypeError(f"not a labeled structure: {structure!r}")
@@ -318,35 +314,27 @@ def _image_bits(structure: LabeledStructure, mask: int) -> int:
 
 def _image_rows(structure: LabeledStructure, mask: int) -> list[int]:
     if isinstance(structure, Power):
-        return _power_rows(structure, mask)
+        inner = structure.inner
+        return _power_rows(_image_rows(inner, mask), inner.base_size, structure.m)
     return bits_to_rows(_image_bits(structure, mask), structure.base_size)
 
 
 def _lift_once(hi_rows: list[int], lo_rows: list[int], lo_width: int) -> list[int]:
     """Rows of the coordinate-pair lift: pair (uh,ul) relates to (vh,vl)
     iff uh~vh in hi and ul~vl in lo.  Point index is uh*d_lo + ul (first
-    coordinate most significant)."""
+    coordinate most significant).  spread * lo copies lo row into the
+    slots at vh*lo_width for each vh of the hi row, without carries."""
     out = []
     for hi in hi_rows:
-        spread = []
-        row = hi
-        while row:
-            low = row & -row
-            spread.append((low.bit_length() - 1) * lo_width)
-            row ^= low
-        for lo in lo_rows:
-            acc = 0
-            for shift in spread:
-                acc |= lo << shift
-            out.append(acc)
+        spread = _join(1 << vh * lo_width for vh in iter_bits(hi))
+        out += [spread * lo for lo in lo_rows]
     return out
 
 
-def _power_rows(structure: Power, mask: int) -> list[int]:
-    base_rows = _image_rows(structure.inner, mask)
-    d = structure.inner.base_size
+def _power_rows(base_rows: list[int], d: int, m: int) -> list[int]:
+    """Rows of the m-fold Kronecker power of a relation on d points."""
     rows = base_rows
-    for _ in range(structure.m - 1):
+    for _ in range(m - 1):
         rows = _lift_once(rows, base_rows, d)
     return rows
 
@@ -414,27 +402,20 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
         raise ResourceBudgetError(f"base {d} exceeds verification budget {max_base}")
     alg = structure.algebra
     n_elems = 1 << alg.atom_count
-    # every clause reads every element image; refuse before building them
+    # refuse before building images, sized as if every element's were held
     if n_elems * d * d // 8 > 1 << 29:
         raise ResourceBudgetError(
             f"verifying {n_elems} images of {d}x{d} bits needs too much memory"
         )
     mode = "full" if full else "weak"
-    # A power's image of x is the Kronecker power theta(x)^m, which
-    # commutes with the product, intersection and transposition and is
-    # one-to-one: every weak clause holds for the power exactly when it
-    # holds for the inner structure, and only complement does not factor
-    # (see Power).  A failing inner's certificate need not be the power's
-    # (an xi inner names a C^T compose failure with the elements swapped),
-    # so the power's own scan runs then and names it.
-    report = None
-    if isinstance(structure, Power):
-        report = _verify(structure.inner, full=False, max_base=max_base)
-        if report.ok and not full:
-            return report
-    layout = (_XiBlocks if isinstance(structure, Xi) else _RowMajor)(structure)
-    if report is None or not report.ok:
-        report = _verify_weak_clauses(layout, alg, mode)
+    # A power's weak clauses are scanned on its innermost structure and a
+    # failure is named on the power's own images (see Power, _PowerImages).
+    base, m = structure, 1
+    while isinstance(base, Power):
+        base, m = base.inner, m * base.m
+    scanned = (_XiBlocks if isinstance(base, Xi) else _RowMajor)(base)
+    layout = _PowerImages(base, m) if m > 1 else scanned
+    report = _verify_weak_clauses(scanned, layout, alg, mode)
     if not (full and report.ok):
         return report
     img, pairs = layout.img, report.pairs_checked
@@ -452,16 +433,17 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
     return VerifyReport(True, mode, None, pairs)
 
 
-def _verify_weak_clauses(layout, alg: FiniteRelationAlgebra, mode: str) -> VerifyReport:
+def _verify_weak_clauses(layout, names, alg: FiniteRelationAlgebra, mode: str) -> VerifyReport:
     """zero, identity, converse, compose, meet and injective on a layout's
-    images, in that order, up to the first failure."""
+    images, in that order, up to the first failure, which `names` names
+    from the raw clause and ordered element pair."""
     img = layout.img
     k = alg.atom_count
     n_elems = 1 << k
     pairs = 0
 
     def fail(clause, elements, diff=0, z=None):
-        failure = layout.failure(clause, elements, diff, z)
+        failure = names.failure(clause, elements, diff, z)
         return VerifyReport(False, mode, failure, pairs)
 
     if img[0]:
@@ -587,23 +569,18 @@ _DETAILS = {
 
 
 class _RowMajor:
-    """Images of AtomLabeling and Power structures as row-major d*d bitsets.
+    """Images of an AtomLabeling as row-major d*d bitsets: unions of atom
+    images (additive)."""
 
-    Labeling images are unions of atom images (additive); power images
-    are not, so a failing power's products are formed pair by pair.
-    """
+    additive = True
 
-    def __init__(self, structure: AtomLabeling | Power):
+    def __init__(self, structure: AtomLabeling):
         d = self.d = structure.base_size
-        k = structure.algebra.atom_count
-        self.additive = isinstance(structure, AtomLabeling)
-        self.img = [_image_bits(structure, x) for x in range(1 << k)]
+        self.img = _spans(structure.atom_image_bits())
         self.diag = diag_bits(d)
         self.full = full_bits(d, d)
-        # transposition is additive, so atoms decide converse for additive images
-        self.converse_elements = (
-            [1 << a for a in range(k)] if self.additive else range(1 << k)
-        )
+        # transposition is additive, so the atoms decide converse
+        self.converse_elements = [1 << a for a in range(structure.algebra.atom_count)]
 
     def transpose(self, bits: int) -> int:
         return _transpose_square(bits, self.d)
@@ -623,15 +600,48 @@ class _RowMajor:
             for prod in (product_rows(x, wide) for x in rows)
         ]
 
-    def pair_product(self, x: int, y: int) -> int:
-        return _square_product(self.img[x], self.img[y], self.d)
-
     def failure(self, clause, elements, diff, z) -> VerifyFailure:
         detail = _DETAILS[clause]
-        if clause == "converse" and self.additive:
+        if clause == "converse":
             detail = "transpose of atom image is not the converse atom's image"
         point = divmod(_low_bit(diff), self.d) if diff else None
         return VerifyFailure(clause, elements, point, detail.format(z=z))
+
+
+class _PowerImages:
+    """A power's row-major images, each formed when read (img[x]).
+
+    failure() names the first failure of the innermost structure `base`
+    (see Power) at the first point where the power's two sides differ,
+    each side a Kronecker power of a relation on base, so no power image
+    is multiplied; top and complement come with the power's difference.
+    """
+
+    def __init__(self, base: AtomLabeling | Xi, m: int):
+        self.d, self.base, self.m = base.base_size**m, base, m
+        self.img = self
+        self.full = full_bits(self.d, self.d)
+
+    def __getitem__(self, x: int) -> int:
+        return self._power(_image_rows(self.base, x))
+
+    def _power(self, rows: list[int]) -> int:
+        return rows_to_bits(_power_rows(rows, self.base.base_size, self.m), self.d)
+
+    def failure(self, clause, elements, diff, z) -> VerifyFailure:
+        base, d, x, y = self.base, self.base.base_size, elements[0], elements[-1]
+        xr, yr = _image_rows(base, x), _image_rows(base, y)
+        if clause == "identity":
+            diff = self[x] ^ diag_bits(self.d)
+        elif clause == "converse":
+            xt = bits_to_rows(_transpose_square(rows_to_bits(xr, d), d), d)
+            diff = self._power(xt) ^ self[base.algebra.converse_mask(x)]
+        elif clause == "compose":
+            diff = self._power(product_rows(xr, yr)) ^ self[base.algebra.compose_masks(x, y)]
+        elif clause == "meet":
+            diff = self._power([p & q for p, q in zip(xr, yr)]) ^ self[x & y]
+        point = divmod(_low_bit(diff), self.d) if diff else None
+        return VerifyFailure(clause, elements, point, _DETAILS[clause].format(z=z))
 
 
 _XI_DETAILS = {

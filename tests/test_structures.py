@@ -31,7 +31,7 @@ from relalg.structures import (
 )
 
 from oracles import network_check
-from relalg.xi import PartitionRecipe
+from relalg.xi import ExplicitPartition, PartitionRecipe
 
 
 def test_affine_label_examples(aff3):
@@ -149,6 +149,20 @@ def test_image_of_zero_and_identity(aff3):
     assert image(aff3, 0).bits == 0
     ident = image(aff3, 1)
     assert ident.pairs() == [(u, u) for u in range(9)]
+
+
+@pytest.mark.parametrize("kind", ["labeling", "power", "xi"])
+def test_image_refuses_a_mask_outside_the_algebra(kind, aff3):
+    s = {
+        "labeling": aff3,
+        "power": build_power(aff3, 2),
+        "xi": _xi(3, 1, 0),
+    }[kind]
+    top = s.algebra.top_mask
+    assert image(s, top).bits
+    for mask in (top + 1, 1 << s.algebra.atom_count + 2, -1):
+        with pytest.raises(ValueError, match="not an element"):
+            image(s, mask)
 
 
 def test_power_basics(aff3):
@@ -469,6 +483,15 @@ def _two_copies(q: int) -> AtomLabeling:
     return AtomLabeling(s.algebra, 2 * d, labels)
 
 
+def _row_classes(q: int, mask: int) -> Xi:
+    """xi n = 2 over the affine plane, (x, y') in class 1 + bit x of mask;
+    mask 1 over affine 3 fails compose first in the C^T block."""
+    theta = build_affine(q)
+    d = theta.base_size
+    classes = {(x, y): 1 + (mask >> x & 1) for x in range(d) for y in range(d)}
+    return Xi(theta, 2, ExplicitPartition(2, d, classes), build_lpn(q, 2))
+
+
 def _reference_compose_meet(structure):
     """Compose and meet on every ordered element pair, from their definition.
 
@@ -540,7 +563,17 @@ CASES = {
         _corrupted(build_affine(3), 1), 2
     ),
     "square of S3 cayley": lambda: build_power(_s3_cayley(), 2),
+    "square of S3 cayley, one edge corrupted": lambda: build_power(
+        _corrupted(_s3_cayley(), 3), 2
+    ),
     "square of two affine 3 planes": lambda: build_power(_two_copies(3), 2),
+    "square of xi n=2 over affine 3, seed 0": lambda: build_power(_xi(3, 2, 0), 2),
+    "square of xi over affine 3 with row classes": lambda: build_power(
+        _row_classes(3, 1), 2
+    ),
+    "square of the square of one a0 edge": lambda: build_power(
+        build_power(AtomLabeling(build_lpn(3, 0), 2, {(0, 1): 1}), 2), 2
+    ),
 }
 # verify_weak and verify_full: None for PASS, else the failing clause
 EXPECTED = {
@@ -563,7 +596,11 @@ EXPECTED = {
     "square of affine 3": (None, "complement"),
     "square of affine 3, one edge corrupted": ("compose", "compose"),
     "square of S3 cayley": (None, "complement"),
+    "square of S3 cayley, one edge corrupted": ("compose", "compose"),
     "square of two affine 3 planes": (None, "top"),
+    "square of xi n=2 over affine 3, seed 0": ("compose", "compose"),
+    "square of xi over affine 3 with row classes": ("compose", "compose"),
+    "square of the square of one a0 edge": ("compose", "compose"),
 }
 # the reference takes about 15 s on the 65,536 ordered pairs of 50-point
 # images of xi over affine 5; the loop-skip test below still runs it
@@ -597,41 +634,92 @@ def test_atom_pair_decision_matches_element_pairs(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_additive_pass_skips_the_element_pair_loop(name, monkeypatch):
-    # the loop calls _spans twice per element; an Xi layout calls it once
-    # to build its images
+    # the loop calls _spans twice per element; every layout calls it once
+    # to build its images, a power's on its innermost structure
     s = CASES[name]()
     calls = []
     spans = structures._spans
     monkeypatch.setattr(structures, "_spans", lambda v: calls.append(1) or spans(v))
     report = verify_weak(s)
-    setup = 1 if isinstance(s, Xi) else 0
     if report.ok:
-        assert len(calls) == setup
+        assert len(calls) == 1
     else:
-        assert len(calls) > setup
+        assert len(calls) > 1
 
 
 def test_power_decides_on_its_inner_images(monkeypatch):
-    # a passing power forms no product above its inner base; a failing one
-    # scans its own images and names a point pair where they differ
+    # a power, passing or failing, forms no product above its innermost
+    # base; a failing one names a point pair where its own product and
+    # composed image differ
     sizes = []
-    square = structures._square_product
+    square, product = structures._square_product, structures.product_rows
     monkeypatch.setattr(
         structures, "_square_product", lambda a, b, d: sizes.append(d) or square(a, b, d)
     )
-    s = build_power(_xi(3, 1, 5), 2)
-    assert verify_weak(s).ok
-    assert sizes and max(sizes) <= s.inner.base_size
-    sizes.clear()
-    s = CASES["square of affine 3, one edge corrupted"]()
-    d = s.base_size
-    failure = verify_weak(s).failure
-    assert failure.clause == "compose" and max(sizes) == d
-    x, y = failure.elements
-    u, v = failure.point
-    product = square(image(s, x).bits, image(s, y).bits, d)
-    composed = image(s, s.algebra.compose_masks(x, y))
-    assert bool(product >> (u * d + v) & 1) != composed.has(u, v)
+    monkeypatch.setattr(
+        structures, "product_rows", lambda x, y: sizes.append(len(x)) or product(x, y)
+    )
+    failed = 0
+    for name in sorted(CASES):
+        s = CASES[name]()
+        if not isinstance(s, Power):
+            continue
+        base = s
+        while isinstance(base, Power):
+            base = base.inner
+        sizes.clear()
+        report, _ = verify_weak(s), verify_full(s)
+        assert sizes and max(sizes) <= base.base_size, name
+        if report.ok:
+            continue
+        failed += 1
+        d = s.base_size
+        assert report.failure.clause == "compose", name
+        x, y = report.failure.elements
+        u, v = report.failure.point
+        power_product = square(image(s, x).bits, image(s, y).bits, d)
+        composed = image(s, s.algebra.compose_masks(x, y))
+        assert bool(power_product >> (u * d + v) & 1) != composed.has(u, v), name
+    assert failed == 5
+
+
+def test_power_of_a_power_verifies_as_one_power():
+    # (T^2)^2 and T^4 are one relation on the same point indices, so both
+    # verify alike; full mode reads the power's own images
+    s3 = _s3_cayley()
+    nested, flat = build_power(build_power(s3, 2), 2), build_power(s3, 4)
+    for x in (1, 2, 6, s3.algebra.top_mask):
+        assert image(nested, x) == image(flat, x)
+    for verify in (verify_weak, verify_full):
+        assert verify(nested) == verify(flat)
+    assert verify_full(flat).failure.clause == "complement"
+
+
+@pytest.mark.parametrize("clause", ["identity", "converse", "meet"])
+def test_power_names_failures_of_every_weak_clause(clause):
+    # no labeling built through its checks fails these clauses, so one
+    # atom image of affine 3 is edited past them: (1,1) leaves 1', (0,1)
+    # joins a0 without (1,0), or (0,0) joins a0 as well
+    theta = build_affine(3)
+    atom, point = {"identity": (0, 10), "converse": (1, 1), "meet": (1, 0)}[clause]
+    theta.atom_image_bits()[atom] ^= 1 << point
+    s = build_power(theta, 2)
+    inner, report = verify_weak(theta), verify_weak(s)
+    failure = report.failure
+    assert failure.clause == inner.failure.clause == clause
+    assert failure.elements == inner.failure.elements
+    assert report.pairs_checked == inner.pairs_checked
+    # the first point where the power's own two sides differ
+    d, alg = s.base_size, s.algebra
+    x, y = failure.elements[0], failure.elements[-1]
+    got = image(s, x)
+    if clause == "identity":
+        sides = got.bits, sum(1 << (u * d + u) for u in range(d))
+    elif clause == "converse":
+        sides = got.transpose().bits, image(s, alg.converse_mask(x)).bits
+    else:
+        sides = got.bits & image(s, y).bits, image(s, x & y).bits
+    assert failure.point == ImageRelation(d, sides[0] ^ sides[1]).pairs()[0]
 
 
 LABELINGS = [name for name in sorted(CASES) if not name.startswith(("xi", "square"))]
