@@ -24,35 +24,48 @@ two remaining clauses: image(1) is the full square and images respect
 complement.  Both verdicts come with a first-failure certificate naming
 the clause, the element pair and a witness point pair.
 
-One clause loop, _verify, decides both: zero, identity, converse,
-compose and meet (below), injective, and for verify_full top and
-complement.  It compares whole images, held as int bitsets in a fixed
-layout per kind: row-major d*d for AtomLabeling; for Xi four d*d blocks
-D | D' | C | C^T (first copy, mirror copy, cross pairs (x,y'), pairs
-(y',x)), so that a failure names the block it was found in.  A Power is
-scanned on its innermost structure, whose first failing clause and
-ordered element pair are the power's (see Power); the power names the
-point on its own images, each formed when read, as top and complement do.
+Every structure is an element labelling: it gives each point pair (u,v)
+at most one label f(u,v), and the image of x is {(u,v) : f(u,v) <= x}.
+An AtomLabeling labels an edge with its atom, the diagonal with 1' and
+an unlisted pair not at all; a Power labels a pair of tuples with the
+join of its coordinates' labels; an Xi labels D and D' with the inner
+label and each cross pair with one class atom (the classes partition
+D x D', see ClassAssignment).  Zero and meet hold for any labelling.
+Identity and converse hold because the constructors put 1', the one
+identity atom, on the diagonal, refuse an identity label off it, and put
+the converse atom on each reversed pair; powers and xi inherit all
+three.  So only compose can fail in weak mode, plus top and complement
+in full mode, and injective when some atom labels no pair: x and y
+share an image exactly when every atom in just one of them labels no
+pair, so the first collision is (0, a) for the least such atom a.
+In an integral algebra compose fails first (1' <= a;a^ needs image(a)
+nonempty), but a file table is not checked against the axioms.
+
+One clause loop, _verify, decides compose, injective, and for
+verify_full top and complement, in that order.  It compares whole
+images, held as int bitsets in a fixed layout per kind: row-major d*d
+for AtomLabeling; for Xi four d*d blocks D | D' | C | C^T (first copy,
+mirror copy, cross pairs (x,y'), pairs (y',x)), so that a failure names
+the block it was found in.  A Power is scanned on its innermost
+structure, whose first failing clause and ordered element pair are the
+power's (see Power); the power names the point on its own images, each
+formed when read, as top and complement do.
 
 Images of AtomLabeling, and of Xi over an AtomLabeling, are unions of
 atom images (additive).  The matrix product and composition distribute
-over unions, so the k^2 atom-pair products are formed once (a labeling's
-in one product_rows pass per atom), and compose and meet are decided on
-the atom pairs: when every (a,b) has image(a).image(b) = image(a;b) and
-distinct atoms have disjoint images, every element pair holds.
-Otherwise the element pairs are compared one by one up to the first
-failure, a pair's product grown from atom-pair products one atom of y at
-a time; Xi over a Power forms the products of its inner-element and
-class-set parts once each.  pairs_checked counts the element pairs
-decided either way, so a verdict, its certificate and its count do not
-depend on the route.
+over unions, so the k^2 atom-pair products are formed once (a
+labeling's in one product_rows pass per atom), and compose is decided
+on the atom pairs: when every (a,b) has image(a).image(b) = image(a;b),
+every element pair holds.  Otherwise the element pairs are compared one
+by one up to the first failure, a pair's product grown from atom-pair
+products one atom of y at a time; Xi over a Power forms the products of
+its inner-element and class-set parts once each.  pairs_checked counts
+the element pairs decided either way, so a verdict, its certificate and
+its count do not depend on the route.  For symmetric commutative
+algebras every image is symmetric, so the ordered pair (y,x) check is
+the transpose of the (x,y) check and the pair loop runs over unordered
+pairs; the verdict is unchanged.
 
-Transposition is additive, so converse is checked on the atoms of
-additive images and on the inner elements of other Xi images (their
-bridge blocks are transposes of each other by construction).  For
-symmetric commutative algebras the ordered pair (y,x) check is the
-transpose of the (x,y) check once converse respect is established, so
-the pair loop runs over unordered pairs; the verdict is unchanged.
 Before building any image, verification refuses (ResourceBudgetError)
 when the images of all 2^k elements would exceed 2^29 bytes.
 """
@@ -148,7 +161,8 @@ class AtomLabeling:
 
     ``labels`` maps ordered off-diagonal pairs to atom indices; reversed
     pairs carry the converse atom and missing reversed pairs are filled
-    in.  The diagonal is implicitly labeled by the identity.
+    in.  The diagonal is implicitly labeled by the identity, so an
+    algebra with more than one identity atom is refused.
     """
 
     kind = "atom-labeling"
@@ -161,6 +175,8 @@ class AtomLabeling:
     ):
         if base_size < 1:
             raise ValueError("base must be nonempty")
+        if len(algebra.identity_atoms) != 1:
+            raise ValueError("the diagonal needs an algebra with one identity atom")
         self.algebra = algebra
         self.base_size = base_size
         full: dict[tuple[int, int], int] = {}
@@ -200,12 +216,12 @@ class Power(Frozen):
     line loads as the inner structure).
 
     The image of x is the m-fold Kronecker power T^m of the inner image
-    T = theta(x).  Kronecker powers commute with the boolean product, with
-    intersection and with transposition, and S^m = T^m only when S = T
-    (a pair (u,v) of T puts ((u,..,u),(v,..,v)) in T^m, and that fixes
-    every other coordinate).  The diagonal, the empty and the full
-    relation are powers of their own kind, so zero, identity, converse,
-    compose, meet, injective and top hold for the power exactly when they
+    T = theta(x).  Kronecker powers commute with the boolean product, and
+    S^m = T^m only when S = T (a pair (u,v) of T puts
+    ((u,..,u),(v,..,v)) in T^m, and that fixes every other coordinate).
+    The empty and the full relation are powers of their own kind, so
+    compose, injective and top, the clauses besides complement that can
+    fail (see the module docstring), hold for the power exactly when they
     hold for the inner structure, element by element: verification scans
     the innermost structure, and a failure there is the power's, named at
     a point of the power's images.  Complement is the one clause that does
@@ -266,7 +282,9 @@ class ClassAssignment:
 
     class_bits(i) is class i as a row-major d*d bitset: bit x*d + y is
     set iff class_of(x, y) == i.  It is the only form the images and
-    the checkers read.
+    the checkers read.  class_bits(1..n) partition D x D': they are
+    pairwise disjoint and their union is every cross pair, so each cross
+    pair carries exactly one class atom (the verifier relies on it).
     """
 
     n: int
@@ -426,7 +444,9 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
     top = img[alg.top_mask]
     if top != layout.full:
         return fail("top", (alg.top_mask,), top ^ layout.full)
-    for x in range(n_elems):
+    # x = 0 holds once top does, and x and its complement fail alike, so
+    # the first failure has the top atom clear
+    for x in range(1, n_elems >> 1):
         diff = layout.full ^ img[x] ^ img[x ^ alg.top_mask]
         if diff:
             return fail("complement", (x,), diff)
@@ -434,9 +454,10 @@ def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> Verify
 
 
 def _verify_weak_clauses(layout, names, alg: FiniteRelationAlgebra, mode: str) -> VerifyReport:
-    """zero, identity, converse, compose, meet and injective on a layout's
-    images, in that order, up to the first failure, which `names` names
-    from the raw clause and ordered element pair."""
+    """compose and injective, the weak clauses that can fail (see the
+    module docstring), on a layout's images, in that order, up to the
+    first failure, which `names` names from the raw clause and ordered
+    element pair."""
     img = layout.img
     k = alg.atom_count
     n_elems = 1 << k
@@ -446,33 +467,21 @@ def _verify_weak_clauses(layout, names, alg: FiniteRelationAlgebra, mode: str) -
         failure = names.failure(clause, elements, diff, z)
         return VerifyReport(False, mode, failure, pairs)
 
-    if img[0]:
-        return fail("zero", (0,))
-    ident = img[alg.identity_mask]
-    if ident != layout.diag:
-        return fail("identity", (alg.identity_mask,), ident ^ layout.diag)
-    for x in layout.converse_elements:
-        diff = layout.transpose(img[x]) ^ img[alg.converse_mask(x)]
-        if diff:
-            return fail("converse", (x,), diff)
-
     comp = alg.comp
     additive = layout.additive
     decided = False
     if additive:
-        atom_img = [img[1 << a] for a in range(k)]
-        atom_prod = layout.atom_products(atom_img)
-        # both sides of each clause distribute over the atoms of x and y:
-        # image(x).image(y) is the union of atom_prod[a][b] and image(x;y)
-        # the union of img[a;b], while image(x) & image(y) is image(x.y)
-        # once distinct atoms have disjoint images.  Every element pair
-        # then holds; otherwise the loop finds the first one that fails.
+        atom_prod = layout.atom_products([img[1 << a] for a in range(k)])
+        # both sides distribute over the atoms of x and y: image(x).image(y)
+        # is the union of atom_prod[a][b] and image(x;y) the union of
+        # img[a;b].  Every element pair then holds; otherwise the loop
+        # finds the first one that fails.
         decided = all(
             atom_prod[a][b] == img[comp[a][b]] for a in range(k) for b in range(k)
-        ) and not any(atom_img[a] & atom_img[b] for a in range(k) for b in range(a))
-    # unordered-pair reduction: sound once images are symmetric and the
-    # composition table commutes (then the (y,x) check is the transpose
-    # of the (x,y) check)
+        )
+    # unordered-pair reduction: images are symmetric, so when the
+    # composition table commutes the (y,x) check is the transpose of the
+    # (x,y) check
     half = alg.is_symmetric and alg.is_commutative
     if decided:
         pairs = n_elems * (n_elems + 1) // 2 if half else n_elems * n_elems
@@ -488,24 +497,18 @@ def _verify_weak_clauses(layout, names, alg: FiniteRelationAlgebra, mode: str) -
         else:
             prods = [layout.pair_product(x, y) for y in ys]
         composed = list(map(img.__getitem__, zs))
-        meets = list(map(img[x].__and__, img[start:]))
-        met = list(map(img.__getitem__, map(x.__and__, ys)))
-        if prods != composed or meets != met:
-            i = next(
-                i for i in range(len(ys)) if prods[i] != composed[i] or meets[i] != met[i]
-            )
+        if prods != composed:
+            i = next(i for i in range(len(ys)) if prods[i] != composed[i])
             pairs += i + 1
-            if prods[i] != composed[i]:
-                diff = prods[i] ^ composed[i]
-                return fail("compose", (x, ys[i]), diff, alg.format_mask(zs[i]))
-            return fail("meet", (x, ys[i]), meets[i] ^ met[i])
+            diff = prods[i] ^ composed[i]
+            return fail("compose", (x, ys[i]), diff, alg.format_mask(zs[i]))
         pairs += len(ys)
 
-    seen: dict[int, int] = {}
-    for x, bits in enumerate(img):
-        other = seen.setdefault(bits, x)
-        if other != x:
-            return fail("injective", (other, x))
+    # x and y share an image exactly when every atom in just one of them
+    # labels no pair, so the first collision is 0 with the least such atom
+    for a in range(k):
+        if not img[1 << a]:
+            return fail("injective", (0, 1 << a))
 
     return VerifyReport(True, mode, None, pairs)
 
@@ -557,11 +560,7 @@ def _square_product(a: int, b: int, d: int) -> int:
 
 
 _DETAILS = {
-    "zero": "image of 0 is nonempty",
-    "identity": "image of 1' is not exactly the diagonal",
-    "converse": "transpose of image(x) is not image of converse(x)",
     "compose": "image of x;y differs from the matrix product (x;y = {z})",
-    "meet": "image of x.y differs from intersection of images",
     "injective": "two elements share an image",
     "top": "image of 1 does not cover the base square",
     "complement": "image of complement(x) is not the complement of image(x)",
@@ -577,13 +576,7 @@ class _RowMajor:
     def __init__(self, structure: AtomLabeling):
         d = self.d = structure.base_size
         self.img = _spans(structure.atom_image_bits())
-        self.diag = diag_bits(d)
         self.full = full_bits(d, d)
-        # transposition is additive, so the atoms decide converse
-        self.converse_elements = [1 << a for a in range(structure.algebra.atom_count)]
-
-    def transpose(self, bits: int) -> int:
-        return _transpose_square(bits, self.d)
 
     def atom_products(self, atom_img: list[int]) -> list[list[int]]:
         """out[a][b] = atom_img[a] . atom_img[b], in one pass over the point
@@ -601,20 +594,18 @@ class _RowMajor:
         ]
 
     def failure(self, clause, elements, diff, z) -> VerifyFailure:
-        detail = _DETAILS[clause]
-        if clause == "converse":
-            detail = "transpose of atom image is not the converse atom's image"
         point = divmod(_low_bit(diff), self.d) if diff else None
-        return VerifyFailure(clause, elements, point, detail.format(z=z))
+        return VerifyFailure(clause, elements, point, _DETAILS[clause].format(z=z))
 
 
 class _PowerImages:
     """A power's row-major images, each formed when read (img[x]).
 
-    failure() names the first failure of the innermost structure `base`
+    failure() names a compose failure of the innermost structure `base`
     (see Power) at the first point where the power's two sides differ,
     each side a Kronecker power of a relation on base, so no power image
-    is multiplied; top and complement come with the power's difference.
+    is multiplied; top and complement come with the power's difference,
+    and injective names no point.
     """
 
     def __init__(self, base: AtomLabeling | Xi, m: int):
@@ -629,24 +620,15 @@ class _PowerImages:
         return rows_to_bits(_power_rows(rows, self.base.base_size, self.m), self.d)
 
     def failure(self, clause, elements, diff, z) -> VerifyFailure:
-        base, d, x, y = self.base, self.base.base_size, elements[0], elements[-1]
-        xr, yr = _image_rows(base, x), _image_rows(base, y)
-        if clause == "identity":
-            diff = self[x] ^ diag_bits(self.d)
-        elif clause == "converse":
-            xt = bits_to_rows(_transpose_square(rows_to_bits(xr, d), d), d)
-            diff = self._power(xt) ^ self[base.algebra.converse_mask(x)]
-        elif clause == "compose":
-            diff = self._power(product_rows(xr, yr)) ^ self[base.algebra.compose_masks(x, y)]
-        elif clause == "meet":
-            diff = self._power([p & q for p, q in zip(xr, yr)]) ^ self[x & y]
+        if clause == "compose":
+            x, y = elements
+            xy = product_rows(_image_rows(self.base, x), _image_rows(self.base, y))
+            diff = self._power(xy) ^ self[self.base.algebra.compose_masks(x, y)]
         point = divmod(_low_bit(diff), self.d) if diff else None
         return VerifyFailure(clause, elements, point, _DETAILS[clause].format(z=z))
 
 
 _XI_DETAILS = {
-    "identity": "inner image of 1' is not exactly the diagonal",
-    "converse": "inner image is not symmetric",
     "compose": tuple(
         f"{block} (= {{z}}) differs from the matrix product"
         for block in (
@@ -656,8 +638,6 @@ _XI_DETAILS = {
             "cross block of y;x",
         )
     ),
-    "meet": ("inner block of x.y differs from intersection",) * 2
-    + ("cross block of x.y differs from intersection",) * 2,
     "complement": ("inner block of complement(x) is not the complement",) * 2
     + ("cross block of complement(x) is not the complement",) * 2,
 }
@@ -698,25 +678,11 @@ class _XiBlocks:
             for c in map(structure.partition.class_bits, range(1, structure.n + 1))
         ]
         self.img = [m | c for c in _spans(class_parts) for m in inner_parts]
-        dg = diag_bits(d)
-        self.diag = dg | dg << dd
         self.full = full_bits(4, dd)
-        # the bridge blocks of every image are transposes of each other, so
-        # the inner elements decide converse
-        self.converse_elements = (
-            [1 << a for a in range(alg.atom_count)]
-            if self.additive
-            else range(self.inner_top + 1)
-        )
         self._part_products: dict[tuple[int, int], int] = {}
 
     def _blocks(self, bits: int) -> list[int]:
         return [bits >> (b * self.dd) & self.square for b in range(4)]
-
-    def transpose(self, bits: int) -> int:
-        d, dd = self.d, self.dd
-        t = [_transpose_square(b, d) for b in self._blocks(bits)]
-        return t[0] | t[1] << dd | t[3] << 2 * dd | t[2] << 3 * dd
 
     def product(self, xbits: int, ybits: int) -> int:
         """Block product; D' = D in every image, so the D'.D' term is D.D."""
@@ -850,6 +816,15 @@ def degree_audit(
     In any full representation of L(p,n) every point has exactly p-1
     neighbours per slope atom, and p-1 >= 2n-1 must hold; a structure
     claiming to represent L(p,n) with 2n > p therefore always fails.
+    Why, for n >= 1: take x t1 y.  Each point w of x's plane (w 1'+A x)
+    has w (1'+A);t1 y, and (1'+A);t1 = T, so w lies in some
+    S_l = {w : w tl y}, and in exactly one, because each pair carries one
+    atom.  A line of slope ai in the plane is a class of 1'+ai: its p
+    points are a point w and w's p-1 ai-neighbours.  For w on it, w T y
+    and T = ai;tl, so some other point of the line lies in S_l; applied
+    again at that point, the rest of the line meets S_l a second time.
+    So every line meets each of the n disjoint S_l at least twice:
+    p >= 2n, which is p-1 >= 2n-1.
     """
     alg = structure.algebra
     degrees: dict[int, tuple[int, int]] = {}

@@ -98,6 +98,28 @@ def test_explicit_partition_must_be_total():
         ExplicitPartition(2, 3, {(0, 0): 1})
 
 
+def _assert_partitions_cross_pairs(assignment):
+    # each cross pair carries exactly one class: pairwise disjoint bitsets
+    # whose union is all d*d pairs
+    d, n = assignment.d, assignment.n
+    union = 0
+    for i in range(1, n + 1):
+        bits = assignment.class_bits(i)
+        assert not bits & union, i
+        union |= bits
+    assert union == (1 << d * d) - 1
+
+
+def test_class_assignments_partition_the_cross_pairs():
+    for seed in (0, 3, 2**64 - 1):
+        for n in (1, 2, 3, 7):
+            for d in (1, 2, 9, 16):
+                _assert_partitions_cross_pairs(PartitionRecipe(seed, n, d))
+    # class 3 is never used: an empty class still leaves a partition
+    table = {(x, y): 1 + (x * y) % 2 for x in range(4) for y in range(4)}
+    _assert_partitions_cross_pairs(ExplicitPartition(3, 4, table))
+
+
 def test_build_xi_validation(aff3, doubled3):
     with pytest.raises(ValueError):
         build_xi(aff3, 0, 1)
