@@ -211,7 +211,7 @@ _CUBE_JSON = (
     '{"command": "verify", "failure": {"clause": "compose", "detail": '
     '"image of x;y differs from the matrix product (x;y = 1\'+a0)", "elements": '
     '["a0", "a0"], "point": [0, 1]}, "mode": "%s", "ok": false, "pairs_checked": 64, '
-    '"structure": "ccube.rel"}'
+    '"structure": "%s"}'
 )
 # (file, mode): exit code, text line, --json line
 LARGE_POWER_OUTPUTS = {
@@ -219,15 +219,19 @@ LARGE_POWER_OUTPUTS = {
     ("cube.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (528, "cube.rel")),
     ("xsq.rel", "weak"): (0, "PASS (weak, 2080 element pairs)", _WEAK_JSON % (2080, "xsq.rel")),
     ("xsq.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (2080, "xsq.rel")),
-    ("ccube.rel", "weak"): (1, "FAIL (weak): " + _CUBE_FAIL, _CUBE_JSON % "weak"),
-    ("ccube.rel", "full"): (1, "FAIL (full): " + _CUBE_FAIL, _CUBE_JSON % "full"),
+    ("ccube.rel", "weak"): (1, "FAIL (weak): " + _CUBE_FAIL, _CUBE_JSON % ("weak", "ccube.rel")),
+    ("ccube.rel", "full"): (1, "FAIL (full): " + _CUBE_FAIL, _CUBE_JSON % ("full", "ccube.rel")),
+    ("p4.rel", "weak"): (0, "PASS (weak, 528 element pairs)", _WEAK_JSON % (528, "p4.rel")),
+    ("p4.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (528, "p4.rel")),
+    ("c4.rel", "weak"): (1, "FAIL (weak): " + _CUBE_FAIL, _CUBE_JSON % ("weak", "c4.rel")),
+    ("c4.rel", "full"): (1, "FAIL (full): " + _CUBE_FAIL, _CUBE_JSON % ("full", "c4.rel")),
 }
 
 
 def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     # the cube of affine 3 (729 points), the square of xi over it (324
-    # points) and the cube of affine 3 with one edge relabeled, decided on
-    # their inner images
+    # points), the cube of affine 3 with one edge relabeled, and the 4th
+    # powers of both planes (6,561 points), decided on their inner images
     monkeypatch.chdir(tmp_path)
     assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
     assert cli.main(["power", "--inner", "a.rel", "-m", "3", "-o", "cube.rel"]) == 0
@@ -237,11 +241,14 @@ def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     assert cli.main(["power", "--inner", "c.rel", "-m", "3", "-o", "ccube.rel"]) == 0
     assert cli.main(["xi", "--inner", "a.rel", "--n", "1", "--seed", "5", "-o", "x.rel"]) == 0
     assert cli.main(["power", "--inner", "x.rel", "-m", "2", "-o", "xsq.rel"]) == 0
+    assert cli.main(["power", "--inner", "a.rel", "-m", "4", "-o", "p4.rel"]) == 0
+    assert cli.main(["power", "--inner", "c.rel", "-m", "4", "-o", "c4.rel"]) == 0
     for (path, mode), (code, text, line) in LARGE_POWER_OUTPUTS.items():
         capsys.readouterr()
-        assert cli.main(["verify", f"--{mode}", path]) == code
+        argv = ["verify", f"--{mode}", path, "--max-base", "7000"]
+        assert cli.main(argv) == code
         assert capsys.readouterr().out == text + "\n"
-        assert cli.main(["--json", "verify", f"--{mode}", path]) == code
+        assert cli.main(["--json", *argv]) == code
         assert capsys.readouterr().out == line + "\n"
 
 
