@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 file or
 parse error, 4 resource budget exceeded.  Randomized commands always
 print the seeds they used.
 
-Budgets are set per call with --max-base (verify) and --budget
-(falsify).  ``beta`` and ``params`` print m and the element count in
-full, so they refuse m >= 2^MAX_BETA_BITS (or an --m longer than that
-many characters) and gamma > MAX_PARAMS_GAMMA before any work starts,
+The falsify budget is set per call with --budget; verify's is fixed.
+``beta``, ``bounds --m`` and ``params`` print m, d = p^(2m) and the
+element count in full, so they refuse m or d >= 2^MAX_BETA_BITS (or an
+--m longer than that many characters) and gamma > MAX_PARAMS_GAMMA
+before any work starts,
 and ``check-axioms`` refuses more than algebra.MAX_AXIOM_ATOMS atoms.
 A flag that the chosen mode of ``embed`` or ``bounds`` would ignore is
 a usage error.
@@ -57,6 +58,13 @@ MAX_BETA_BITS = 4096
 MAX_PARAMS_GAMMA = 13  # L(8209,4105): 2^12316 elements, 3708 digits
 
 
+def _printable(base: int, exp: int) -> bool:
+    """|base^exp| < 2^MAX_BETA_BITS for exp >= 0, decided before forming a
+    larger power: base^exp >= 2^((bits(base) - 1) exp)."""
+    small = exp * (abs(base).bit_length() - 1) < MAX_BETA_BITS
+    return small and abs(base**exp).bit_length() <= MAX_BETA_BITS
+
+
 def _parse_m(value: str) -> int:
     """beta's m: a plain integer or 2^k power notation, below 2^MAX_BETA_BITS."""
     base, sep, exp = value.partition("^")
@@ -64,11 +72,8 @@ def _parse_m(value: str) -> int:
         m, k = int(base), int(exp) if sep else 1
         if k < 0:
             raise ValueError("the exponent of m must be nonnegative")
-        # m^k >= 2^((bits(m) - 1) k): refuse before computing the power
-        if k * (abs(m).bit_length() - 1) < MAX_BETA_BITS:
-            m **= k
-            if abs(m).bit_length() <= MAX_BETA_BITS:
-                return m
+        if _printable(m, k):
+            return m**k
     raise ResourceBudgetError(f"beta refuses m >= 2^{MAX_BETA_BITS}")
 
 
@@ -220,13 +225,8 @@ def cmd_xi(args):
 
 def cmd_verify(args):
     structure = fileformat.load_structure(args.structure)
-    max_base = args.max_base
-    if max_base is None:
-        max_base = structures.DEFAULT_VERIFY_MAX_BASE
-    if args.full:
-        report = structures.verify_full(structure, max_base=max_base)
-    else:
-        report = structures.verify_weak(structure, max_base=max_base)
+    verify = structures.verify_full if args.full else structures.verify_weak
+    report = verify(structure)
     payload = {
         "structure": args.structure,
         "mode": report.mode,
@@ -280,6 +280,9 @@ def cmd_search(args):
 
 def cmd_bounds(args):
     if args.m is not None:
+        # the report prints d = p^(2m) in full
+        if args.m >= 1 and not _printable(args.p, 2 * args.m):
+            raise ResourceBudgetError(f"bounds refuses d = p^(2m) >= 2^{MAX_BETA_BITS}")
         report = xi.eval_bounds_power(args.p, args.n, args.m)
     else:
         report = xi.eval_bounds(args.p, args.n, args.d, args.k)
@@ -493,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--weak", action="store_true")
     group.add_argument("--full", action="store_true")
     p.add_argument("structure")
-    p.add_argument("--max-base", type=int)
 
     p = add("degree-audit", cmd_degree_audit, "per-atom neighbour counts")
     p.add_argument("structure")

@@ -47,9 +47,9 @@ images, held as int bitsets in a fixed layout per kind: row-major d*d
 for AtomLabeling; for Xi four d*d blocks D | D' | C | C^T (first copy,
 mirror copy, cross pairs (x,y'), pairs (y',x)), so that a failure names
 the block it was found in.  A Power is scanned on its innermost
-structure, whose first failing clause and ordered element pair are the
-power's (see Power); the power names the point on its own images, each
-formed when read, as top and complement do.
+structure, whose first failing clause, ordered element pair and top
+point are the power's (see Power); complement and a compose failure's
+point read the power's own images, each formed when read.
 
 Images of AtomLabeling, and of Xi over an AtomLabeling, are unions of
 atom images (additive).  The matrix product and composition distribute
@@ -66,8 +66,8 @@ algebras every image is symmetric, so the ordered pair (y,x) check is
 the transpose of the (x,y) check and the pair loop runs over unordered
 pairs; the verdict is unchanged.
 
-Before building any image, verification refuses (ResourceBudgetError)
-when the images of all 2^k elements would exceed 2^29 bytes.
+Before building any layout, verification refuses (ResourceBudgetError)
+over 2^32 bits of images: the innermost structure's 2^k, a power's own.
 """
 
 from __future__ import annotations
@@ -78,8 +78,11 @@ from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
 from .errors import ResourceBudgetError
 from .lpn import build_lpn
 
-DEFAULT_VERIFY_MAX_BASE = 4096
 DEFAULT_IMAGE_MAX_BASE = 8192
+# Power images verification counts as held: `verify --full` peaks 6.6
+# above the interpreter on the cube of affine 5, 8.0 beside the inner scan
+# on the square of affine 11 (Python holds 5.3; malloc keeps some freed).
+POWER_IMAGES = 10
 # Largest plane order build_affine takes; it stores q^2 (q^2 - 1) labels.
 # `affine --q 27` takes 1.8 s and 151 MB peak, `double --q 27` 7.3 s and
 # 552 MB; `affine --q 31` takes 3.3 s and 269 MB.
@@ -223,9 +226,11 @@ class Power(Frozen):
     compose, injective and top, the clauses besides complement that can
     fail (see the module docstring), hold for the power exactly when they
     hold for the inner structure, element by element: verification scans
-    the innermost structure, and a failure there is the power's, named at
-    a point of the power's images.  Complement is the one clause that does
-    not factor: T^m and theta(-x)^m both miss every pair of tuples whose
+    the innermost structure, and a failure there is the power's.  Top is
+    named at the innermost indices, as T^m first misses
+    ((0,..,0,u),(0,..,0,v)) for the first pair (u,v) T misses (an Xi first
+    misses a pair of D).  Complement is the one clause that does not
+    factor: T^m and theta(-x)^m both miss every pair of tuples whose
     coordinate pairs mix T and theta(-x), which is why a power is a weak
     representation only.
     """
@@ -233,6 +238,14 @@ class Power(Frozen):
     __slots__ = ("inner", "m")
     inner: "LabeledStructure"
     m: int
+
+    def __init__(self, inner: "LabeledStructure", m: int):
+        # One image above 2^16 points exceeds verify's budget.  d^m >=
+        # 2^((bits(d) - 1) m): refuse before forming a larger power.
+        d = inner.base_size
+        if m * (d.bit_length() - 1) > 16 or d**m > 1 << 16:
+            raise ResourceBudgetError(f"a power of a {d}-point structure exceeds 2^16 points")
+        super().__init__(inner, m)
 
     @property
     def kind(self) -> str:
@@ -402,55 +415,47 @@ class VerifyReport(NamedTuple):
         return f"FAIL ({self.mode}): {self.failure.clause}"
 
 
-def verify_weak(
-    structure: LabeledStructure, *, max_base: int = DEFAULT_VERIFY_MAX_BASE
-) -> VerifyReport:
-    return _verify(structure, full=False, max_base=max_base)
+def verify_weak(structure: LabeledStructure) -> VerifyReport:
+    return _verify(structure, full=False)
 
 
-def verify_full(
-    structure: LabeledStructure, *, max_base: int = DEFAULT_VERIFY_MAX_BASE
-) -> VerifyReport:
-    return _verify(structure, full=True, max_base=max_base)
+def verify_full(structure: LabeledStructure) -> VerifyReport:
+    return _verify(structure, full=True)
 
 
-def _verify(structure: LabeledStructure, *, full: bool, max_base: int) -> VerifyReport:
-    d = structure.base_size
-    if d > max_base:
-        raise ResourceBudgetError(f"base {d} exceeds verification budget {max_base}")
+def _verify(structure: LabeledStructure, *, full: bool) -> VerifyReport:
+    # A power's weak clauses and top are decided on its innermost structure
+    # (see Power, _PowerImages).  Refuse before building any layout.
     alg = structure.algebra
-    n_elems = 1 << alg.atom_count
-    # refuse before building images, sized as if every element's were held
-    if n_elems * d * d // 8 > 1 << 29:
-        raise ResourceBudgetError(
-            f"verifying {n_elems} images of {d}x{d} bits needs too much memory"
-        )
-    mode = "full" if full else "weak"
-    # A power's weak clauses are scanned on its innermost structure and a
-    # failure is named on the power's own images (see Power, _PowerImages).
     base, m = structure, 1
     while isinstance(base, Power):
         base, m = base.inner, m * base.m
+    held = base.base_size**2 << alg.atom_count
+    if m > 1:
+        held += POWER_IMAGES * structure.base_size**2
+    if held > 1 << 32:
+        raise ResourceBudgetError(
+            f"verifying would hold {held >> 23} MiB of images, over the 512 MiB budget"
+        )
+    mode = "full" if full else "weak"
     scanned = (_XiBlocks if isinstance(base, Xi) else _RowMajor)(base)
     layout = _PowerImages(base, m) if m > 1 else scanned
     report = _verify_weak_clauses(scanned, layout, alg, mode)
     if not (full and report.ok):
         return report
-    img, pairs = layout.img, report.pairs_checked
-
-    def fail(clause, elements, diff):
-        return VerifyReport(False, mode, layout.failure(clause, elements, diff, None), pairs)
-
-    top = img[alg.top_mask]
-    if top != layout.full:
-        return fail("top", (alg.top_mask,), top ^ layout.full)
+    top = scanned.img[alg.top_mask]
+    if top != scanned.full:
+        failure = scanned.failure("top", (alg.top_mask,), top ^ scanned.full, None)
+        return report._replace(ok=False, failure=failure)
+    img, whole = layout.img, layout.full
     # x = 0 holds once top does, and x and its complement fail alike, so
     # the first failure has the top atom clear
-    for x in range(1, n_elems >> 1):
-        diff = layout.full ^ img[x] ^ img[x ^ alg.top_mask]
+    for x in range(1, 1 << (alg.atom_count - 1)):
+        diff = whole ^ img[x] ^ img[x ^ alg.top_mask]
         if diff:
-            return fail("complement", (x,), diff)
-    return VerifyReport(True, mode, None, pairs)
+            failure = layout.failure("complement", (x,), diff, None)
+            return report._replace(ok=False, failure=failure)
+    return report
 
 
 def _verify_weak_clauses(layout, names, alg: FiniteRelationAlgebra, mode: str) -> VerifyReport:
@@ -604,14 +609,17 @@ class _PowerImages:
     failure() names a compose failure of the innermost structure `base`
     (see Power) at the first point where the power's two sides differ,
     each side a Kronecker power of a relation on base, so no power image
-    is multiplied; top and complement come with the power's difference,
-    and injective names no point.
+    is multiplied; complement comes with the power's difference, and
+    injective names no point.
     """
 
     def __init__(self, base: AtomLabeling | Xi, m: int):
         self.d, self.base, self.m = base.base_size**m, base, m
         self.img = self
-        self.full = full_bits(self.d, self.d)
+
+    @property
+    def full(self) -> int:
+        return full_bits(self.d, self.d)
 
     def __getitem__(self, x: int) -> int:
         return self._power(_image_rows(self.base, x))
@@ -638,8 +646,9 @@ _XI_DETAILS = {
             "cross block of y;x",
         )
     ),
-    "complement": ("inner block of complement(x) is not the complement",) * 2
-    + ("cross block of complement(x) is not the complement",) * 2,
+    # each cross pair carries one class atom (ClassAssignment), and x
+    # holds it or not, so a complement difference lies in D and D'
+    "complement": "inner block of complement(x) is not the complement",
 }
 # (row, column) offset, in copies of D, of each block of the xi layout
 _XI_OFFSETS = ((0, 0), (1, 1), (0, 1), (1, 0))

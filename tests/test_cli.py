@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -225,13 +226,16 @@ LARGE_POWER_OUTPUTS = {
     ("p4.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (528, "p4.rel")),
     ("c4.rel", "weak"): (1, "FAIL (weak): " + _CUBE_FAIL, _CUBE_JSON % ("weak", "c4.rel")),
     ("c4.rel", "full"): (1, "FAIL (full): " + _CUBE_FAIL, _CUBE_JSON % ("full", "c4.rel")),
+    ("c5.rel", "weak"): (0, "PASS (weak, 8256 element pairs)", _WEAK_JSON % (8256, "c5.rel")),
+    ("c5.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (8256, "c5.rel")),
 }
 
 
 def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     # the cube of affine 3 (729 points), the square of xi over it (324
-    # points), the cube of affine 3 with one edge relabeled, and the 4th
-    # powers of both planes (6,561 points), decided on their inner images
+    # points), the cube of affine 3 with one edge relabeled, the 4th powers
+    # of both planes (6,561 points) and the cube of affine 5 (15,625
+    # points), decided on their inner images
     monkeypatch.chdir(tmp_path)
     assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
     assert cli.main(["power", "--inner", "a.rel", "-m", "3", "-o", "cube.rel"]) == 0
@@ -243,9 +247,11 @@ def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     assert cli.main(["power", "--inner", "x.rel", "-m", "2", "-o", "xsq.rel"]) == 0
     assert cli.main(["power", "--inner", "a.rel", "-m", "4", "-o", "p4.rel"]) == 0
     assert cli.main(["power", "--inner", "c.rel", "-m", "4", "-o", "c4.rel"]) == 0
+    assert cli.main(["affine", "--q", "5", "-o", "a5.rel"]) == 0
+    assert cli.main(["power", "--inner", "a5.rel", "-m", "3", "-o", "c5.rel"]) == 0
     for (path, mode), (code, text, line) in LARGE_POWER_OUTPUTS.items():
         capsys.readouterr()
-        argv = ["verify", f"--{mode}", path, "--max-base", "7000"]
+        argv = ["verify", f"--{mode}", path]
         assert cli.main(argv) == code
         assert capsys.readouterr().out == text + "\n"
         assert cli.main(["--json", *argv]) == code
@@ -263,11 +269,44 @@ def test_oversized_beta_and_params_refused_in_both_modes(capsys):
         (["params", "--gamma", "13"], 0),
         (["params", "--gamma", "14"], 4),
         (["params", "--gamma", "40"], 4),
+        # bounds --m prints d = p^(2m) in full: 3^2584 < 2^4096 <= 3^2586
+        (["bounds", "--p", "3", "--n", "2", "--m", "1292"], 0),
+        (["bounds", "--p", "3", "--n", "2", "--m", "1293"], 4),
+        (["bounds", "--p", "3", "--n", "2", "--m", "5000"], 4),
+        (["bounds", "--p", "3", "--n", "2", "--m", "10" * 20], 4),
     ):
         assert cli.main(argv) == code, argv
         assert cli.main(["--json", *argv]) == code, argv
         out = capsys.readouterr().out
         assert (out == "") == (code != 0), argv
+
+
+def test_oversized_power_refused_where_it_is_built(tmp_path, monkeypatch, capsys):
+    # a power above 2^16 points is refused from m and the inner base's bit
+    # length, before its base is formed, and names no base
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
+    plane = os.listdir(tmp_path)
+    capsys.readouterr()
+    for argv in (["power", "--inner", "a.rel", "-m", "2000", "-o", "p.rel"],
+                 ["power", "--inner", "a.rel", "-m", "6", "-o", "p.rel"]):
+        assert cli.main(argv) == 4, argv
+        assert cli.main(["--json", *argv]) == 4, argv
+        assert capsys.readouterr().out == "", argv
+    assert os.listdir(tmp_path) == plane
+    (tmp_path / "big.rel").write_text(
+        "structure v1\nkind power\nalgebra a.ra\npower m=1000000 inner=a.rel\n"
+    )
+    for argv in (["verify", "--weak", "big.rel"], ["verify", "--full", "big.rel"],
+                 ["degree-audit", "big.rel"]):
+        for json_flag in ([], ["--json"]):
+            start = time.perf_counter()
+            assert cli.main([*json_flag, *argv]) == 4, argv
+            assert time.perf_counter() - start < 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and len(err) < 200, argv
+    # the 5th power of affine 3 (59,049 points) still builds
+    assert cli.main(["power", "--inner", "a.rel", "-m", "5", "-o", "p5.rel"]) == 0
 
 
 def test_oversized_lpn_refused_in_both_modes(tmp_path, monkeypatch, capsys):
@@ -332,11 +371,9 @@ def test_oversized_affine_plane_refused_in_both_modes(tmp_path, monkeypatch, cap
 
 def test_budget_overrides(tmp_path):
     run("affine", "--q", "3", "-o", "a.rel", cwd=tmp_path)
-    # explicit flag below the base size: refused with the budget exit code
+    # verify's budget is fixed: a base cap is not a flag
     out = run("verify", "--weak", "a.rel", "--max-base", "4", cwd=tmp_path)
-    assert out.returncode == 4
-    out = run("verify", "--full", "a.rel", "--max-base", "4", cwd=tmp_path)
-    assert out.returncode == 4
+    assert out.returncode == 2 and "unrecognized arguments: --max-base" in out.stderr
     out = run("falsify", "l32.ra", "x1;x1 = x1", "--budget", "2", cwd=tmp_path)
     # file error takes precedence here; create the algebra first
     assert out.returncode == 3

@@ -24,9 +24,11 @@ from relalg.structures import (
     Power,
     Xi,
     _RowMajor,
+    _low_bit,
     _square_product,
     _transpose_square,
     bits_to_rows,
+    full_bits,
     product_rows,
     rows_to_bits,
 )
@@ -288,11 +290,20 @@ def test_dense_verifier_catches_bad_inner(l30):
     assert report.failure.clause == "compose"
 
 
-def test_verify_budget_guard(aff3):
+def test_verify_budget_guard(aff3, monkeypatch):
+    fifth = build_power(aff3, 5)  # base 59049
     with pytest.raises(ResourceBudgetError):
-        verify_weak(build_power(aff3, 5))  # base 59049
-    with pytest.raises(ResourceBudgetError):
-        image(build_power(aff3, 5), 1)
+        image(fifth, 1)
+
+    def formed(*args):
+        raise AssertionError("an image was formed before the budget refused")
+
+    # its power images alone exceed the budget: refused before any image
+    monkeypatch.setattr(structures, "_image_rows", formed)
+    monkeypatch.setattr(structures, "_RowMajor", formed)
+    for verify in (verify_weak, verify_full):
+        with pytest.raises(ResourceBudgetError):
+            verify(fifth)
     # 2^18 images of 256x256 bits: refused before any image is built
     with pytest.raises(ResourceBudgetError):
         verify_full(build_affine(16))
@@ -500,13 +511,12 @@ def _without_atom(q: int, atom: int) -> AtomLabeling:
     return AtomLabeling(s.algebra, s.base_size, labels)
 
 
-def _two_copies(q: int) -> AtomLabeling:
-    """Two affine planes and no cross edge: weak, but image(1) is partial."""
+def _copies(q: int, n: int = 2) -> AtomLabeling:
+    """n affine planes and no cross edge: weak, but image(1) is partial."""
     s = build_affine(q)
     d = s.base_size
-    labels = dict(s.labels)
-    labels.update({(u + d, v + d): a for (u, v), a in s.labels.items()})
-    return AtomLabeling(s.algebra, 2 * d, labels)
+    labels = {(u + c * d, v + c * d): a for c in range(n) for (u, v), a in s.labels.items()}
+    return AtomLabeling(s.algebra, n * d, labels)
 
 
 def _row_classes(q: int, mask: int) -> Xi:
@@ -580,7 +590,7 @@ CASES = {
     "affine 4, one edge corrupted": lambda: _corrupted(build_affine(4), 2),
     "S3 cayley, one edge corrupted": lambda: _corrupted(_s3_cayley(), 3),
     "affine 3 never using a3": lambda: _without_atom(3, 4),
-    "two affine 3 planes": lambda: _two_copies(3),
+    "two affine 3 planes": lambda: _copies(3),
     "xi n=2 over affine 3, seed 0": lambda: _xi(3, 2, 0),
     "xi n=2 over affine 3, seed 1": lambda: _xi(3, 2, 1),
     "xi n=2 over affine 4, seed 2": lambda: _xi(4, 2, 2),
@@ -592,7 +602,7 @@ CASES = {
     "square of S3 cayley, one edge corrupted": lambda: build_power(
         _corrupted(_s3_cayley(), 3), 2
     ),
-    "square of two affine 3 planes": lambda: build_power(_two_copies(3), 2),
+    "square of two affine 3 planes": lambda: build_power(_copies(3), 2),
     "square of xi n=2 over affine 3, seed 0": lambda: build_power(_xi(3, 2, 0), 2),
     "square of xi over affine 3 with row classes": lambda: build_power(
         _row_classes(3, 1), 2
@@ -719,6 +729,24 @@ def test_power_of_a_power_verifies_as_one_power():
     for verify in (verify_weak, verify_full):
         assert verify(nested) == verify(flat)
     assert verify_full(flat).failure.clause == "complement"
+
+
+@pytest.mark.parametrize(
+    "q, n, exponents",
+    # image() takes at most 8,192 points, so nested powers take a unit exponent
+    [(3, 2, (2,)), (3, 2, (3,)), (3, 3, (2,)), (4, 2, (2,)), (4, 3, (2,)),
+     (3, 2, (1, 3)), (3, 2, (3, 1)), (4, 2, (1, 2))],
+)
+def test_power_top_is_named_on_its_innermost_structure(q, n, exponents):
+    # the first pair T^m misses has the index of the first pair T misses
+    s = _permuted(_copies(q, n), seed=q * n)
+    for m in exponents:
+        s = Power(s, m)
+    report = verify_full(s)
+    assert report.failure.clause == "top"
+    d = s.base_size
+    missing = image(s, s.algebra.top_mask).bits ^ full_bits(d, d)
+    assert report.failure.point == divmod(_low_bit(missing), d)
 
 
 LABELINGS = [name for name in sorted(CASES) if not name.startswith(("xi", "square"))]
