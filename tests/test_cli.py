@@ -258,6 +258,39 @@ def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == line + "\n"
 
 
+_AUDIT_JSON = (
+    '{"claim_full": false, "command": "degree-audit", "degrees": {%s}, '
+    '"detail": "no full-representation claim checked", "ok": true, "structure": "%s"}'
+)
+_SLOPES = ("a0", "a1", "a2", "a3")
+# file: the degree range of every atom but 1'
+DEGREE_AUDIT_OUTPUTS = {
+    "sq.rel": {a: (4, 4) for a in _SLOPES},
+    "cube.rel": {a: (8, 8) for a in _SLOPES},
+    "dsq.rel": {**{a: (4, 4) for a in _SLOPES}, "t1": (81, 81)},
+    "xsq.rel": {**{a: (4, 4) for a in _SLOPES}, "t1": (4, 25), "t2": (16, 49)},
+}
+
+
+def test_degree_audit_on_powers(tmp_path, monkeypatch, capsys):
+    # the square and the cube of affine 3, the square of doubled 3 and the
+    # square of xi n=2 over affine 3
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
+    assert cli.main(["double", "--q", "3", "-o", "d.rel"]) == 0
+    assert cli.main(["xi", "--inner", "a.rel", "--n", "2", "--seed", "0", "-o", "x.rel"]) == 0
+    for inner, m, out in (("a", 2, "sq"), ("a", 3, "cube"), ("d", 2, "dsq"), ("x", 2, "xsq")):
+        assert cli.main(["power", "--inner", f"{inner}.rel", "-m", str(m), "-o", f"{out}.rel"]) == 0
+    for path, degrees in DEGREE_AUDIT_OUTPUTS.items():
+        capsys.readouterr()
+        assert cli.main(["degree-audit", path]) == 0
+        text = "".join(f"atom {a}: degree {lo}..{hi}\n" for a, (lo, hi) in degrees.items())
+        assert capsys.readouterr().out == text + "no full-representation claim checked\n"
+        assert cli.main(["--json", "degree-audit", path]) == 0
+        listed = ", ".join(f'"{a}": [{lo}, {hi}]' for a, (lo, hi) in degrees.items())
+        assert capsys.readouterr().out == _AUDIT_JSON % (listed, path) + "\n"
+
+
 def test_oversized_beta_and_params_refused_in_both_modes(capsys):
     for argv, code in (
         (["beta", "--m", "2^4095"], 0),

@@ -12,6 +12,7 @@ Each case names its structure by a nested build spec, read by build():
     ["disjoint", spec]     two copies of spec with no edges between them
     ["drop-edge", spec, u, v]    the edge {u, v} left unlabeled
     ["relabel", spec, a, b]      every a-edge relabeled b (a is never used)
+    ["atom-order", spec, perm]   atom a of spec's algebra renumbered perm[a]
     ["labels", p, base, [[u, v, atom], ...]]   a labeling of L(p,0)
     ["row-classes", spec, mask]  xi n = 2 over spec, (x, y') in class
                                  1 + bit x of mask
@@ -47,6 +48,7 @@ from relalg import (
     verify_full,
     verify_weak,
 )
+from relalg.algebra import FiniteRelationAlgebra, iter_bits
 from relalg.structures import AtomLabeling
 from relalg.xi import ExplicitPartition
 
@@ -106,6 +108,20 @@ def _build(key):
     elif kind == "relabel":
         a, b = args[1], args[2]
         labels = {e: b if x == a else x for e, x in labels.items()}
+    elif kind == "atom-order":
+        perm = args[1]
+        old = sorted(range(alg.atom_count), key=perm.__getitem__)  # old[perm[a]] = a
+
+        def move(mask):
+            return sum(1 << perm[a] for a in iter_bits(mask))
+
+        alg = FiniteRelationAlgebra(
+            [alg.atom_names[a] for a in old],
+            [perm[a] for a in alg.identity_atoms],
+            [perm[alg.converse[a]] for a in old],
+            [[move(alg.comp[a][b]) for b in old] for a in old],
+        )
+        labels = {e: perm[a] for e, a in labels.items()}
     else:
         raise ValueError(f"unknown build spec {spec!r}")
     return AtomLabeling(alg, inner.base_size, labels)
@@ -207,6 +223,16 @@ def corpus():
         out.append(record(spec, "weak"))
     for mode in ("weak", "full"):
         out.append(record(["power", ["power", ["labels", 3, 2, [[0, 1, 1]]], 2], 2], mode))
+
+    # complement failures of powers and of xi over a power; in the
+    # renumbered plane atom 0 is the slope a0 and 1' is atom 2
+    for spec in (
+        ["power", ["affine", 4], 2],
+        ["power", ["doubled", 3], 2],
+        ["power", ["atom-order", aff3, [2, 0, 4, 1, 3]], 3],
+        ["xi", ["power", ["affine", 4], 2], 1, 0],
+    ):
+        out.append(record(spec, "full"))
     return out, missing
 
 
