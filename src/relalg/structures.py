@@ -41,6 +41,17 @@ pair, so the first collision is (0, a) for the least such atom a.
 In an integral algebra compose fails first (1' <= a;a^ needs image(a)
 nonempty), but a file table is not checked against the axioms.
 
+Complement holds or first fails at x = 1.  Once compose, injective and
+top hold, every pair has one label and every atom labels some pair, so
+complement fails at x exactly when a label meets both x and -x, which
+needs a non-atom label.  AtomLabeling, and Xi over one, carry atoms only.
+In a power (m, k >= 2) atom 0 in one coordinate and another atom in a
+second give a non-atom label holding atom 0; an Xi over a power carries
+its 1'+a, and 1' is atom 0 of L(p,n).  So x = 1, the least x with the
+top atom clear (x and -x fail alike), fails there.  The rule reads atom
+0, not 1': a file algebra may order its atoms otherwise.  The point is
+the first pair, in layout order, that image(1) and image(-1) both miss.
+
 One clause loop, _verify, decides compose, injective, and for
 verify_full top and complement, in that order.  It compares whole
 images, held as int bitsets in a fixed layout per kind: row-major d*d
@@ -48,8 +59,10 @@ for AtomLabeling; for Xi four d*d blocks D | D' | C | C^T (first copy,
 mirror copy, cross pairs (x,y'), pairs (y',x)), so that a failure names
 the block it was found in.  A Power is scanned on its innermost
 structure, whose first failing clause, ordered element pair and top
-point are the power's (see Power); complement and a compose failure's
-point read the power's own images, each formed when read.
+point are the power's (see Power); its compose and complement points are
+found one row of the power at a time.  So verification holds the 2^k
+innermost images alone, and refuses over 2^32 bits of them
+(ResourceBudgetError) before building any layout.
 
 Images of AtomLabeling, and of Xi over an AtomLabeling, are unions of
 atom images (additive).  The matrix product and composition distribute
@@ -65,24 +78,19 @@ its count do not depend on the route.  For symmetric commutative
 algebras every image is symmetric, so the ordered pair (y,x) check is
 the transpose of the (x,y) check and the pair loop runs over unordered
 pairs; the verdict is unchanged.
-
-Before building any layout, verification refuses (ResourceBudgetError)
-over 2^32 bits of images: the innermost structure's 2^k, a power's own.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+import functools
+import itertools
+from typing import Iterator, NamedTuple, Union
 
 from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
 from .errors import ResourceBudgetError
 from .lpn import build_lpn
 
 DEFAULT_IMAGE_MAX_BASE = 8192
-# Power images verification counts as held: `verify --full` peaks 6.6
-# above the interpreter on the cube of affine 5, 8.0 beside the inner scan
-# on the square of affine 11 (Python holds 5.3; malloc keeps some freed).
-POWER_IMAGES = 10
 # Largest plane order build_affine takes; it stores q^2 (q^2 - 1) labels.
 # `affine --q 27` takes 1.8 s and 151 MB peak, `double --q 27` 7.3 s and
 # 552 MB; `affine --q 31` takes 3.3 s and 269 MB.
@@ -229,10 +237,9 @@ class Power(Frozen):
     the innermost structure, and a failure there is the power's.  Top is
     named at the innermost indices, as T^m first misses
     ((0,..,0,u),(0,..,0,v)) for the first pair (u,v) T misses (an Xi first
-    misses a pair of D).  Complement is the one clause that does not
-    factor: T^m and theta(-x)^m both miss every pair of tuples whose
-    coordinate pairs mix T and theta(-x), which is why a power is a weak
-    representation only.
+    misses a pair of D).  Complement does not factor (T^m and theta(-x)^m
+    both miss the pairs of tuples that mix them), which is why a power is a
+    weak representation only.
     """
 
     __slots__ = ("inner", "m")
@@ -240,8 +247,8 @@ class Power(Frozen):
     m: int
 
     def __init__(self, inner: "LabeledStructure", m: int):
-        # One image above 2^16 points exceeds verify's budget.  d^m >=
-        # 2^((bits(d) - 1) m): refuse before forming a larger power.
+        # The base d^m is printed and one image holds d^2m bits (2^32 at 2^16
+        # points); d^m >= 2^((bits(d) - 1) m) refuses a larger one unformed.
         d = inner.base_size
         if m * (d.bit_length() - 1) > 16 or d**m > 1 << 16:
             raise ResourceBudgetError(f"a power of a {d}-point structure exceeds 2^16 points")
@@ -346,7 +353,7 @@ def _image_bits(structure: LabeledStructure, mask: int) -> int:
 def _image_rows(structure: LabeledStructure, mask: int) -> list[int]:
     if isinstance(structure, Power):
         inner = structure.inner
-        return _power_rows(_image_rows(inner, mask), inner.base_size, structure.m)
+        return list(_power_rows(_image_rows(inner, mask), inner.base_size, structure.m))
     return bits_to_rows(_image_bits(structure, mask), structure.base_size)
 
 
@@ -362,12 +369,13 @@ def _lift_once(hi_rows: list[int], lo_rows: list[int], lo_width: int) -> list[in
     return out
 
 
-def _power_rows(base_rows: list[int], d: int, m: int) -> list[int]:
-    """Rows of the m-fold Kronecker power of a relation on d points."""
-    rows = base_rows
-    for _ in range(m - 1):
-        rows = _lift_once(rows, base_rows, d)
-    return rows
+def _power_rows(base_rows: list[int], d: int, m: int) -> Iterator[int]:
+    """Rows of the m-fold Kronecker power of a relation on d points, in
+    order, each formed when read: row (u1..um) is R[u1] x .. x R[um]."""
+    if m == 1:
+        return iter(base_rows)
+    higher = _power_rows(base_rows, d, m - 1)
+    return itertools.chain.from_iterable(_lift_once([hi], base_rows, d) for hi in higher)
 
 
 def _xi_bits(structure: Xi, mask: int) -> int:
@@ -424,53 +432,44 @@ def verify_full(structure: LabeledStructure) -> VerifyReport:
 
 
 def _verify(structure: LabeledStructure, *, full: bool) -> VerifyReport:
-    # A power's weak clauses and top are decided on its innermost structure
-    # (see Power, _PowerImages).  Refuse before building any layout.
+    # A power is decided on its innermost structure (see Power).  Refuse
+    # before building any layout.
     alg = structure.algebra
     base, m = structure, 1
     while isinstance(base, Power):
         base, m = base.inner, m * base.m
     held = base.base_size**2 << alg.atom_count
-    if m > 1:
-        held += POWER_IMAGES * structure.base_size**2
     if held > 1 << 32:
         raise ResourceBudgetError(
             f"verifying would hold {held >> 23} MiB of images, over the 512 MiB budget"
         )
     mode = "full" if full else "weak"
     scanned = (_XiBlocks if isinstance(base, Xi) else _RowMajor)(base)
-    layout = _PowerImages(base, m) if m > 1 else scanned
-    report = _verify_weak_clauses(scanned, layout, alg, mode)
+    name = scanned.failure if m == 1 else functools.partial(_power_failure, base, m)
+    report = _verify_weak_clauses(scanned, name, alg, mode)
     if not (full and report.ok):
         return report
-    top = scanned.img[alg.top_mask]
-    if top != scanned.full:
-        failure = scanned.failure("top", (alg.top_mask,), top ^ scanned.full, None)
-        return report._replace(ok=False, failure=failure)
-    img, whole = layout.img, layout.full
-    # x = 0 holds once top does, and x and its complement fail alike, so
-    # the first failure has the top atom clear
-    for x in range(1, 1 << (alg.atom_count - 1)):
-        diff = whole ^ img[x] ^ img[x ^ alg.top_mask]
-        if diff:
-            failure = layout.failure("complement", (x,), diff, None)
-            return report._replace(ok=False, failure=failure)
-    return report
+    # top, then complement, which holds or first fails at x = 1 (see the
+    # module docstring); a clause that holds is named with no point
+    img, top = scanned.img, alg.top_mask
+    failure = scanned.failure("top", (top,), img[top] ^ scanned.full, None)
+    if failure.point is None:
+        failure = name("complement", (1,), scanned.full ^ img[1] ^ img[top ^ 1], None)
+    return report if failure.point is None else report._replace(ok=False, failure=failure)
 
 
-def _verify_weak_clauses(layout, names, alg: FiniteRelationAlgebra, mode: str) -> VerifyReport:
+def _verify_weak_clauses(layout, name, alg: FiniteRelationAlgebra, mode: str) -> VerifyReport:
     """compose and injective, the weak clauses that can fail (see the
     module docstring), on a layout's images, in that order, up to the
-    first failure, which `names` names from the raw clause and ordered
-    element pair."""
+    first failure, which name(clause, elements, diff, z) names from the
+    raw clause and ordered element pair."""
     img = layout.img
     k = alg.atom_count
     n_elems = 1 << k
     pairs = 0
 
     def fail(clause, elements, diff=0, z=None):
-        failure = names.failure(clause, elements, diff, z)
-        return VerifyReport(False, mode, failure, pairs)
+        return VerifyReport(False, mode, name(clause, elements, diff, z), pairs)
 
     comp = alg.comp
     additive = layout.additive
@@ -603,37 +602,26 @@ class _RowMajor:
         return VerifyFailure(clause, elements, point, _DETAILS[clause].format(z=z))
 
 
-class _PowerImages:
-    """A power's row-major images, each formed when read (img[x]).
-
-    failure() names a compose failure of the innermost structure `base`
-    (see Power) at the first point where the power's two sides differ,
-    each side a Kronecker power of a relation on base, so no power image
-    is multiplied; complement comes with the power's difference, and
-    injective names no point.
-    """
-
-    def __init__(self, base: AtomLabeling | Xi, m: int):
-        self.d, self.base, self.m = base.base_size**m, base, m
-        self.img = self
-
-    @property
-    def full(self) -> int:
-        return full_bits(self.d, self.d)
-
-    def __getitem__(self, x: int) -> int:
-        return self._power(_image_rows(self.base, x))
-
-    def _power(self, rows: list[int]) -> int:
-        return rows_to_bits(_power_rows(rows, self.base.base_size, self.m), self.d)
-
-    def failure(self, clause, elements, diff, z) -> VerifyFailure:
-        if clause == "compose":
-            x, y = elements
-            xy = product_rows(_image_rows(self.base, x), _image_rows(self.base, y))
-            diff = self._power(xy) ^ self[self.base.algebra.compose_masks(x, y)]
-        point = divmod(_low_bit(diff), self.d) if diff else None
-        return VerifyFailure(clause, elements, point, _DETAILS[clause].format(z=z))
+def _power_failure(base, m: int, clause, elements, _diff, z) -> VerifyFailure:
+    """A failure of base's m-th power, named from the raw clause and
+    elements.  Its point is the first, row-major, in the XOR of the m-th
+    Kronecker powers of the clause's sides, or None."""
+    failure = VerifyFailure(clause, elements, None, _DETAILS[clause].format(z=z))
+    theta = functools.partial(_image_rows, base)
+    d, alg = base.base_size, base.algebra
+    if clause == "compose":
+        x, y = elements
+        sides = [product_rows(theta(x), theta(y)), theta(alg.compose_masks(x, y))]
+    elif clause == "complement":
+        (x,) = elements
+        sides = [theta(x), theta(x ^ alg.top_mask), [(1 << d) - 1] * d]
+    else:
+        return failure  # injective names no point
+    for index, rows in enumerate(zip(*(_power_rows(side, d, m) for side in sides))):
+        diff = functools.reduce(int.__xor__, rows)
+        if diff:
+            return failure._replace(point=(index, _low_bit(diff)))
+    return failure
 
 
 _XI_DETAILS = {
@@ -834,13 +822,20 @@ def degree_audit(
     again at that point, the rest of the line meets S_l a second time.
     So every line meets each of the n disjoint S_l at least twice:
     p >= 2n, which is p-1 >= 2n-1.
+
+    A power is audited on its innermost structure: row U of its image of
+    an atom is the Kronecker product of inner rows, so degrees multiply.
     """
     alg = structure.algebra
+    base, m = structure, 1
+    while isinstance(base, Power):
+        base, m = base.inner, m * base.m
     degrees: dict[int, tuple[int, int]] = {}
     for a in range(alg.atom_count):
         if (1 << a) & alg.identity_mask:
             continue
-        degrees[a] = image(structure, 1 << a).degree_range()
+        lo, hi = image(base, 1 << a).degree_range()
+        degrees[a] = lo**m, hi**m
 
     lpn_ok: bool | None = None
     detail = "no full-representation claim checked"

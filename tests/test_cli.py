@@ -228,14 +228,19 @@ LARGE_POWER_OUTPUTS = {
     ("c4.rel", "full"): (1, "FAIL (full): " + _CUBE_FAIL, _CUBE_JSON % ("full", "c4.rel")),
     ("c5.rel", "weak"): (0, "PASS (weak, 8256 element pairs)", _WEAK_JSON % (8256, "c5.rel")),
     ("c5.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (8256, "c5.rel")),
+    ("p5.rel", "weak"): (0, "PASS (weak, 528 element pairs)", _WEAK_JSON % (528, "p5.rel")),
+    ("p5.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (528, "p5.rel")),
+    ("xs2sq.rel", "weak"): (0, "PASS (weak, 2080 element pairs)", _WEAK_JSON % (2080, "xs2sq.rel")),
+    ("xs2sq.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (2080, "xs2sq.rel")),
 }
 
 
 def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     # the cube of affine 3 (729 points), the square of xi over it (324
     # points), the cube of affine 3 with one edge relabeled, the 4th powers
-    # of both planes (6,561 points) and the cube of affine 5 (15,625
-    # points), decided on their inner images
+    # of both planes (6,561 points), the cube of affine 5 (15,625 points),
+    # the 5th power of affine 3 (59,049 points) and the square of xi over
+    # the square of affine 3 (26,244 points), decided on their inner images
     monkeypatch.chdir(tmp_path)
     assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
     assert cli.main(["power", "--inner", "a.rel", "-m", "3", "-o", "cube.rel"]) == 0
@@ -249,6 +254,10 @@ def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     assert cli.main(["power", "--inner", "c.rel", "-m", "4", "-o", "c4.rel"]) == 0
     assert cli.main(["affine", "--q", "5", "-o", "a5.rel"]) == 0
     assert cli.main(["power", "--inner", "a5.rel", "-m", "3", "-o", "c5.rel"]) == 0
+    assert cli.main(["power", "--inner", "a.rel", "-m", "5", "-o", "p5.rel"]) == 0
+    assert cli.main(["power", "--inner", "a.rel", "-m", "2", "-o", "s.rel"]) == 0
+    assert cli.main(["xi", "--inner", "s.rel", "--n", "1", "--seed", "5", "-o", "xs.rel"]) == 0
+    assert cli.main(["power", "--inner", "xs.rel", "-m", "2", "-o", "xs2sq.rel"]) == 0
     for (path, mode), (code, text, line) in LARGE_POWER_OUTPUTS.items():
         capsys.readouterr()
         argv = ["verify", f"--{mode}", path]
@@ -269,17 +278,22 @@ DEGREE_AUDIT_OUTPUTS = {
     "cube.rel": {a: (8, 8) for a in _SLOPES},
     "dsq.rel": {**{a: (4, 4) for a in _SLOPES}, "t1": (81, 81)},
     "xsq.rel": {**{a: (4, 4) for a in _SLOPES}, "t1": (4, 25), "t2": (16, 49)},
+    # the cube of affine 5 (15,625 points), audited on affine 5
+    "c5.rel": {f"a{i}": (64, 64) for i in range(6)},
 }
 
 
 def test_degree_audit_on_powers(tmp_path, monkeypatch, capsys):
-    # the square and the cube of affine 3, the square of doubled 3 and the
-    # square of xi n=2 over affine 3
+    # the square and the cube of affine 3, the square of doubled 3, the
+    # square of xi n=2 over affine 3 and the cube of affine 5
     monkeypatch.chdir(tmp_path)
     assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
+    assert cli.main(["affine", "--q", "5", "-o", "a5.rel"]) == 0
     assert cli.main(["double", "--q", "3", "-o", "d.rel"]) == 0
     assert cli.main(["xi", "--inner", "a.rel", "--n", "2", "--seed", "0", "-o", "x.rel"]) == 0
-    for inner, m, out in (("a", 2, "sq"), ("a", 3, "cube"), ("d", 2, "dsq"), ("x", 2, "xsq")):
+    for inner, m, out in (
+        ("a", 2, "sq"), ("a", 3, "cube"), ("d", 2, "dsq"), ("x", 2, "xsq"), ("a5", 3, "c5")
+    ):
         assert cli.main(["power", "--inner", f"{inner}.rel", "-m", str(m), "-o", f"{out}.rel"]) == 0
     for path, degrees in DEGREE_AUDIT_OUTPUTS.items():
         capsys.readouterr()

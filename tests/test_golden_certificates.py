@@ -211,7 +211,7 @@ def corpus():
         for seed in range(16):
             out.append(record(["xi", ["power", ["affine", p], m], n, seed], "weak"))
 
-    # failing powers, named on the power's own images: a corrupted cube,
+    # failing powers, named at the power's own point pair: a corrupted cube,
     # squares of failing xi (row-classes mask 1 fails first in C^T, where
     # the xi names the swapped pair and its square the raw one) and a
     # power of a power

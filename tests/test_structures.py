@@ -15,7 +15,7 @@ from relalg import (
     verify_weak,
 )
 from relalg import structures
-from relalg.algebra import FiniteRelationAlgebra
+from relalg.algebra import FiniteRelationAlgebra, iter_bits
 from relalg.errors import ResourceBudgetError
 from relalg.fileformat import parse_algebra
 from relalg.structures import (
@@ -291,20 +291,21 @@ def test_dense_verifier_catches_bad_inner(l30):
 
 
 def test_verify_budget_guard(aff3, monkeypatch):
-    fifth = build_power(aff3, 5)  # base 59049
     with pytest.raises(ResourceBudgetError):
-        image(fifth, 1)
+        image(build_power(aff3, 5), 1)  # base 59049
+    square = build_power(build_affine(16), 2)  # base 65536
 
     def formed(*args):
         raise AssertionError("an image was formed before the budget refused")
 
-    # its power images alone exceed the budget: refused before any image
+    # its innermost scan, 2^18 images of 256x256 bits, exceeds the budget:
+    # refused before any image
     monkeypatch.setattr(structures, "_image_rows", formed)
     monkeypatch.setattr(structures, "_RowMajor", formed)
     for verify in (verify_weak, verify_full):
         with pytest.raises(ResourceBudgetError):
-            verify(fifth)
-    # 2^18 images of 256x256 bits: refused before any image is built
+            verify(square)
+    # the same scan on affine 16 itself
     with pytest.raises(ResourceBudgetError):
         verify_full(build_affine(16))
 
@@ -721,7 +722,7 @@ def test_power_decides_on_its_inner_images(monkeypatch):
 
 def test_power_of_a_power_verifies_as_one_power():
     # (T^2)^2 and T^4 are one relation on the same point indices, so both
-    # verify alike; full mode reads the power's own images
+    # verify alike; full mode names the power's own point pair
     s3 = _s3_cayley()
     nested, flat = build_power(build_power(s3, 2), 2), build_power(s3, 4)
     for x in (1, 2, 6, s3.algebra.top_mask):
@@ -747,6 +748,68 @@ def test_power_top_is_named_on_its_innermost_structure(q, n, exponents):
     d = s.base_size
     missing = image(s, s.algebra.top_mask).bits ^ full_bits(d, d)
     assert report.failure.point == divmod(_low_bit(missing), d)
+
+
+def _slope_first(q: int) -> AtomLabeling:
+    """The affine plane with its first two atoms swapped, so that atom 0
+    is the slope a0 and 1' is atom 1."""
+    s = build_affine(q)
+    alg = s.algebra
+    swap = [1, 0, *range(2, alg.atom_count)]  # its own inverse
+
+    def move(mask):
+        return sum(1 << swap[a] for a in iter_bits(mask))
+
+    swapped = FiniteRelationAlgebra(
+        [alg.atom_names[a] for a in swap],
+        [1],
+        [swap[alg.converse[a]] for a in swap],
+        [[move(alg.comp[a][b]) for b in swap] for a in swap],
+    )
+    return AtomLabeling(swapped, s.base_size, {e: swap[a] for e, a in s.labels.items()})
+
+
+def _xi_over(inner, n: int, seed: int) -> Xi:
+    p, _ = inner.algebra.lpn_params
+    return Xi(inner, n, PartitionRecipe(seed, n, inner.base_size), build_lpn(p, n))
+
+
+# every power in CASES has at most 8,192 points, so image() forms its images
+LABEL_ROUTE_CASES = {
+    **CASES,
+    "xi n=1 over the square of affine 3": lambda: _xi_over(
+        build_power(build_affine(3), 2), 1, 0
+    ),
+    "affine 3, slope atom first": lambda: _slope_first(3),
+    "square of affine 3, slope atom first": lambda: build_power(_slope_first(3), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_ROUTE_CASES))
+def test_label_routes_match_whole_images(name):
+    # the reference forms whole images with image(): complement is looped
+    # over x in 1..2^(k-1)-1, a power's compose point is read off its own
+    # product, and degree ranges are counted on its atom images
+    s = LABEL_ROUTE_CASES[name]()
+    alg, d = s.algebra, s.base_size
+    report = verify_full(s)
+    failure = report.failure
+    if report.ok or failure.clause == "complement":
+        want = None
+        for x in range(1, 1 << (alg.atom_count - 1)):
+            diff = full_bits(d, d) ^ image(s, x).bits ^ image(s, x ^ alg.top_mask).bits
+            if diff:
+                want = (x,), divmod(_low_bit(diff), d)
+                break
+        assert want == (None if report.ok else (failure.elements, failure.point))
+    elif failure.clause == "compose" and isinstance(s, Power):
+        x, y = failure.elements
+        product = product_rows(image(s, x).rows(), image(s, y).rows())
+        composed = image(s, alg.compose_masks(x, y)).rows()
+        u = next(u for u in range(d) if product[u] != composed[u])
+        assert failure.point == (u, _low_bit(product[u] ^ composed[u]))
+    atoms = [a for a in range(alg.atom_count) if not (1 << a) & alg.identity_mask]
+    assert degree_audit(s).degrees == {a: image(s, 1 << a).degree_range() for a in atoms}
 
 
 LABELINGS = [name for name in sorted(CASES) if not name.startswith(("xi", "square"))]
