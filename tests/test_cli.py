@@ -399,6 +399,48 @@ def test_oversized_fast_checker_base_refused_in_both_modes(capsys):
         assert capsys.readouterr().out == "", argv
 
 
+def _defect_search(p, m, seeds):
+    """Exit code, text and --json output of search with n = 2 over the m-th
+    power of affine p, where every seed fails union-defect at (0, 1)."""
+    d = p ** (2 * m)
+    text = [f"search p={p} n=2 m={m} base=2*{d} mode=fast"]
+    text += [f"seed {s}: FAIL union-defect at (0, 1)" for s in seeds]
+    text.append(f"0/{len(seeds)} seeds pass")
+    results = ", ".join(
+        '{"condition": "union-defect", "ok": false, "point": [0, 1], "seed": %d, '
+        '"strict_ok": null}' % s for s in seeds
+    )
+    line = (
+        '{"base": %d, "command": "search", "m": %d, "mode": "fast", "n": 2, "p": %d, '
+        '"passes": [], "results": [%s], "seeds": [%s]}'
+        % (2 * d, m, p, results, ", ".join(map(str, seeds)))
+    )
+    return 0, "\n".join(text), line
+
+
+# argv: exit code, text output, --json output
+CHECKER_OUTPUTS = {
+    # the 4th power of affine 3 (6,561 points)
+    ("search", "--p", "3", "--n", "2", "--m", "4", "--seeds", "0:3"): _defect_search(3, 4, range(3)),
+    ("montecarlo", "--p", "3", "--n", "2", "--m", "3", "--trials", "20", "--seed0", "7"): (
+        0,
+        "trials=20 seed0=7 failures=20 rate=1.0000 wilson=[0.8389,1.0000]\n"
+        "analytic bound 1: consistent",
+        '{"analytic_bound": 1.0, "command": "montecarlo", "consistency": "consistent", '
+        '"failures": 20, "m": 3, "n": 2, "p": 3, "rate": 1.0, "seed0": 7, "trials": 20, '
+        '"wilson_high": 1.0, "wilson_low": 0.8388748419471806}',
+    ),
+}
+
+
+def test_checker_outputs_over_powers(capsys):
+    for argv, (code, text, line) in CHECKER_OUTPUTS.items():
+        assert cli.main(list(argv)) == code, argv
+        assert capsys.readouterr().out == text + "\n", argv
+        assert cli.main(["--json", *argv]) == code, argv
+        assert capsys.readouterr().out == line + "\n", argv
+
+
 def test_oversized_affine_plane_refused_in_both_modes(tmp_path, monkeypatch, capsys):
     # q = 29, above structures.MAX_AFFINE_Q: refused before the plane is
     # built or a file written

@@ -18,7 +18,8 @@ Each case names its checker input by a spec, read by build():
     ["constant", p, n, m, c]         every cross pair in class c, over the
                                      m-th power of the affine plane
 
-where inner is ["labels", base, [[u, v, atom], ...]].  The crafted
+where inner is ["labels", base, [[u, v, atom], ...]] or
+["power-of", inner, m], the m-th power of another inner spec.  The crafted
 cases reach every detail wording the checker can produce but one: a
 mixed-class witness "forbidden ... (mirror)" needs theta(1'+A) to be
 partial, but whenever the same-class and row mixed-class conditions
@@ -55,6 +56,15 @@ NO_EDGES = ["labels", 3, []]
 ONE_EDGE = ["labels", 3, [[0, 1, 1]]]
 PATH = ["labels", 3, [[0, 1, 1], [1, 2, 2]]]
 TRIANGLE = ["labels", 3, [[0, 1, 1], [0, 2, 1], [1, 2, 1]]]
+EDGE_12 = ["labels", 3, [[1, 2, 1]]]
+# the squares of EDGE_12 (union defect at (1, 2), not at (0, 1)) and of
+# NO_EDGES (no union defect), on 9 points
+EDGE_12_SQUARE = ["power-of", EDGE_12, 2]
+NO_EDGES_SQUARE = ["power-of", NO_EDGES, 2]
+# 9 x 9 class rows: every cross pair in class 1, and a checkerboard whose
+# every row and column meets both classes
+ONES_9 = ["1" * 9] * 9
+CHECKER_9 = ["".join(str(1 + (x + y) % 2) for y in range(9)) for x in range(9)]
 
 CRAFTED = [
     ["classes", NO_EDGES, 2, ["111", "111", "111"]],  # class-row
@@ -69,6 +79,9 @@ CRAFTED = [
     ["classes", TRIANGLE, 1, ["111", "111", "111"]],  # no slope step into a class
     ["transposed", 17, 2, 0],  # no class step before a slope
     ["constant", 3, 2, 2, 2],  # union defect without a class-(1,2) witness
+    ["classes", EDGE_12_SQUARE, 2, ONES_9],  # union defect at (1, 2), no witness
+    ["classes", EDGE_12_SQUARE, 2, CHECKER_9],  # union defect at (1, 2), a witness
+    ["classes", NO_EDGES_SQUARE, 2, CHECKER_9],  # no union defect
 ]
 
 WORDINGS = {
@@ -99,6 +112,8 @@ def _theta(key):
     spec = json.loads(key)
     if spec[0] == "power":
         return build_power(build_affine(spec[1]), spec[2])
+    if spec[0] == "power-of":
+        return build_power(_theta(_key(spec[1])), spec[2])
     _, base, edges = spec
     return AtomLabeling(build_lpn(3, 0), base, {(u, v): a for u, v, a in edges})
 
@@ -164,6 +179,10 @@ def corpus():
         ((11, 3, 1), 10),
         ((3, 2, 2), 10),
         ((3, 3, 2), 5),
+        ((3, 2, 3), 5),
+        ((3, 2, 4), 3),
+        ((5, 2, 2), 5),
+        ((7, 3, 2), 3),
         ((3, 1, 1), 5),
         ((5, 1, 1), 3),
         ((7, 1, 1), 2),
