@@ -61,8 +61,10 @@ the block it was found in.  A Power is scanned on its innermost
 structure, whose first failing clause, ordered element pair and top
 point are the power's (see Power); its compose and complement points are
 found one row of the power at a time.  So verification holds the 2^k
-innermost images alone, and refuses over 2^32 bits of them
-(ResourceBudgetError) before building any layout.
+innermost images alone.  Every reader of images charges what a step
+would form to one budget of 2^32 bits, _charge, before the step: verify
+its 2^k innermost images, image() its measured peak, and the xi fast
+checker its relations and products.
 
 Images of AtomLabeling, and of Xi over an AtomLabeling, are unions of
 atom images (additive).  The matrix product and composition distribute
@@ -83,14 +85,13 @@ pairs; the verdict is unchanged.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterator, NamedTuple, Union
 
 from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
 from .errors import ResourceBudgetError
 from .lpn import build_lpn
 
-DEFAULT_IMAGE_MAX_BASE = 8192
+IMAGE_BUDGET_BITS = 1 << 32
 # Largest plane order build_affine takes; it stores q^2 (q^2 - 1) labels.
 # `affine --q 27` takes 1.8 s and 151 MB peak, `double --q 27` 7.3 s and
 # 552 MB; `affine --q 31` takes 3.3 s and 269 MB.
@@ -98,6 +99,13 @@ MAX_AFFINE_Q = 27
 
 
 # -- bit-matrix helpers ------------------------------------------------------
+
+
+def _charge(bits: int, what: str) -> None:
+    """Refuse a step of image work that would form over 2^32 bits."""
+    if bits > IMAGE_BUDGET_BITS:
+        mib = -(-bits >> 23)
+        raise ResourceBudgetError(f"{what} would form {mib} MiB, over the 512 MiB image budget")
 
 
 def diag_bits(d: int) -> int:
@@ -112,8 +120,17 @@ def full_bits(rows: int, cols: int) -> int:
 
 
 def bits_to_rows(bits: int, d: int) -> list[int]:
+    """Row u is bits u*d .. u*d+d-1.  Blocks above 64 rows are halved, so
+    a bit is copied about log2(d) times, not once per earlier row."""
     mask = (1 << d) - 1
-    return [(bits >> (u * d)) & mask for u in range(d)]
+
+    def split(block: int, rows: int) -> list[int]:
+        if rows <= 64:
+            return [(block >> (u * d)) & mask for u in range(rows)]
+        half = rows // 2
+        return split(block & ((1 << half * d) - 1), half) + split(block >> half * d, rows - half)
+
+    return split(bits, d)
 
 
 def rows_to_bits(rows: list[int], cols: int) -> int:
@@ -247,11 +264,14 @@ class Power(Frozen):
     m: int
 
     def __init__(self, inner: "LabeledStructure", m: int):
-        # The base d^m is printed and one image holds d^2m bits (2^32 at 2^16
-        # points); d^m >= 2^((bits(d) - 1) m) refuses a larger one unformed.
+        # One image of a power above 2^16 points alone is over the image
+        # budget (_charge); d^m >= 2^((bits(d) - 1) m) refuses it unformed.
         d = inner.base_size
         if m * (d.bit_length() - 1) > 16 or d**m > 1 << 16:
-            raise ResourceBudgetError(f"a power of a {d}-point structure exceeds 2^16 points")
+            raise ResourceBudgetError(
+                f"one image of a power of a {d}-point structure above 2^16 points "
+                "is over the 512 MiB image budget"
+            )
         super().__init__(inner, m)
 
     @property
@@ -321,18 +341,16 @@ class ClassAssignment:
 
 
 def image(structure: LabeledStructure, x: Element | int) -> ImageRelation:
-    """The relation assigned to element x by the structure; a base above
-    DEFAULT_IMAGE_MAX_BASE points is refused (ResourceBudgetError)."""
+    """The relation assigned to element x by the structure.  A whole image
+    peaks at 4 to 5 images of D^2 bits, an xi's at 8 (its cross block is
+    transposed through text), and that is charged first."""
     mask = x.bits if isinstance(x, Element) else x
     if isinstance(x, Element) and x.algebra is not structure.algebra:
         raise ValueError("element belongs to a different algebra")
     if not 0 <= mask <= structure.algebra.top_mask:
         raise ValueError(f"mask {mask} is not an element of {structure.algebra}")
     d = structure.base_size
-    if d > DEFAULT_IMAGE_MAX_BASE:
-        raise ResourceBudgetError(
-            f"base {d} exceeds image budget {DEFAULT_IMAGE_MAX_BASE}"
-        )
+    _charge((9 if isinstance(structure, Xi) else 5) * d * d, f"an image of {d} points")
     return ImageRelation(d, _image_bits(structure, mask))
 
 
@@ -351,31 +369,37 @@ def _image_bits(structure: LabeledStructure, mask: int) -> int:
 
 
 def _image_rows(structure: LabeledStructure, mask: int) -> list[int]:
-    if isinstance(structure, Power):
-        inner = structure.inner
-        return list(_power_rows(_image_rows(inner, mask), inner.base_size, structure.m))
-    return bits_to_rows(_image_bits(structure, mask), structure.base_size)
+    base, m = _innermost(structure)
+    rows = bits_to_rows(_image_bits(base, mask), base.base_size)
+    return rows if m == 1 else list(_power_rows(rows, base.base_size, m))
 
 
-def _lift_once(hi_rows: list[int], lo_rows: list[int], lo_width: int) -> list[int]:
-    """Rows of the coordinate-pair lift: pair (uh,ul) relates to (vh,vl)
-    iff uh~vh in hi and ul~vl in lo.  Point index is uh*d_lo + ul (first
-    coordinate most significant).  spread * lo copies lo row into the
-    slots at vh*lo_width for each vh of the hi row, without carries."""
-    out = []
-    for hi in hi_rows:
-        spread = _join(1 << vh * lo_width for vh in iter_bits(hi))
-        out += [spread * lo for lo in lo_rows]
-    return out
+def _innermost(structure: LabeledStructure) -> tuple[LabeledStructure, int]:
+    """(base, m): the structure is the m-th power of base, not a Power."""
+    base, m = structure, 1
+    while isinstance(base, Power):
+        base, m = base.inner, m * base.m
+    return base, m
 
 
 def _power_rows(base_rows: list[int], d: int, m: int) -> Iterator[int]:
     """Rows of the m-fold Kronecker power of a relation on d points, in
-    order, each formed when read: row (u1..um) is R[u1] x .. x R[um]."""
+    order, each formed when read: row (u1..um) is R[u1] x .. x R[um], the
+    first coordinate most significant.  spread * R[um] copies R[um] into
+    the slots at v*d for each v of the row above, without carries."""
     if m == 1:
-        return iter(base_rows)
-    higher = _power_rows(base_rows, d, m - 1)
-    return itertools.chain.from_iterable(_lift_once([hi], base_rows, d) for hi in higher)
+        yield from base_rows
+        return
+    for hi in _power_rows(base_rows, d, m - 1):
+        spread = _join(1 << v * d for v in iter_bits(hi))
+        yield from (spread * lo for lo in base_rows)
+
+
+def _first_row(sides: list[list[int]], d: int, m: int, combine) -> tuple[int, int] | None:
+    """The first point (u, v), row-major, where combine(*rows) is set, for
+    rows u of the m-th Kronecker powers of sides (rows on d points)."""
+    combined = map(combine, *(_power_rows(side, d, m) for side in sides))
+    return next(((u, _low_bit(bits)) for u, bits in enumerate(combined) if bits), None)
 
 
 def _xi_bits(structure: Xi, mask: int) -> int:
@@ -432,17 +456,10 @@ def verify_full(structure: LabeledStructure) -> VerifyReport:
 
 
 def _verify(structure: LabeledStructure, *, full: bool) -> VerifyReport:
-    # A power is decided on its innermost structure (see Power).  Refuse
-    # before building any layout.
+    # a power is decided on the 2^k images of its innermost structure
     alg = structure.algebra
-    base, m = structure, 1
-    while isinstance(base, Power):
-        base, m = base.inner, m * base.m
-    held = base.base_size**2 << alg.atom_count
-    if held > 1 << 32:
-        raise ResourceBudgetError(
-            f"verifying would hold {held >> 23} MiB of images, over the 512 MiB budget"
-        )
+    base, m = _innermost(structure)
+    _charge(base.base_size**2 << alg.atom_count, "verifying")
     mode = "full" if full else "weak"
     scanned = (_XiBlocks if isinstance(base, Xi) else _RowMajor)(base)
     name = scanned.failure if m == 1 else functools.partial(_power_failure, base, m)
@@ -617,11 +634,8 @@ def _power_failure(base, m: int, clause, elements, _diff, z) -> VerifyFailure:
         sides = [theta(x), theta(x ^ alg.top_mask), [(1 << d) - 1] * d]
     else:
         return failure  # injective names no point
-    for index, rows in enumerate(zip(*(_power_rows(side, d, m) for side in sides))):
-        diff = functools.reduce(int.__xor__, rows)
-        if diff:
-            return failure._replace(point=(index, _low_bit(diff)))
-    return failure
+    point = _first_row(sides, d, m, lambda *rows: functools.reduce(int.__xor__, rows))
+    return failure._replace(point=point)
 
 
 _XI_DETAILS = {
@@ -827,9 +841,7 @@ def degree_audit(
     an atom is the Kronecker product of inner rows, so degrees multiply.
     """
     alg = structure.algebra
-    base, m = structure, 1
-    while isinstance(base, Power):
-        base, m = base.inner, m * base.m
+    base, m = _innermost(structure)
     degrees: dict[int, tuple[int, int]] = {}
     for a in range(alg.atom_count):
         if (1 << a) & alg.identity_mask:

@@ -79,9 +79,10 @@ over an additive theta is a full representation.  Over a proper power
 (m >= 2) with n >= 2 failure is certain, since UD fails for every
 assignment: points 0 and 1 differ in one coordinate only, so the pair
 (0, 1) lies in theta(1'+A) but in neither theta(1') nor theta(A), and
-the checker names it with e = 1'.  eval_bounds_power
-reports exactly that, with failure probability 1 and mode
-"union-defect", and evaluates neither inequality.
+the checker names it with e = 1', read off the power's rows without an
+image of the power.  eval_bounds_power reports exactly that, with
+failure probability 1 and mode "union-defect", and evaluates neither
+inequality.
 """
 
 from __future__ import annotations
@@ -91,15 +92,16 @@ import sys
 from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ResourceBudgetError
 from .lpn import build_lpn
 from .structures import (
-    DEFAULT_IMAGE_MAX_BASE,
-    AtomLabeling,
     ClassAssignment,
     LabeledStructure,
     Xi,
+    _charge,
+    _first_row,
     _image_bits,
+    _image_rows,
+    _innermost,
     _low_bit,
     _square_product,
     _transpose_square,
@@ -265,31 +267,23 @@ class XiFastChecker:
     class-row and class-column scans (the rows of R_i and of C_i), each
     condition family instance is one d x d boolean product compared
     whole with its target, and the lowest set bit of their difference is
-    the first failing (x, y) in x-major order.  An inner base above DEFAULT_IMAGE_MAX_BASE points is
-    refused with ResourceBudgetError before any image is built.
+    the first failing (x, y) in x-major order.  A union defect forms no
+    image; otherwise the d*d-bit relations held and the d^3 bits that
+    one product forms (d shifted copies of an image) are charged first.
     """
 
     def __init__(self, theta: LabeledStructure, n: int):
         params = theta.algebra.lpn_params
         if params is None or params[1] != 0:
             raise ValueError("inner structure must be over an L(p,0) algebra")
-        if theta.base_size > DEFAULT_IMAGE_MAX_BASE:
-            raise ResourceBudgetError(
-                f"base {theta.base_size} exceeds image budget {DEFAULT_IMAGE_MAX_BASE}"
-            )
         self.theta = theta
         self.n = n
         self.p = params[0]
-        self.d = theta.base_size
-        d = self.d
+        self.d = d = theta.base_size
         inner = theta.algebra
         self.algebra = build_lpn(self.p, n)
         self._t_shift = self.p + 2
-
-        self.top_bits = _image_bits(theta, inner.top_mask)
-        a_mask = inner.top_mask ^ inner.identity_mask
-        self.a_bits = _image_bits(theta, a_mask)
-        self.full = full_bits(d, d)
+        top, e = inner.top_mask, inner.identity_mask
 
         # structural union-defect check: theta(e+A) must split as
         # theta(e) | theta(A) for every inner element e (needed iff n >= 2;
@@ -298,20 +292,24 @@ class XiFastChecker:
         # Every image kind is monotone, so for each e that contains 1',
         # theta(e) | theta(A) contains theta(1') | theta(A) while
         # theta(e+A) = theta(1): e = 1', the least such e, alone decides.
+        # A power's defect is read off Kronecker rows of its innermost images.
         self.union_defect: tuple[int, tuple[int, int]] | None = None
-        if n >= 2 and not isinstance(theta, AtomLabeling):
-            e = inner.identity_mask
-            extra = self.top_bits & ~(_image_bits(theta, e) | self.a_bits)
-            if extra:
-                low = extra & -extra
-                self.union_defect = (e, divmod(low.bit_length() - 1, d))
-        # (A_q, A_q^T) for every slope atom a_q; a union defect fails every
-        # partition before any product, so it needs none
-        self.atom_bits = []
+        base, m = _innermost(theta)
+        if n >= 2 and m > 1:
+            sides = [_image_rows(base, mask) for mask in (top, e, top ^ e)]
+            point = _first_row(sides, base.base_size, m, lambda t, i, a: t & ~(i | a))
+            if point is not None:
+                self.union_defect = (e, point)
+        # a union defect fails every partition before any image is needed
         if self.union_defect is None:
-            for q in range(self.p + 1):
-                aq = _image_bits(theta, 1 << (1 + q))
-                self.atom_bits.append((aq, _transpose_square(aq, d)))
+            _charge((2 * self.p + 2 * n + 5) * d * d, f"the xi checker on {d} points")
+            _charge(d**3, f"each xi checker product on {d} points")
+            self.top_bits = _image_bits(theta, top)
+            self.a_bits = _image_bits(theta, top ^ e)
+            self.full = full_bits(d, d)
+            # (A_q, A_q^T) for every slope atom a_q
+            slopes = (_image_bits(theta, 1 << (1 + q)) for q in range(self.p + 1))
+            self.atom_bits = [(aq, _transpose_square(aq, d)) for aq in slopes]
 
     def _element(self, inner_mask: int, classes: Sequence[int]) -> int:
         out = inner_mask
@@ -368,28 +366,16 @@ class XiFastChecker:
         # replay branch needs the classes of two rows)
         if self.union_defect is not None:
             e, (x, y) = self.union_defect
-            t1 = self._element(0, [1])
-            has_witness = any(
-                partition.class_of(x, z) == 1 and partition.class_of(y, z) == 2
-                for z in range(d)
-            )
-            if has_witness:
-                elems = (t1, self._element(0, [2]))
+            classes = ((partition.class_of(x, z), partition.class_of(y, z)) for z in range(d))
+            if (1, 2) in classes:
+                elems = (self._element(0, [1]), self._element(0, [2]))
                 why = "pair outside theta(A) has a class-(1,2) witness"
-            else:
-                elems = (
-                    self._element(e, [1]),
-                    self._element(self.theta.algebra.identity_mask, [2]),
-                )
+            else:  # e is 1'
+                elems = (self._element(e, [1]), self._element(e, [2]))
                 why = "pair in theta(e+A) lacks both theta(e) and a class-(1,2) witness"
-            return fail(
-                "union-defect",
-                elems,
-                (x, y),
-                f"inner image of e+A does not split for e = "
-                f"{self.theta.algebra.format_mask(e)}; {why}",
-                0,
-            )
+            name = self.theta.algebra.format_mask(e)
+            why = f"inner image of e+A does not split for e = {name}; {why}"
+            return fail("union-defect", elems, (x, y), why, 0)
 
         r = [partition.class_bits(i + 1) for i in range(n)]
         c = [_transpose_square(bits, d) for bits in r]

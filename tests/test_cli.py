@@ -388,15 +388,28 @@ def test_oversized_check_axioms_refused_in_both_modes(tmp_path, monkeypatch, cap
         assert capsys.readouterr().out == "", argv
 
 
-def test_oversized_fast_checker_base_refused_in_both_modes(capsys):
-    # p = 3, m = 5: 59,049 inner points, refused before any image is built
+def test_oversized_fast_checker_base_refused_in_both_modes(monkeypatch, capsys):
+    # n = 1 has no union defect to stop at: over the 5th power of affine 3
+    # (59,049 points) the checker's relations, and over the square of
+    # affine 7 (2,401 points) one d^3-bit product, are over the image
+    # budget, refused before any image or product is formed
+    from relalg import structures, xi
+
+    def never(*args):
+        raise AssertionError("an image or a product was formed")
+
+    for name in ("_image_bits", "_square_product", "_transpose_square"):
+        monkeypatch.setattr(xi, name, never)
+    monkeypatch.setattr(structures, "_image_bits", never)
     for argv in (
-        ["search", "--p", "3", "--n", "2", "--m", "5", "--seeds", "0:1"],
-        ["montecarlo", "--p", "3", "--n", "2", "--m", "5", "--trials", "1", "--seed0", "0"],
+        ["search", "--p", "3", "--n", "1", "--m", "5", "--seeds", "0:1"],
+        ["montecarlo", "--p", "3", "--n", "1", "--m", "5", "--trials", "1", "--seed0", "0"],
+        ["search", "--p", "7", "--n", "1", "--m", "2", "--seeds", "0:1"],
     ):
         assert cli.main(argv) == 4, argv
         assert cli.main(["--json", *argv]) == 4, argv
-        assert capsys.readouterr().out == "", argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("over the 512 MiB image budget") == 2, argv
 
 
 def _defect_search(p, m, seeds):
@@ -429,6 +442,20 @@ CHECKER_OUTPUTS = {
         '{"analytic_bound": 1.0, "command": "montecarlo", "consistency": "consistent", '
         '"failures": 20, "m": 3, "n": 2, "p": 3, "rate": 1.0, "seed0": 7, "trials": 20, '
         '"wilson_high": 1.0, "wilson_low": 0.8388748419471806}',
+    ),
+    # n = 2 over the 5th power of affine 3 (59,049 points), the cube of
+    # affine 5 (15,625) and the square of affine 13 (28,561), whose union
+    # defect is read off the rows of the plane
+    ("search", "--p", "3", "--n", "2", "--m", "5", "--seeds", "0:3"): _defect_search(3, 5, range(3)),
+    ("search", "--p", "5", "--n", "2", "--m", "3", "--seeds", "0:3"): _defect_search(5, 3, range(3)),
+    ("search", "--p", "13", "--n", "2", "--m", "2", "--seeds", "0:3"): _defect_search(13, 2, range(3)),
+    ("montecarlo", "--p", "3", "--n", "2", "--m", "5", "--trials", "5", "--seed0", "0"): (
+        0,
+        "trials=5 seed0=0 failures=5 rate=1.0000 wilson=[0.5655,1.0000]\n"
+        "analytic bound 1: consistent",
+        '{"analytic_bound": 1.0, "command": "montecarlo", "consistency": "consistent", '
+        '"failures": 5, "m": 5, "n": 2, "p": 3, "rate": 1.0, "seed0": 0, "trials": 5, '
+        '"wilson_high": 1.0, "wilson_low": 0.5655175352168252}',
     ),
 }
 

@@ -34,7 +34,7 @@ from relalg.structures import (
 )
 
 from oracles import network_check
-from relalg.xi import ExplicitPartition, PartitionRecipe
+from relalg.xi import ExplicitPartition, PartitionRecipe, XiFastChecker
 
 
 def test_affine_label_examples(aff3):
@@ -291,23 +291,32 @@ def test_dense_verifier_catches_bad_inner(l30):
 
 
 def test_verify_budget_guard(aff3, monkeypatch):
-    with pytest.raises(ResourceBudgetError):
-        image(build_power(aff3, 5), 1)  # base 59049
     square = build_power(build_affine(16), 2)  # base 65536
 
     def formed(*args):
         raise AssertionError("an image was formed before the budget refused")
 
-    # its innermost scan, 2^18 images of 256x256 bits, exceeds the budget:
-    # refused before any image
+    monkeypatch.setattr(structures, "_image_bits", formed)
     monkeypatch.setattr(structures, "_image_rows", formed)
     monkeypatch.setattr(structures, "_RowMajor", formed)
+    # one whole image of the 5th power of affine 3 (59,049 points) peaks
+    # at five images, over the 2^32-bit budget
+    with pytest.raises(ResourceBudgetError, match="an image of 59049 points would form"):
+        image(build_power(aff3, 5), 1)
+    # its innermost scan, 2^18 images of 256x256 bits, exceeds the budget:
+    # refused before any image
     for verify in (verify_weak, verify_full):
         with pytest.raises(ResourceBudgetError):
             verify(square)
     # the same scan on affine 16 itself
     with pytest.raises(ResourceBudgetError):
         verify_full(build_affine(16))
+    # an xi image transposes its cross block through text and peaks at 8
+    # images: nine are charged, so xi over the square of affine 11 (29,282
+    # points) is refused, though a power of that size would not be
+    xi = _xi_over(build_power(build_affine(11), 2), 2, 0)
+    with pytest.raises(ResourceBudgetError, match="an image of 29282 points would form"):
+        image(xi, 1 << 6)
 
 
 def test_labeling_validation(l30):
@@ -388,6 +397,12 @@ def test_image_relation_helpers():
         for case in (rows, [0] * d, rows[: d // 2 + 1], rows[1:], []):
             assert rows_to_bits(case, d) == shift_loop(case, d), (d, len(case))
         assert bits_to_rows(rows_to_bits(rows, d), d) == rows
+        # the halving split against one shift per row, with stray bits
+        # above the last row, which no row keeps
+        bits = rng.getrandbits(d * d + 9)
+        mask = (1 << d) - 1
+        assert bits_to_rows(bits, d) == [bits >> (u * d) & mask for u in range(d)]
+    assert bits_to_rows(5, 0) == []
     # the square transpose against a bit-by-bit reference, on random
     # inputs from empty to full and on the strict upper triangle, which is
     # not symmetric for d >= 2
@@ -734,7 +749,8 @@ def test_power_of_a_power_verifies_as_one_power():
 
 @pytest.mark.parametrize(
     "q, n, exponents",
-    # image() takes at most 8,192 points, so nested powers take a unit exponent
+    # image() forms whole images of at most 29,308 points (five images within
+    # the 2^32-bit budget), so nested powers take a unit exponent
     [(3, 2, (2,)), (3, 2, (3,)), (3, 3, (2,)), (4, 2, (2,)), (4, 3, (2,)),
      (3, 2, (1, 3)), (3, 2, (3, 1)), (4, 2, (1, 2))],
 )
@@ -774,7 +790,7 @@ def _xi_over(inner, n: int, seed: int) -> Xi:
     return Xi(inner, n, PartitionRecipe(seed, n, inner.base_size), build_lpn(p, n))
 
 
-# every power in CASES has at most 8,192 points, so image() forms its images
+# every power here has at most 324 points, so image() forms its images whole
 LABEL_ROUTE_CASES = {
     **CASES,
     "xi n=1 over the square of affine 3": lambda: _xi_over(
@@ -810,6 +826,39 @@ def test_label_routes_match_whole_images(name):
         assert failure.point == (u, _low_bit(product[u] ^ composed[u]))
     atoms = [a for a in range(alg.atom_count) if not (1 << a) & alg.identity_mask]
     assert degree_audit(s).degrees == {a: image(s, 1 << a).degree_range() for a in atoms}
+
+
+def _three_points(*edges) -> AtomLabeling:
+    """A labeling of L(3,0) on three points with a0 on the given edges."""
+    return AtomLabeling(build_lpn(3, 0), 3, dict.fromkeys(edges, 1))
+
+
+# L(p,0) powers whose first union defect is not at (0, 1), or that have none
+UNION_DEFECT_CASES = {
+    "square of the edge-1-2 labeling": lambda: build_power(_three_points((1, 2)), 2),
+    "cube of the edge-1-2 labeling": lambda: build_power(_three_points((1, 2)), 3),
+    "square of the edgeless labeling": lambda: build_power(_three_points(), 2),
+    "square of the square of affine 3": lambda: build_power(build_power(build_affine(3), 2), 2),
+    "square of affine 5": lambda: build_power(build_affine(5), 2),
+}
+
+
+def test_union_defect_rows_match_whole_images():
+    # the checker reads a power's union defect off Kronecker rows of its
+    # innermost structure; the reference forms image(1) & ~(image(1') |
+    # image(A)) whole and takes its lowest set bit
+    found = []
+    for name, build in sorted({**LABEL_ROUTE_CASES, **UNION_DEFECT_CASES}.items()):
+        s = build()
+        alg, d = s.algebra, s.base_size
+        if alg.lpn_params is None or alg.lpn_params[1] != 0:
+            continue
+        e = alg.identity_mask
+        extra = image(s, alg.top_mask).bits & ~(image(s, e).bits | image(s, alg.top_mask ^ e).bits)
+        want = (e, divmod(_low_bit(extra), d)) if extra else None
+        assert XiFastChecker(s, 2).union_defect == want, name
+        found.append(want)
+    assert None in found and (1, (1, 2)) in found and (1, (0, 1)) in found
 
 
 LABELINGS = [name for name in sorted(CASES) if not name.startswith(("xi", "square"))]

@@ -18,6 +18,7 @@ from relalg import (
     verify_full,
     verify_weak,
 )
+from relalg import structures, xi
 from relalg.errors import ResourceBudgetError
 from relalg.structures import AtomLabeling, Xi, bits_to_rows, product_rows
 from relalg.xi import ExplicitPartition, PartitionRecipe, XiFastChecker, mix64
@@ -230,15 +231,56 @@ def test_union_defect_blocks_all_seeds_at_m2(aff3):
     assert XiFastChecker(aff3, 2).union_defect is None
 
 
-def test_fast_checker_refuses_oversized_base_at_once(aff3):
-    # 3^10 = 59,049 inner points: d^2-bit images would take gigabytes
-    theta = build_power(aff3, 5)
-    with pytest.raises(ResourceBudgetError, match="image budget"):
-        XiFastChecker(theta, 2)
-    with pytest.raises(ResourceBudgetError):
-        search_weakrep(3, 2, 5, range(1))
-    with pytest.raises(ResourceBudgetError):
-        montecarlo(3, 2, 5, trials=1, seed0=0)
+def _never(*args):
+    raise AssertionError("an image or a product was formed")
+
+
+def test_fast_checker_refuses_oversized_base_at_once(aff3, monkeypatch):
+    # n = 1 asks for no union defect, so the checker would hold d*d-bit
+    # images of the power and form d^3 bits per product: over the 5th power
+    # of affine 3 (59,049 points) its relations, and over the square of
+    # affine 7 (2,401 points) one product, are over the image budget.  Both
+    # are refused before any image or product is formed.
+    for name in ("_image_bits", "_square_product", "_transpose_square"):
+        monkeypatch.setattr(xi, name, _never)
+    monkeypatch.setattr(structures, "_image_bits", _never)
+    over = "MiB, over the 512 MiB image budget"
+    with pytest.raises(ResourceBudgetError, match="the xi checker on 59049 points .*" + over):
+        XiFastChecker(build_power(aff3, 5), 1)
+    with pytest.raises(ResourceBudgetError, match="product on 2401 points .*" + over):
+        XiFastChecker(build_power(build_affine(7), 2), 1)
+    with pytest.raises(ResourceBudgetError, match=over):
+        search_weakrep(3, 1, 5, range(1))
+    with pytest.raises(ResourceBudgetError, match=over):
+        search_weakrep(7, 1, 2, range(1))
+    with pytest.raises(ResourceBudgetError, match=over):
+        montecarlo(3, 1, 5, trials=1, seed0=0)
+
+
+def test_union_defect_over_a_power_forms_no_power_image(aff3, monkeypatch):
+    # n = 2 over the 5th power of affine 3: the defect is read off the
+    # Kronecker rows of affine 3, so no image of the power and no product
+    # is formed, and every seed fails at (0, 1)
+    sizes = []
+
+    def recording(image_bits):
+        return lambda s, mask: sizes.append(s.base_size) or image_bits(s, mask)
+
+    for module in (xi, structures):
+        monkeypatch.setattr(module, "_image_bits", recording(module._image_bits))
+    monkeypatch.setattr(xi, "_square_product", _never)
+    monkeypatch.setattr(xi, "_transpose_square", _never)
+    checker = XiFastChecker(build_power(aff3, 5), 2)
+    assert checker.d == 3**10
+    assert checker.union_defect == (1, (0, 1))
+    for seed in range(3):
+        report = checker.check(PartitionRecipe(seed, 2, checker.d))
+        assert not report.ok and report.certificate.condition == "union-defect"
+        assert report.certificate.point == (0, 1)
+    assert sizes and max(sizes) == 9
+    report = montecarlo(3, 2, 5, trials=3, seed0=0)
+    assert (report.failures, report.consistency) == (3, "consistent")
+    assert max(sizes) == 9
 
 
 def test_search_weakrep_deterministic():
