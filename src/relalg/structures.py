@@ -53,33 +53,34 @@ top atom clear (x and -x fail alike), fails there.  The rule reads atom
 the first pair, in layout order, that image(1) and image(-1) both miss.
 
 One clause loop, _verify, decides compose, injective, and for
-verify_full top and complement, in that order.  It compares whole
-images, held as int bitsets in a fixed layout per kind: row-major d*d
-for AtomLabeling; for Xi four d*d blocks D | D' | C | C^T (first copy,
+verify_full top and complement, in that order.  It compares images held
+as int bitsets in a fixed layout per kind: row-major d*d for
+AtomLabeling; for Xi four d*d blocks D | D' | C | C^T (first copy,
 mirror copy, cross pairs (x,y'), pairs (y',x)), so that a failure names
 the block it was found in.  A Power is scanned on its innermost
 structure, whose first failing clause, ordered element pair and top
 point are the power's (see Power); its compose and complement points are
-found one row of the power at a time.  So verification holds the 2^k
-innermost images alone.  Every reader of images charges what a step
-would form to one budget of 2^32 bits, _charge, before the step: verify
-its 2^k innermost images, image() its measured peak, and the xi fast
-checker its relations and products.
+found one row of the power at a time.  Every reader of images charges
+what a step would form to one budget of 2^32 bits, _charge, before the
+step: verify the images it holds of the innermost structure, image()
+its measured peak, and the xi fast checker its relations and products.
 
 Images of AtomLabeling, and of Xi over an AtomLabeling, are unions of
-atom images (additive).  The matrix product and composition distribute
-over unions, so the k^2 atom-pair products are formed once (a
-labeling's in one product_rows pass per atom), and compose is decided
-on the atom pairs: when every (a,b) has image(a).image(b) = image(a;b),
-every element pair holds.  Otherwise the element pairs are compared one
-by one up to the first failure, a pair's product grown from atom-pair
-products one atom of y at a time; Xi over a Power forms the products of
-its inner-element and class-set parts once each.  pairs_checked counts
-the element pairs decided either way, so a verdict, its certificate and
-its count do not depend on the route.  For symmetric commutative
-algebras every image is symmetric, so the ordered pair (y,x) check is
-the transpose of the (x,y) check and the pair loop runs over unordered
-pairs; the verdict is unchanged.
+atom images (additive), so these layouts hold the k atom images and
+form the image of x, their join over the atoms of x, when it is read.
+Both sides of compose distribute over atoms: image(x).image(y) is the
+union of image(a).image(b), and image(x;y) of image(a;b), over the atoms
+a of x and b of y.  So a failing element pair holds a failing atom pair,
+and if (a,b) is the first failing atom pair, row-major, every pair of an
+x below 1<<a holds (its atoms precede a), as does (1<<a, y) for y below
+1<<b.  Compose is thus decided on the k^2 atom pairs (a labeling's
+products in one product_rows pass per atom), the first failing element
+pair in scan order is (1<<a, 1<<b), and pairs_checked has a closed form:
+no element image is formed even to name a failure.  Xi over a Power is
+not additive: it forms its 2^k images and compares element pairs one by
+one (see _XiBlocks).  For symmetric commutative algebras every image is
+symmetric, so the (y,x) check is the transpose of the (x,y) check and
+only pairs with y >= x are scanned; (b,a) fails with (a,b), so b >= a.
 """
 
 from __future__ import annotations
@@ -356,11 +357,7 @@ def image(structure: LabeledStructure, x: Element | int) -> ImageRelation:
 
 def _image_bits(structure: LabeledStructure, mask: int) -> int:
     if isinstance(structure, AtomLabeling):
-        atom_bits = structure.atom_image_bits()
-        out = 0
-        for a in iter_bits(mask):
-            out |= atom_bits[a]
-        return out
+        return _join(map(structure.atom_image_bits().__getitem__, iter_bits(mask)))
     if isinstance(structure, Power):
         return rows_to_bits(_image_rows(structure, mask), structure.base_size)
     if isinstance(structure, Xi):
@@ -456,10 +453,12 @@ def verify_full(structure: LabeledStructure) -> VerifyReport:
 
 
 def _verify(structure: LabeledStructure, *, full: bool) -> VerifyReport:
-    # a power is decided on the 2^k images of its innermost structure
-    alg = structure.algebra
+    # a power is decided on its innermost structure: k atom images, their
+    # k^2 products and k of working rows if additive, else 2^k images
+    alg, k = structure.algebra, structure.algebra.atom_count
     base, m = _innermost(structure)
-    _charge(base.base_size**2 << alg.atom_count, "verifying")
+    additive = not isinstance(base, Xi) or isinstance(base.inner, AtomLabeling)
+    _charge(base.base_size**2 * (k * k + 2 * k if additive else 1 << k), "verifying")
     mode = "full" if full else "weak"
     scanned = (_XiBlocks if isinstance(base, Xi) else _RowMajor)(base)
     name = scanned.failure if m == 1 else functools.partial(_power_failure, base, m)
@@ -468,10 +467,10 @@ def _verify(structure: LabeledStructure, *, full: bool) -> VerifyReport:
         return report
     # top, then complement, which holds or first fails at x = 1 (see the
     # module docstring); a clause that holds is named with no point
-    img, top = scanned.img, alg.top_mask
-    failure = scanned.failure("top", (top,), img[top] ^ scanned.full, None)
+    img, top = scanned.image, alg.top_mask
+    failure = scanned.failure("top", (top,), img(top) ^ scanned.full, None)
     if failure.point is None:
-        failure = name("complement", (1,), scanned.full ^ img[1] ^ img[top ^ 1], None)
+        failure = name("complement", (1,), scanned.full ^ img(1) ^ img(top ^ 1), None)
     return report if failure.point is None else report._replace(ok=False, failure=failure)
 
 
@@ -480,58 +479,47 @@ def _verify_weak_clauses(layout, name, alg: FiniteRelationAlgebra, mode: str) ->
     module docstring), on a layout's images, in that order, up to the
     first failure, which name(clause, elements, diff, z) names from the
     raw clause and ordered element pair."""
-    img = layout.img
     k = alg.atom_count
     n_elems = 1 << k
-    pairs = 0
-
-    def fail(clause, elements, diff=0, z=None):
-        return VerifyReport(False, mode, name(clause, elements, diff, z), pairs)
-
-    comp = alg.comp
-    additive = layout.additive
-    decided = False
-    if additive:
-        atom_prod = layout.atom_products([img[1 << a] for a in range(k)])
-        # both sides distribute over the atoms of x and y: image(x).image(y)
-        # is the union of atom_prod[a][b] and image(x;y) the union of
-        # img[a;b].  Every element pair then holds; otherwise the loop
-        # finds the first one that fails.
-        decided = all(
-            atom_prod[a][b] == img[comp[a][b]] for a in range(k) for b in range(k)
-        )
     # unordered-pair reduction: images are symmetric, so when the
     # composition table commutes the (y,x) check is the transpose of the
     # (x,y) check
     half = alg.is_symmetric and alg.is_commutative
-    if decided:
-        pairs = n_elems * (n_elems + 1) // 2 if half else n_elems * n_elems
-    for x in range(0 if decided else n_elems):
-        start = x if half else 0
-        ys = range(start, n_elems)
-        xs = list(iter_bits(x))
-        # x;y, and for additive images image(x).image(y), distribute over
-        # the atoms of y
-        zs = _spans([_join(comp[a][b] for a in xs) for b in range(k)])[start:]
-        if additive:
-            prods = _spans([_join(atom_prod[a][b] for a in xs) for b in range(k)])[start:]
-        else:
-            prods = [layout.pair_product(x, y) for y in ys]
-        composed = list(map(img.__getitem__, zs))
-        if prods != composed:
-            i = next(i for i in range(len(ys)) if prods[i] != composed[i])
-            pairs += i + 1
-            diff = prods[i] ^ composed[i]
-            return fail("compose", (x, ys[i]), diff, alg.format_mask(zs[i]))
-        pairs += len(ys)
-
+    if layout.additive:
+        # the first failing atom pair (a, b) is the first failing element
+        # pair, (1<<a, 1<<b) (see the module docstring)
+        prods = layout.atom_products(layout.atoms)
+        route = ((1 << a, 1 << b, prods[a][b], alg.comp[a][b]) for a in range(k) for b in range(k))
+    else:
+        route = _element_pairs(layout, alg.comp, half)
+    for x, y, product, z in route:
+        diff = product ^ layout.image(z)
+        if diff:
+            # the pairs of each x' < x (n_elems - x' of them when half),
+            # then those of x from start up to y
+            start = x if half else 0
+            pairs = x * n_elems - start * (x - 1) // 2 + y - start + 1
+            failure = name("compose", (x, y), diff, alg.format_mask(z))
+            return VerifyReport(False, mode, failure, pairs)
+    pairs = n_elems * (n_elems + 1) // 2 if half else n_elems * n_elems
     # x and y share an image exactly when every atom in just one of them
     # labels no pair, so the first collision is 0 with the least such atom
-    for a in range(k):
-        if not img[1 << a]:
-            return fail("injective", (0, 1 << a))
-
+    for a, bits in enumerate(layout.atoms):
+        if not bits:
+            return VerifyReport(False, mode, name("injective", (0, 1 << a), 0, None), pairs)
     return VerifyReport(True, mode, None, pairs)
+
+
+def _element_pairs(layout, comp: list[list[int]], half: bool) -> Iterator[tuple]:
+    """(x, y, image(x).image(y), x;y) for the element pairs in scan order,
+    each product formed when read: the route of xi over a power."""
+    k = len(comp)
+    for x in range(1 << k):
+        xs = list(iter_bits(x))
+        # x;y distributes over the atoms of y
+        zs = _spans([_join(comp[a][b] for a in xs) for b in range(k)])
+        ys = range(x if half else 0, 1 << k)
+        yield from ((x, y, layout.pair_product(x, y), zs[y]) for y in ys)
 
 
 def _join(masks) -> int:
@@ -590,14 +578,17 @@ _DETAILS = {
 
 class _RowMajor:
     """Images of an AtomLabeling as row-major d*d bitsets: unions of atom
-    images (additive)."""
+    images (additive), each formed when read."""
 
     additive = True
 
     def __init__(self, structure: AtomLabeling):
         d = self.d = structure.base_size
-        self.img = _spans(structure.atom_image_bits())
+        self.atoms = structure.atom_image_bits()
         self.full = full_bits(d, d)
+
+    def image(self, mask: int) -> int:
+        return _join(map(self.atoms.__getitem__, iter_bits(mask)))
 
     def atom_products(self, atom_img: list[int]) -> list[list[int]]:
         """out[a][b] = atom_img[a] . atom_img[b], in one pass over the point
@@ -665,9 +656,9 @@ class _XiBlocks:
     a set of bridge classes, is M(e) in both D and D', the union C(s) of
     the class bitsets (ClassAssignment.class_bits, already in the layout
     of a block) in C and its transpose in C^T.  Over an AtomLabeling all
-    images are additive.  Otherwise the product of two images is the
-    union of the products of their inner and bridge parts, cached by
-    part pair (inner elements and class sets, not element pairs).
+    images are additive, joins of the atom images.  Over a Power the 2^k
+    images are held, and the product of two is the union of the products
+    of their inner and bridge parts, cached by part pair.
     """
 
     def __init__(self, structure: Xi):
@@ -680,17 +671,26 @@ class _XiBlocks:
         self.square = full_bits(d, d)
         self.inner_top = inner.algebra.top_mask
         self.additive = isinstance(inner, AtomLabeling)
-        inner_parts = [
-            m | m << dd
-            for m in (_image_bits(inner, e) for e in range(self.inner_top + 1))
-        ]
+
+        def part(e: int) -> int:  # M(e) in D and D'
+            m = _image_bits(inner, e)
+            return m | m << dd
+
         class_parts = [
             c << 2 * dd | _transpose_square(c, d) << 3 * dd
             for c in map(structure.partition.class_bits, range(1, structure.n + 1))
         ]
-        self.img = [m | c for c in _spans(class_parts) for m in inner_parts]
+        if self.additive:
+            self.atoms = [part(1 << e) for e in range(inner.algebra.atom_count)] + class_parts
+        else:
+            inner_parts = list(map(part, range(self.inner_top + 1)))
+            self.image = [m | c for c in _spans(class_parts) for m in inner_parts].__getitem__
+            self.atoms = [self.image(1 << a) for a in range(alg.atom_count)]
         self.full = full_bits(4, dd)
         self._part_products: dict[tuple[int, int], int] = {}
+
+    def image(self, mask: int) -> int:
+        return _join(map(self.atoms.__getitem__, iter_bits(mask)))
 
     def _blocks(self, bits: int) -> list[int]:
         return [bits >> (b * self.dd) & self.square for b in range(4)]
@@ -717,7 +717,7 @@ class _XiBlocks:
                 if g and h:
                     got = self._part_products.get((g, h))
                     if got is None:
-                        got = self.product(self.img[g], self.img[h])
+                        got = self.product(self.image(g), self.image(h))
                         self._part_products[(g, h)] = got
                     out |= got
         return out

@@ -145,17 +145,19 @@ def test_exit_codes(tmp_path):
     # usage: a negative trial count
     out = run("falsify", "l32.ra", "x1=x1", "--mode", "random", "--trials", "-5", cwd=tmp_path)
     assert out.returncode == 2 and out.stdout == ""
-    run("affine", "--q", "16", "-o", "a16.rel", cwd=tmp_path)
-    assert run("verify", "--full", "a16.rel", cwd=tmp_path).returncode == 4
-    # verification failure
+    # budget error: an edgeless labeling of 70,000 points is refused
+    # before any image is formed
     run("affine", "--q", "3", "-o", "a.rel", cwd=tmp_path)
+    header = "structure v1\nkind atom-labeling\nalgebra a.ra\n"
+    (tmp_path / "big.rel").write_text(header + "base 70000\n")
+    assert run("verify", "--full", "big.rel", cwd=tmp_path).returncode == 4
+    # verification failure
     run("xi", "--inner", "a.rel", "--n", "2", "--seed", "0", "-o", "x.rel", cwd=tmp_path)
     assert run("verify", "--weak", "x.rel", cwd=tmp_path).returncode == 1
     # argparse usage error
     assert run("bogus-command", cwd=tmp_path).returncode == 2
     # file or parse error, never a traceback: a field that is not a number, a
     # seed beyond 64 bits, bytes that are not UTF-8, a directory as algebra
-    header = "structure v1\nkind atom-labeling\nalgebra a.ra\n"
     (tmp_path / "bare.rel").write_text(header + "base\n")
     (tmp_path / "edge.rel").write_text(header + "base 9\nedge 0 x a1\n")
     (tmp_path / "dir.rel").write_text(header.replace("a.ra", ".") + "base 3\n")

@@ -290,33 +290,48 @@ def test_dense_verifier_catches_bad_inner(l30):
     assert report.failure.clause == "compose"
 
 
-def test_verify_budget_guard(aff3, monkeypatch):
-    square = build_power(build_affine(16), 2)  # base 65536
+def test_verify_budget_guard(aff3, l30, monkeypatch):
+    # an edgeless labeling of 70,000 points: its 5 atom images and their
+    # 25 products are charged, about 20 times the 2^32-bit budget
+    bare = AtomLabeling(l30, 70_000, {})
+    # xi n=2 over the 4th power of affine 3 (13,122 points) is scanned on
+    # its 2^7 images
+    xi_power = _xi_over(build_power(aff3, 4), 2, 0)
 
     def formed(*args):
         raise AssertionError("an image was formed before the budget refused")
 
-    monkeypatch.setattr(structures, "_image_bits", formed)
-    monkeypatch.setattr(structures, "_image_rows", formed)
-    monkeypatch.setattr(structures, "_RowMajor", formed)
+    for name in ("_image_bits", "_image_rows", "_RowMajor", "_XiBlocks"):
+        monkeypatch.setattr(structures, name, formed)
     # one whole image of the 5th power of affine 3 (59,049 points) peaks
     # at five images, over the 2^32-bit budget
     with pytest.raises(ResourceBudgetError, match="an image of 59049 points would form"):
         image(build_power(aff3, 5), 1)
-    # its innermost scan, 2^18 images of 256x256 bits, exceeds the budget:
-    # refused before any image
-    for verify in (verify_weak, verify_full):
-        with pytest.raises(ResourceBudgetError):
-            verify(square)
-    # the same scan on affine 16 itself
-    with pytest.raises(ResourceBudgetError):
-        verify_full(build_affine(16))
+    # both verifications are refused before any image is formed
+    for structure in (bare, xi_power):
+        for verify in (verify_weak, verify_full):
+            with pytest.raises(ResourceBudgetError, match="verifying would form"):
+                verify(structure)
     # an xi image transposes its cross block through text and peaks at 8
     # images: nine are charged, so xi over the square of affine 11 (29,282
     # points) is refused, though a power of that size would not be
     xi = _xi_over(build_power(build_affine(11), 2), 2, 0)
     with pytest.raises(ResourceBudgetError, match="an image of 29282 points would form"):
         image(xi, 1 << 6)
+
+
+def test_affine_16_and_its_square_verify_from_atom_pairs():
+    # 18 atoms: 2^18 images of affine 16 would be over the budget, its
+    # 18^2 atom products are not
+    s = build_affine(16)
+    for verify in (verify_weak, verify_full):
+        report = verify(s)
+        assert report.ok and report.pairs_checked == 34_359_869_440
+    square = build_power(s, 2)
+    assert verify_weak(square).ok
+    failure = verify_full(square).failure
+    assert (failure.clause, failure.elements, failure.point) == ("complement", (1,), (0, 1))
+    assert failure.describe(s.algebra).startswith("complement failed for (1')")
 
 
 def test_labeling_validation(l30):
@@ -544,6 +559,46 @@ def _row_classes(q: int, mask: int) -> Xi:
     return Xi(theta, 2, ExplicitPartition(2, d, classes), build_lpn(q, 2))
 
 
+def _half_classes(q: int) -> Xi:
+    """xi n = 2 over the affine plane of order 4, (x, y') in class 1 when
+    the first coordinates of x and y lie in the same half of GF(4).  Every
+    line but a vertical one meets both halves, so compose first fails at
+    (a4, t1), past the atom pairs of a0."""
+    theta = build_affine(q)
+    d = theta.base_size
+    half = [u // q >> 1 for u in range(d)]
+    classes = {(x, y): 1 + (half[x] ^ half[y]) for x in range(d) for y in range(d)}
+    return Xi(theta, 2, ExplicitPartition(2, d, classes), build_lpn(q, 2))
+
+
+def _flattened(xi: Xi) -> AtomLabeling:
+    """An xi over a labeling as one labeling of its algebra on D + D'."""
+    inner, d = xi.inner, xi.inner.base_size
+    t0 = xi.algebra.atom_count - xi.n - 1  # class c is atom t0 + c
+    labels = {(u + c * d, v + c * d): a for c in (0, 1) for (u, v), a in inner.labels.items()}
+    labels.update(
+        ((x, d + y), t0 + xi.partition.class_of(x, y)) for x in range(d) for y in range(d)
+    )
+    return AtomLabeling(xi.algebra, 2 * d, labels)
+
+
+def _renumbered(s: AtomLabeling, order: list[int]) -> AtomLabeling:
+    """s over its algebra with the atoms renumbered: atom i is order[i]."""
+    alg = s.algebra
+    new = {a: i for i, a in enumerate(order)}
+
+    def move(mask):
+        return sum(1 << new[a] for a in iter_bits(mask))
+
+    renumbered = FiniteRelationAlgebra(
+        [alg.atom_names[a] for a in order],
+        [new[a] for a in alg.identity_atoms],
+        [new[alg.converse[a]] for a in order],
+        [[move(alg.comp[a][b]) for b in order] for a in order],
+    )
+    return AtomLabeling(renumbered, s.base_size, {e: new[a] for e, a in s.labels.items()})
+
+
 def _reference_compose_meet(structure):
     """Compose and meet on every ordered element pair, from their definition.
 
@@ -604,6 +659,13 @@ CASES = {
     "S3 cayley": _s3_cayley,
     "affine 3, one edge corrupted": lambda: _corrupted(build_affine(3), 1),
     "affine 4, one edge corrupted": lambda: _corrupted(build_affine(4), 2),
+    # the corrupted edge moved between a0 and a1; with both last, compose
+    # first fails at (a2, a0), late in the row of atom 1
+    "affine 4, one edge corrupted, its two slopes last": lambda: _renumbered(
+        _corrupted(build_affine(4), 2), [0, 3, 4, 5, 1, 2]
+    ),
+    "xi n=2 over affine 4 with half classes": lambda: _half_classes(4),
+    "labeling of xi n=2 over affine 4 with half classes": lambda: _flattened(_half_classes(4)),
     "S3 cayley, one edge corrupted": lambda: _corrupted(_s3_cayley(), 3),
     "affine 3 never using a3": lambda: _without_atom(3, 4),
     "two affine 3 planes": lambda: _copies(3),
@@ -639,6 +701,9 @@ EXPECTED = {
     "S3 cayley": (None, None),
     "affine 3, one edge corrupted": ("compose", "compose"),
     "affine 4, one edge corrupted": ("compose", "compose"),
+    "affine 4, one edge corrupted, its two slopes last": ("compose", "compose"),
+    "xi n=2 over affine 4 with half classes": ("compose", "compose"),
+    "labeling of xi n=2 over affine 4 with half classes": ("compose", "compose"),
     "S3 cayley, one edge corrupted": ("compose", "compose"),
     "affine 3 never using a3": ("compose", "compose"),
     "two affine 3 planes": (None, "top"),
@@ -682,21 +747,6 @@ def test_atom_pair_decision_matches_element_pairs(name):
         )
         if clause == "compose":
             assert f"= {s.algebra.format_mask(z)})" in failure.detail
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_additive_pass_skips_the_element_pair_loop(name, monkeypatch):
-    # the loop calls _spans twice per element; every layout calls it once
-    # to build its images, a power's on its innermost structure
-    s = CASES[name]()
-    calls = []
-    spans = structures._spans
-    monkeypatch.setattr(structures, "_spans", lambda v: calls.append(1) or spans(v))
-    report = verify_weak(s)
-    if report.ok:
-        assert len(calls) == 1
-    else:
-        assert len(calls) > 1
 
 
 def test_power_decides_on_its_inner_images(monkeypatch):
@@ -769,20 +819,7 @@ def test_power_top_is_named_on_its_innermost_structure(q, n, exponents):
 def _slope_first(q: int) -> AtomLabeling:
     """The affine plane with its first two atoms swapped, so that atom 0
     is the slope a0 and 1' is atom 1."""
-    s = build_affine(q)
-    alg = s.algebra
-    swap = [1, 0, *range(2, alg.atom_count)]  # its own inverse
-
-    def move(mask):
-        return sum(1 << swap[a] for a in iter_bits(mask))
-
-    swapped = FiniteRelationAlgebra(
-        [alg.atom_names[a] for a in swap],
-        [1],
-        [swap[alg.converse[a]] for a in swap],
-        [[move(alg.comp[a][b]) for b in swap] for a in swap],
-    )
-    return AtomLabeling(swapped, s.base_size, {e: swap[a] for e, a in s.labels.items()})
+    return _renumbered(build_affine(q), [1, 0, *range(2, q + 2)])
 
 
 def _xi_over(inner, n: int, seed: int) -> Xi:
@@ -826,6 +863,30 @@ def test_label_routes_match_whole_images(name):
         assert failure.point == (u, _low_bit(product[u] ^ composed[u]))
     atoms = [a for a in range(alg.atom_count) if not (1 << a) & alg.identity_mask]
     assert degree_audit(s).degrees == {a: image(s, 1 << a).degree_range() for a in atoms}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_ROUTE_CASES))
+def test_additive_pass_skips_the_element_pair_loop(name, monkeypatch):
+    # an additive structure (a labeling, xi over one, a power of either)
+    # is decided on its atom pairs, pass or fail: it never enters the
+    # element-pair loop or calls _spans, and outside a power's namer it
+    # forms inner images of single atoms only.  Xi over a power builds
+    # its 2^k images with _spans and scans its element pairs.
+    s = LABEL_ROUTE_CASES[name]()
+    spans, loops, masks = [], [], []
+    for fn, seen in (("_spans", spans), ("_element_pairs", loops), ("_image_bits", masks)):
+        real = getattr(structures, fn)
+        monkeypatch.setattr(
+            structures, fn, lambda *a, real=real, seen=seen: seen.append(a[-1]) or real(*a)
+        )
+    verify_weak(s)
+    verify_full(s)
+    base = structures._innermost(s)[0]
+    if isinstance(base, Xi) and isinstance(base.inner, Power):
+        assert loops and len(spans) > 2
+    else:
+        assert loops == spans == []
+        assert isinstance(s, Power) or all(m.bit_count() == 1 for m in masks)
 
 
 def _three_points(*edges) -> AtomLabeling:
