@@ -291,8 +291,8 @@ def test_dense_verifier_catches_bad_inner(l30):
 
 
 def test_verify_budget_guard(aff3, l30, monkeypatch):
-    # an edgeless labeling of 70,000 points: its 5 atom images and their
-    # 25 products are charged, about 20 times the 2^32-bit budget
+    # an edgeless labeling of 70,000 points: its 5 atom images, their 25
+    # products and 5 images of working rows are about 40 times the budget
     bare = AtomLabeling(l30, 70_000, {})
     # xi n=2 over the 4th power of affine 3 (13,122 points) is scanned on
     # its 2^7 images
@@ -559,16 +559,15 @@ def _row_classes(q: int, mask: int) -> Xi:
     return Xi(theta, 2, ExplicitPartition(2, d, classes), build_lpn(q, 2))
 
 
-def _half_classes(q: int) -> Xi:
+def _half_classes() -> Xi:
     """xi n = 2 over the affine plane of order 4, (x, y') in class 1 when
     the first coordinates of x and y lie in the same half of GF(4).  Every
     line but a vertical one meets both halves, so compose first fails at
     (a4, t1), past the atom pairs of a0."""
-    theta = build_affine(q)
-    d = theta.base_size
-    half = [u // q >> 1 for u in range(d)]
-    classes = {(x, y): 1 + (half[x] ^ half[y]) for x in range(d) for y in range(d)}
-    return Xi(theta, 2, ExplicitPartition(2, d, classes), build_lpn(q, 2))
+    theta = build_affine(4)
+    half = [u // 4 >> 1 for u in range(16)]
+    classes = {(x, y): 1 + (half[x] ^ half[y]) for x in range(16) for y in range(16)}
+    return Xi(theta, 2, ExplicitPartition(2, 16, classes), build_lpn(4, 2))
 
 
 def _flattened(xi: Xi) -> AtomLabeling:
@@ -664,8 +663,8 @@ CASES = {
     "affine 4, one edge corrupted, its two slopes last": lambda: _renumbered(
         _corrupted(build_affine(4), 2), [0, 3, 4, 5, 1, 2]
     ),
-    "xi n=2 over affine 4 with half classes": lambda: _half_classes(4),
-    "labeling of xi n=2 over affine 4 with half classes": lambda: _flattened(_half_classes(4)),
+    "xi n=2 over affine 4 with half classes": _half_classes,
+    "labeling of xi n=2 over affine 4 with half classes": lambda: _flattened(_half_classes()),
     "S3 cayley, one edge corrupted": lambda: _corrupted(_s3_cayley(), 3),
     "affine 3 never using a3": lambda: _without_atom(3, 4),
     "two affine 3 planes": lambda: _copies(3),
