@@ -216,6 +216,16 @@ _CUBE_JSON = (
     '["a0", "a0"], "point": [0, 1]}, "mode": "%s", "ok": false, "pairs_checked": 64, '
     '"structure": "%s"}'
 )
+_XCUBE_FAIL = (
+    "compose failed for (a0, t1) at point pair (0, 894): "
+    "cross block of x;y (= t1+t2) differs from the matrix product"
+)
+_XCUBE_JSON = (
+    '{"command": "verify", "failure": {"clause": "compose", "detail": '
+    '"cross block of x;y (= t1+t2) differs from the matrix product", "elements": '
+    '["a0", "t1"], "point": [0, 894]}, "mode": "%s", "ok": false, "pairs_checked": 286, '
+    '"structure": "xcube.rel"}'
+)
 # (file, mode): exit code, text line, --json line
 LARGE_POWER_OUTPUTS = {
     ("cube.rel", "weak"): (0, "PASS (weak, 528 element pairs)", _WEAK_JSON % (528, "cube.rel")),
@@ -234,6 +244,8 @@ LARGE_POWER_OUTPUTS = {
     ("p5.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (528, "p5.rel")),
     ("xs2sq.rel", "weak"): (0, "PASS (weak, 2080 element pairs)", _WEAK_JSON % (2080, "xs2sq.rel")),
     ("xs2sq.rel", "full"): (1, _FULL_FAIL, _FULL_JSON % (2080, "xs2sq.rel")),
+    ("xcube.rel", "weak"): (1, "FAIL (weak): " + _XCUBE_FAIL, _XCUBE_JSON % "weak"),
+    ("xcube.rel", "full"): (1, "FAIL (full): " + _XCUBE_FAIL, _XCUBE_JSON % "full"),
 }
 
 
@@ -241,8 +253,9 @@ def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     # the cube of affine 3 (729 points), the square of xi over it (324
     # points), the cube of affine 3 with one edge relabeled, the 4th powers
     # of both planes (6,561 points), the cube of affine 5 (15,625 points),
-    # the 5th power of affine 3 (59,049 points) and the square of xi over
-    # the square of affine 3 (26,244 points), decided on their inner images
+    # the 5th power of affine 3 (59,049 points), the square of xi over the
+    # square of affine 3 (26,244 points), decided on their inner images, and
+    # xi n=2 over the cube of affine 3 (1,458 points)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["affine", "--q", "3", "-o", "a.rel"]) == 0
     assert cli.main(["power", "--inner", "a.rel", "-m", "3", "-o", "cube.rel"]) == 0
@@ -260,6 +273,7 @@ def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     assert cli.main(["power", "--inner", "a.rel", "-m", "2", "-o", "s.rel"]) == 0
     assert cli.main(["xi", "--inner", "s.rel", "--n", "1", "--seed", "5", "-o", "xs.rel"]) == 0
     assert cli.main(["power", "--inner", "xs.rel", "-m", "2", "-o", "xs2sq.rel"]) == 0
+    assert cli.main(["xi", "--inner", "cube.rel", "--n", "2", "--seed", "0", "-o", "xcube.rel"]) == 0
     for (path, mode), (code, text, line) in LARGE_POWER_OUTPUTS.items():
         capsys.readouterr()
         argv = ["verify", f"--{mode}", path]
