@@ -54,33 +54,38 @@ the first pair, in layout order, that image(1) and image(-1) both miss.
 
 One clause loop, _verify, decides compose, injective, and for
 verify_full top and complement, in that order.  It compares images held
-as int bitsets in a fixed layout per kind: row-major d*d for
-AtomLabeling; for Xi four d*d blocks D | D' | C | C^T (first copy,
-mirror copy, cross pairs (x,y'), pairs (y',x)), so that a failure names
-the block it was found in.  A Power is scanned on its innermost
-structure, whose first failing clause, ordered element pair and top
-point are the power's (see Power); its compose and complement points are
-found one row of the power at a time.  Every reader of images charges
-what a step would form to one budget of 2^32 bits, _charge, before the
-step: verify the images it holds of the innermost structure, image()
-its measured peak, and the xi fast checker its relations and products.
+as int bitsets in one layout, row-major over the base, for every kind
+(_RowMajor): for an Xi that is D then D' (rows [M C] on D, [C^T M] on
+D', the layout image() returns), and a failure there is named at the
+first differing pair in block order D, D', C, C^T (_xi_failure).  A
+Power is scanned on its innermost structure, whose first failing
+clause, ordered element pair and top point are the power's (see
+Power); its compose and complement points are found one row of the
+power at a time.  Every reader of images charges what a step would form
+to one budget of 2^32 bits, _charge, before the step: verify the images
+it holds of the innermost structure, image() its measured peak, and the
+xi fast checker its relations and products.
 
-Images of AtomLabeling, and of Xi over an AtomLabeling, are unions of
-atom images (additive), so these layouts hold the k atom images and
-form the image of x, their join over the atoms of x, when it is read.
-Both sides of compose distribute over atoms: image(x).image(y) is the
-union of image(a).image(b), and image(x;y) of image(a;b), over the atoms
-a of x and b of y.  So a failing element pair holds a failing atom pair,
-and if (a,b) is the first failing atom pair, row-major, every pair of an
-x below 1<<a holds (its atoms precede a), as does (1<<a, y) for y below
-1<<b.  Compose is thus decided on the k^2 atom pairs (a labeling's
-products in one product_rows pass per atom), the first failing element
+The layout holds each structure's parts, and the image of x is the join
+of x's parts, formed when read.  Images of AtomLabeling, and of Xi over
+an AtomLabeling, are unions of atom images (additive): their parts are
+the k atom images.  Both sides of compose distribute over atoms:
+image(x).image(y) is the union of image(a).image(b), and image(x;y) of
+image(a;b), over the atoms a of x and b of y.  So a failing element pair
+holds a failing atom pair, and if (a,b) is the first failing atom pair,
+row-major, every pair of an x below 1<<a holds (its atoms precede a), as
+does (1<<a, y) for y below 1<<b.  Compose is thus decided on the k^2
+atom pairs (one product_rows pass per atom), the first failing element
 pair in scan order is (1<<a, 1<<b), and pairs_checked has a closed form:
 no element image is formed even to name a failure.  Xi over a Power is
-not additive: it forms its 2^k images and compares element pairs one by
-one (see _XiBlocks).  For symmetric commutative algebras every image is
-symmetric, so the (y,x) check is the transpose of the (x,y) check and
-only pairs with y >= x are scanned; (b,a) fails with (a,b), so b >= a.
+not additive: its parts are the images of its 2^(p+2) inner elements
+and of its n classes, and it compares element pairs one by one.  When
+the scan reaches x it forms image(x).part for every part in one
+product_rows pass, joins those over the parts of each y, and drops them:
+nothing is kept across x.  For symmetric commutative algebras every
+image is symmetric, so the (y,x) check is the transpose of the (x,y)
+check and only pairs with y >= x are scanned; (b,a) fails with (a,b),
+so b >= a.
 """
 
 from __future__ import annotations
@@ -107,13 +112,6 @@ def _charge(bits: int, what: str) -> None:
     if bits > IMAGE_BUDGET_BITS:
         mib = -(-bits >> 23)
         raise ResourceBudgetError(f"{what} would form {mib} MiB, over the 512 MiB image budget")
-
-
-def diag_bits(d: int) -> int:
-    out = 0
-    for u in range(d):
-        out |= 1 << (u * d + u)
-    return out
 
 
 def full_bits(rows: int, cols: int) -> int:
@@ -227,15 +225,16 @@ class AtomLabeling:
         self._atom_bits: list[int] | None = None
 
     def atom_image_bits(self) -> list[int]:
+        """Each atom's image, its d rows filled one label at a time and
+        then joined, so a label copies one row, not a whole image."""
         if self._atom_bits is None:
             d = self.base_size
-            bits = [0] * self.algebra.atom_count
+            rows = [[0] * d for _ in range(self.algebra.atom_count)]
             for (u, v), a in self.labels.items():
-                bits[a] |= 1 << (u * d + v)
-            dg = diag_bits(d)
+                rows[a][u] |= 1 << v
             for i in self.algebra.identity_atoms:
-                bits[i] |= dg
-            self._atom_bits = bits
+                rows[i] = [1 << u for u in range(d)]
+            self._atom_bits = [rows_to_bits(r, d) for r in rows]
         return self._atom_bits
 
 
@@ -453,14 +452,20 @@ def verify_full(structure: LabeledStructure) -> VerifyReport:
 
 
 def _verify(structure: LabeledStructure, *, full: bool) -> VerifyReport:
-    # a power is decided on its innermost structure: k atom images, their
-    # k^2 products and k of working rows if additive, else 2^k images
+    # a power is decided on its innermost structure.  Its layout holds P
+    # part images and their wide copy; if additive (P = k atoms) it then
+    # holds the k^2 atom products, else one row of P products at a time,
+    # the P images of product rows they are cut from and four working
+    # images (see _RowMajor)
     alg, k = structure.algebra, structure.algebra.atom_count
     base, m = _innermost(structure)
-    additive = not isinstance(base, Xi) or isinstance(base.inner, AtomLabeling)
-    _charge(base.base_size**2 * (k * k + 2 * k if additive else 1 << k), "verifying")
+    if isinstance(base, Xi) and isinstance(base.inner, Power):
+        held = 4 * (base.inner.algebra.top_mask + 1 + base.n) + 4
+    else:
+        held = k * k + 2 * k
+    _charge(base.base_size**2 * held, "verifying")
     mode = "full" if full else "weak"
-    scanned = (_XiBlocks if isinstance(base, Xi) else _RowMajor)(base)
+    scanned = _RowMajor(base)
     name = scanned.failure if m == 1 else functools.partial(_power_failure, base, m)
     report = _verify_weak_clauses(scanned, name, alg, mode)
     if not (full and report.ok):
@@ -488,7 +493,7 @@ def _verify_weak_clauses(layout, name, alg: FiniteRelationAlgebra, mode: str) ->
     if layout.additive:
         # the first failing atom pair (a, b) is the first failing element
         # pair, (1<<a, 1<<b) (see the module docstring)
-        prods = layout.atom_products(layout.atoms)
+        prods = list(map(layout.products, layout.parts))
         route = ((1 << a, 1 << b, prods[a][b], alg.comp[a][b]) for a in range(k) for b in range(k))
     else:
         route = _element_pairs(layout, alg.comp, half)
@@ -504,36 +509,32 @@ def _verify_weak_clauses(layout, name, alg: FiniteRelationAlgebra, mode: str) ->
     pairs = n_elems * (n_elems + 1) // 2 if half else n_elems * n_elems
     # x and y share an image exactly when every atom in just one of them
     # labels no pair, so the first collision is 0 with the least such atom
-    for a, bits in enumerate(layout.atoms):
-        if not bits:
+    for a in range(k):
+        if not layout.image(1 << a):
             return VerifyReport(False, mode, name("injective", (0, 1 << a), 0, None), pairs)
     return VerifyReport(True, mode, None, pairs)
 
 
 def _element_pairs(layout, comp: list[list[int]], half: bool) -> Iterator[tuple]:
-    """(x, y, image(x).image(y), x;y) for the element pairs in scan order,
-    each product formed when read: the route of xi over a power."""
+    """(x, y, image(x).image(y), x;y) for the element pairs in scan order:
+    the route of xi over a power.  When the scan reaches x it forms
+    image(x).part for every part in one pass, joins them over the parts of
+    each y, and drops them before the next x."""
     k = len(comp)
     for x in range(1 << k):
         xs = list(iter_bits(x))
         # x;y distributes over the atoms of y
-        zs = _spans([_join(comp[a][b] for a in xs) for b in range(k)])
-        ys = range(x if half else 0, 1 << k)
-        yield from ((x, y, layout.pair_product(x, y), zs[y]) for y in ys)
+        zs = [_join(comp[a][b] for a in xs) for b in range(k)]
+        prods = layout.products(layout.image(x))
+        for y in range(x if half else 0, 1 << k):
+            yield x, y, layout.join(prods, y), _join(map(zs.__getitem__, iter_bits(y)))
+        del prods  # before the next x forms its own
 
 
 def _join(masks) -> int:
     out = 0
     for m in masks:
         out |= m
-    return out
-
-
-def _spans(values: list[int]) -> list[int]:
-    """out[y] = union of values[b] over the set bits b of y."""
-    out = [0]
-    for v in values:
-        out += [o | v for o in out]
     return out
 
 
@@ -577,35 +578,61 @@ _DETAILS = {
 
 
 class _RowMajor:
-    """Images of an AtomLabeling as row-major d*d bitsets: unions of atom
-    images (additive), each formed when read."""
+    """Images of an innermost structure (an AtomLabeling or an Xi) as
+    row-major d*d bitsets, each the join of its element's parts, formed
+    when read.
 
-    additive = True
+    The parts of a labeling, and of an Xi over one, are its k atom images
+    (additive).  Those of an Xi over a Power are the images of its
+    2^(p+2) inner elements, then of its n classes: element e + s, with e
+    in the inner algebra and s a set of classes, has part e and the parts
+    of the classes in s.
+    """
 
-    def __init__(self, structure: AtomLabeling):
+    def __init__(self, structure: AtomLabeling | Xi):
         d = self.d = structure.base_size
-        self.atoms = structure.atom_image_bits()
         self.full = full_bits(d, d)
+        self.xi = isinstance(structure, Xi)
+        self.inner_top = None
+        if not self.xi:
+            self.parts = structure.atom_image_bits()
+        else:
+            alg = structure.algebra
+            if not (alg.is_symmetric and alg.is_commutative):
+                raise ValueError("xi verification requires a symmetric commutative algebra")
+            masks = [1 << a for a in range(alg.atom_count)]
+            if isinstance(structure.inner, Power):
+                top = self.inner_top = structure.inner.algebra.top_mask
+                masks = [*range(top + 1), *masks[top.bit_length() :]]
+            self.parts = [_xi_bits(structure, e) for e in masks]
+        self.additive = self.inner_top is None
+        rows = [bits_to_rows(bits, d) for bits in self.parts]
+        self.wide = [rows_to_bits(list(side), d) for side in zip(*rows)]
 
-    def image(self, mask: int) -> int:
-        return _join(map(self.atoms.__getitem__, iter_bits(mask)))
+    def join(self, values: list[int], x: int) -> int:
+        """The join of values, one per part, over the parts of x."""
+        top = self.inner_top
+        if top is not None:  # part x & top, then the parts of x's classes
+            x = 1 << (x & top) | x >> top.bit_length() << top + 1
+        return _join(map(values.__getitem__, iter_bits(x)))
 
-    def atom_products(self, atom_img: list[int]) -> list[list[int]]:
-        """out[a][b] = atom_img[a] . atom_img[b], in one pass over the point
-        pairs: row w of `wide` holds row w of every atom image side by
-        side, so product_rows of image(a)'s rows against it holds row u of
-        image(a).image(b) for every b at once, at bit b*d."""
+    def image(self, x: int) -> int:
+        return self.join(self.parts, x)
+
+    def products(self, bits: int) -> list[int]:
+        """bits . part for every part, in one pass over the point pairs:
+        row w of `wide` holds row w of every part side by side, so
+        product_rows of bits' rows against it holds row u of bits . part
+        for every part at once, at bit j*d for part j."""
         d = self.d
         row = (1 << d) - 1
-        rows = [bits_to_rows(bits, d) for bits in atom_img]
-        wide = [rows_to_bits(list(side), d) for side in zip(*rows)]
-        slots = range(0, len(rows) * d, d)
-        return [
-            [rows_to_bits([r >> s & row for r in prod], d) for s in slots]
-            for prod in (product_rows(x, wide) for x in rows)
-        ]
+        prod = product_rows(bits_to_rows(bits, d), self.wide)
+        slots = range(0, len(self.parts) * d, d)
+        return [rows_to_bits([r >> s & row for r in prod], d) for s in slots]
 
     def failure(self, clause, elements, diff, z) -> VerifyFailure:
+        if self.xi:
+            return _xi_failure(self.d // 2, clause, elements, diff, z)
         point = divmod(_low_bit(diff), self.d) if diff else None
         return VerifyFailure(clause, elements, point, _DETAILS[clause].format(z=z))
 
@@ -643,102 +670,30 @@ _XI_DETAILS = {
     # holds it or not, so a complement difference lies in D and D'
     "complement": "inner block of complement(x) is not the complement",
 }
-# (row, column) offset, in copies of D, of each block of the xi layout
-_XI_OFFSETS = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
-class _XiBlocks:
-    """Images of an Xi structure as four d*d blocks, D | D' | C | C^T.
-
-    Bit b*d*d + u*d + v of an image is pair (u,v) of block b: D is the
-    first copy, D' the mirror copy, C the cross pairs (x,y') and C^T the
-    pairs (y',x).  The image of e + s, with e in the inner algebra and s
-    a set of bridge classes, is M(e) in both D and D', the union C(s) of
-    the class bitsets (ClassAssignment.class_bits, already in the layout
-    of a block) in C and its transpose in C^T.  Over an AtomLabeling all
-    images are additive, joins of the atom images.  Over a Power the 2^k
-    images are held, and the product of two is the union of the products
-    of their inner and bridge parts, cached by part pair.
-    """
-
-    def __init__(self, structure: Xi):
-        alg = structure.algebra
-        if not (alg.is_symmetric and alg.is_commutative):
-            raise ValueError("xi verification requires a symmetric commutative algebra")
-        inner = structure.inner
-        d = self.d = inner.base_size
-        dd = self.dd = d * d
-        self.square = full_bits(d, d)
-        self.inner_top = inner.algebra.top_mask
-        self.additive = isinstance(inner, AtomLabeling)
-
-        def part(e: int) -> int:  # M(e) in D and D'
-            m = _image_bits(inner, e)
-            return m | m << dd
-
-        class_parts = [
-            c << 2 * dd | _transpose_square(c, d) << 3 * dd
-            for c in map(structure.partition.class_bits, range(1, structure.n + 1))
-        ]
-        if self.additive:
-            self.atoms = [part(1 << e) for e in range(inner.algebra.atom_count)] + class_parts
-        else:
-            inner_parts = list(map(part, range(self.inner_top + 1)))
-            self.image = [m | c for c in _spans(class_parts) for m in inner_parts].__getitem__
-            self.atoms = [self.image(1 << a) for a in range(alg.atom_count)]
-        self.full = full_bits(4, dd)
-        self._part_products: dict[tuple[int, int], int] = {}
-
-    def image(self, mask: int) -> int:
-        return _join(map(self.atoms.__getitem__, iter_bits(mask)))
-
-    def _blocks(self, bits: int) -> list[int]:
-        return [bits >> (b * self.dd) & self.square for b in range(4)]
-
-    def product(self, xbits: int, ybits: int) -> int:
-        """Block product; D' = D in every image, so the D'.D' term is D.D."""
-        d, dd = self.d, self.dd
-        m1, _, c1, t1 = self._blocks(xbits)
-        m2, _, c2, t2 = self._blocks(ybits)
-        mm = _square_product(m1, m2, d)
-        first = mm | _square_product(c1, t2, d)
-        mirror = mm | _square_product(t1, c2, d)
-        cross = _square_product(m1, c2, d) | _square_product(c1, m2, d)
-        back = _square_product(t1, m2, d) | _square_product(m1, t2, d)
-        return first | mirror << dd | cross << 2 * dd | back << 3 * dd
-
-    def atom_products(self, atom_img: list[int]) -> list[list[int]]:
-        return [[self.product(p, q) for q in atom_img] for p in atom_img]
-
-    def pair_product(self, x: int, y: int) -> int:
-        out = 0
-        for g in (x & self.inner_top, x & ~self.inner_top):
-            for h in (y & self.inner_top, y & ~self.inner_top):
-                if g and h:
-                    got = self._part_products.get((g, h))
-                    if got is None:
-                        got = self.product(self.image(g), self.image(h))
-                        self._part_products[(g, h)] = got
-                    out |= got
-        return out
-
-    def failure(self, clause, elements, diff, z) -> VerifyFailure:
-        detail = _XI_DETAILS.get(clause, _DETAILS[clause])
-        if not diff:
-            return VerifyFailure(clause, elements, None, detail)
-        d = self.d
-        block, local = divmod(_low_bit(diff), self.dd)
-        if not isinstance(detail, str):
-            detail = detail[block].format(z=z)
-        if clause == "compose" and block == 3:
-            # reported as the cross-block check of y;x, whose difference
-            # is the transpose of this block's
-            elements = elements[::-1]
-            local = _low_bit(_transpose_square(self._blocks(diff)[3], d))
-            block = 2
-        u, v = divmod(local, d)
-        du, dv = _XI_OFFSETS[block]
-        return VerifyFailure(clause, elements, (du * d + u, dv * d + v), detail)
+def _xi_failure(d: int, clause, elements, diff, z) -> VerifyFailure:
+    """A failure of an Xi on D + D' (d points each), named at the first
+    pair of the row-major diff in block order D, D', C = D x D', C^T,
+    row-major within a block."""
+    detail = _XI_DETAILS.get(clause, _DETAILS[clause])
+    if not diff:
+        return VerifyFailure(clause, elements, None, detail)
+    rows, mask = bits_to_rows(diff, 2 * d), (1 << d) - 1
+    for block, (top, left) in enumerate(((0, 0), (d, d), (0, d), (d, 0))):
+        found = [r >> left & mask for r in rows[top : top + d]]
+        if any(found):
+            break
+    if not isinstance(detail, str):
+        detail = detail[block].format(z=z)
+    if clause == "compose" and block == 3:
+        # reported as the cross-block check of y;x, whose difference is
+        # the transpose of this block's: its first pair, column-major
+        v = min(_low_bit(r) for r in found if r)
+        u = next(u for u, r in enumerate(found) if r >> v & 1)
+        return VerifyFailure(clause, elements[::-1], (v, d + u), detail)
+    u = next(u for u, r in enumerate(found) if r)
+    return VerifyFailure(clause, elements, (top + u, left + _low_bit(found[u])), detail)
 
 
 # -- constructions -----------------------------------------------------------

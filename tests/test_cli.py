@@ -273,7 +273,8 @@ def test_large_powers_verify_in_both_modes(tmp_path, monkeypatch, capsys):
     assert cli.main(["power", "--inner", "a.rel", "-m", "2", "-o", "s.rel"]) == 0
     assert cli.main(["xi", "--inner", "s.rel", "--n", "1", "--seed", "5", "-o", "xs.rel"]) == 0
     assert cli.main(["power", "--inner", "xs.rel", "-m", "2", "-o", "xs2sq.rel"]) == 0
-    assert cli.main(["xi", "--inner", "cube.rel", "--n", "2", "--seed", "0", "-o", "xcube.rel"]) == 0
+    argv = ["xi", "--inner", "cube.rel", "--n", "2", "--seed", "0", "-o", "xcube.rel"]
+    assert cli.main(argv) == 0
     for (path, mode), (code, text, line) in LARGE_POWER_OUTPUTS.items():
         capsys.readouterr()
         argv = ["verify", f"--{mode}", path]

@@ -294,14 +294,15 @@ def test_verify_budget_guard(aff3, l30, monkeypatch):
     # an edgeless labeling of 70,000 points: its 5 atom images, their 25
     # products and 5 images of working rows are about 40 times the budget
     bare = AtomLabeling(l30, 70_000, {})
-    # xi n=2 over the 4th power of affine 3 (13,122 points) is scanned on
-    # its 2^7 images
+    # xi n=2 over the 4th power of affine 3 (13,122 points) holds its 34
+    # part images, their wide copy, one row of 34 products and the product
+    # rows they are cut from, about 5.6 times the budget
     xi_power = _xi_over(build_power(aff3, 4), 2, 0)
 
     def formed(*args):
         raise AssertionError("an image was formed before the budget refused")
 
-    for name in ("_image_bits", "_image_rows", "_RowMajor", "_XiBlocks"):
+    for name in ("_image_bits", "_image_rows", "_RowMajor"):
         monkeypatch.setattr(structures, name, formed)
     # one whole image of the 5th power of affine 3 (59,049 points) peaks
     # at five images, over the 2^32-bit budget
@@ -868,24 +869,27 @@ def test_label_routes_match_whole_images(name):
 def test_additive_pass_skips_the_element_pair_loop(name, monkeypatch):
     # an additive structure (a labeling, xi over one, a power of either)
     # is decided on its atom pairs, pass or fail: it never enters the
-    # element-pair loop or calls _spans, and outside a power's namer it
-    # forms inner images of single atoms only.  Xi over a power builds
-    # its 2^k images with _spans and scans its element pairs.
+    # element-pair loop, and outside a power's namer it forms inner images
+    # of at most one atom.  Xi over a power scans its element pairs, forms
+    # each inner element's image once (its class parts read the empty
+    # one) and one wide product pass per x, and caches nothing across x.
     s = LABEL_ROUTE_CASES[name]()
-    spans, loops, masks = [], [], []
-    for fn, seen in (("_spans", spans), ("_element_pairs", loops), ("_image_bits", masks)):
+    loops, masks, passes = [], [], []
+    for fn, seen in (("_element_pairs", loops), ("_image_bits", masks), ("product_rows", passes)):
         real = getattr(structures, fn)
         monkeypatch.setattr(
             structures, fn, lambda *a, real=real, seen=seen: seen.append(a[-1]) or real(*a)
         )
-    verify_weak(s)
-    verify_full(s)
+    reports = verify_weak(s), verify_full(s)
     base = structures._innermost(s)[0]
     if isinstance(base, Xi) and isinstance(base.inner, Power):
-        assert loops and len(spans) > 2
+        assert reports[0].ok and len(loops) == 2
+        assert len(passes) == 2 << s.algebra.atom_count
+        top = base.inner.algebra.top_mask
+        assert sorted(masks) == sorted([*range(top + 1), *[0] * base.n] * 2)
     else:
-        assert loops == spans == []
-        assert isinstance(s, Power) or all(m.bit_count() == 1 for m in masks)
+        assert loops == []
+        assert isinstance(s, Power) or all(m.bit_count() <= 1 for m in masks)
 
 
 def _three_points(*edges) -> AtomLabeling:
@@ -931,7 +935,7 @@ def test_labeling_atom_products_equal_square_products(name, monkeypatch):
     d, k = s.base_size, s.algebra.atom_count
     atom_img = [image(s, 1 << a).bits for a in range(k)]
     want = [[_square_product(p, q, d) for q in atom_img] for p in atom_img]
-    assert _RowMajor(s).atom_products(atom_img) == want
+    assert list(map(_RowMajor(s).products, atom_img)) == want
     # and a passing labeling forms no d*d product at all
     calls = []
     monkeypatch.setattr(

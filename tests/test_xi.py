@@ -157,8 +157,10 @@ def test_xi_images_have_block_structure(aff3):
 
 
 def test_fast_checker_matches_generic_small_grid():
-    # n = 1 always passes, n >= 2 always fails at these sizes
-    for (p, n, m) in [(3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 1, 1), (4, 1, 1)]:
+    # n = 1 always passes, n >= 2 always fails at these sizes; the proper
+    # squares take the verifier's element-pair route of xi over a power
+    grid = [(3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 1, 1), (4, 1, 1), (3, 1, 2), (3, 2, 2), (3, 3, 2)]
+    for (p, n, m) in grid:
         theta = build_power(build_affine(p), m)
         checker = XiFastChecker(theta, n)
         for seed in range(8):
