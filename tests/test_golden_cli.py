@@ -13,7 +13,10 @@ that parses but is not associative, degree-audit with and without
 and at m = 2, where union-defect makes failure certain) and by
 --d/--k, montecarlo at m = 1 and at m = 2, both embed kinds, falsify
 FALSIFIED, VALID and random (UNKNOWN on L(3,2), and UNKNOWN and
-FALSIFIED on the 14-atom L(9,3)), xi --explicit and --algebra-out, and
+FALSIFIED on the 14-atom L(9,3)), falsify in both modes on equations
+whose sides preserve joins in every variable (VALID or UNKNOWN on
+L(3,2), and FALSIFIED with a first witness on the non-associative
+table), xi --explicit and --algebra-out, and
 outputs in a subdirectory so that the relative paths written into
 structure files are exercised.
 
@@ -96,6 +99,12 @@ STEPS = [
     ["falsify", "l32.ra", "x1;e = x1"],
     ["falsify", "l32.ra", "x1;x2 = x2;x1", "--mode", "random", "--seed", "3",
      "--trials", "50"],
+    ["falsify", "l32.ra", "x1;x2 = x2;x1", "--mode", "random", "--trials", "100"],
+    ["falsify", "nonassoc.ra", "x1;(x2;x3) = (x1;x2);x3"],
+    ["falsify", "nonassoc.ra", "x1;(x2;x3) = (x1;x2);x3", "--mode", "random"],
+    ["falsify", "l32.ra", "x1;x2 = x2"],
+    ["falsify", "l32.ra", "x1;x2 = x2", "--mode", "random"],
+    ["falsify", "l32.ra", "(x1;x2)~ = x2~;x1~"],
     ["construct", "--p", "9", "--n", "3", "-o", "l93.ra"],
     ["falsify", "l93.ra", "x1;(x2;x3) = (x1;x2);x3", "--mode", "random",
      "--seed", "7", "--trials", "200"],
