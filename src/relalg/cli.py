@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 file or
 parse error, 4 resource budget exceeded.  Randomized commands always
 print the seeds they used.
 
-The falsify budget is set per call with --budget; verify's is fixed.
+The falsify budget is set per call with --budget and bounds both the
+assignments an exhaustive search covers and the trials a random one
+draws; verify's is fixed.
 ``beta``, ``bounds --m`` and ``params`` print m, d = p^(2m) and the
 element count in full, so they refuse m or d >= 2^MAX_BETA_BITS (or an
 --m longer than that many characters) and gamma > MAX_PARAMS_GAMMA

@@ -306,7 +306,9 @@ def equation_length(eq: Equation) -> int:
 # uses, and a search reruns a level's steps only when that variable
 # changes.  Composition and converse come from a kernel: falsify builds a
 # table-driven one per call, and eval_term calls the algebra's
-# compose_masks and converse_mask, which keep no state.
+# compose_masks and converse_mask, which keep no state.  falsify decides
+# an equation whose sides preserve joins on {0} and the atoms alone (the
+# atom rule, below), through the same compiler and kernel.
 
 # Entry limit of the composition tables of 16-bit masks.  The full 2^k x 2^k
 # table fits up to k = 10 atoms and the four 2^w x 2^w half tables, w =
@@ -569,7 +571,43 @@ def eval_term(
 # -- falsification search ----------------------------------------------------
 
 
+# The atom rule.  Composition and converse act atomwise for every table,
+# so each is additive in each argument, and + is a join.  A side therefore
+# preserves nonempty joins in a variable x when x stands under no "-" and
+# no "&", and no ";" has x in both operands (there (a+b);(a+b) would add
+# the cross products a;b and b;a).  When both sides preserve joins in
+# every variable, write each nonzero value as the join of its atoms and
+# expand one variable at a time: either side's value under an assignment
+# is the join of its values under the assignments of 0 and single atoms
+# below it.  So the equation holds exactly when it holds on the (k+1)^m
+# assignments over {0} and the k atoms.  falsify evaluates those first,
+# and when none separates the sides it returns what the full search
+# would: "valid" with tried = |A|^m, or in random mode, where it takes
+# the rule only when (k+1)^m <= trials, "unknown" with tried = trials.
+# Otherwise, including when an atom assignment separates the sides, the
+# full search runs, so every witness and count is the one it finds.  The
+# rule could also report "valid" in random mode and decide past the
+# exhaustive budget; neither is done, so every verdict stays the one the
+# full search gives.
+
+
+def _preserves_joins(t: Term) -> bool:
+    """Whether t preserves nonempty joins in each of its variables, by
+    the atom rule's syntactic test."""
+    for s in _nodes(t):
+        if isinstance(s, (Not, Meet)) and variables(s):
+            return False
+        if isinstance(s, Comp) and variables(s.left) & variables(s.right):
+            return False
+    return True
+
+
 class FalsifyResult(NamedTuple):
+    """A verdict, its first witness, and in ``tried`` the assignments the
+    verdict covers: the witness's position in the scan or draw order, or
+    every assignment (exhaustive) or draw (random) when there is none.
+    Under the atom rule fewer are evaluated than ``tried`` counts."""
+
     status: str  # "falsified" | "valid" | "unknown"
     assignment: dict[int, Element] | None
     tried: int
@@ -604,9 +642,13 @@ def falsify(
     index order, elements in increasing bitset value) and returns the
     first witness, or "valid" after a complete scan; it refuses to start
     when |algebra|^(variable count) exceeds the budget.  Random mode
-    draws seeded assignments and returns "unknown" if none falsifies.
-    Both evaluate through a kernel built once per call within
-    _TABLE_ENTRIES, so memory is fixed before the search starts.
+    draws seeded assignments and returns "unknown" if none falsifies; it
+    refuses to start when ``trials`` exceeds the budget.  An equation
+    whose sides preserve joins is first decided on {0} and the atoms (the
+    atom rule above); ``tried`` counts the assignments the verdict
+    covers, not those evaluated.  Both modes evaluate through a kernel
+    built once per call within _TABLE_ENTRIES, so memory is fixed before
+    the search starts.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -619,19 +661,37 @@ def falsify(
             f"exhaustive search needs {size ** len(order)} assignments, "
             f"budget is {budget}"
         )
+    if mode == "random" and trials > budget:
+        raise ResourceBudgetError(f"random search asks for {trials} trials, budget is {budget}")
     kernel = _kernel(algebra)
 
     def witness(masks) -> dict[int, Element]:
         return {v: algebra.element(m) for v, m in zip(order, masks)}
 
+    # The atom rule and random draws evaluate one assignment at a time.
+    vals, levels, (lhs, rhs) = _compile((eq.lhs, eq.rhs), order, algebra, kernel)
+    steps = [step for level in levels for step in level]
+
+    def separates(masks) -> bool:
+        vals[: len(order)] = masks
+        _run(vals, steps)
+        return vals[lhs] != vals[rhs]
+
+    points = [0] + [1 << a for a in range(algebra.atom_count)]
+    if (
+        _preserves_joins(eq.lhs)
+        and _preserves_joins(eq.rhs)
+        and (mode == "exhaustive" or len(points) ** len(order) <= trials)
+        and not any(map(separates, product(points, repeat=len(order))))
+    ):
+        if mode == "random":
+            return FalsifyResult("unknown", None, trials, seed)
+        return FalsifyResult("valid", None, size ** len(order))
+
     if mode == "random":
-        vals, levels, (lhs, rhs) = _compile((eq.lhs, eq.rhs), order, algebra, kernel)
-        steps = [step for level in levels for step in level]
         rng = random.Random(seed)
         for t in range(trials):
-            vals[: len(order)] = [rng.randrange(size) for _ in order]
-            _run(vals, steps)
-            if vals[lhs] != vals[rhs]:
+            if separates([rng.randrange(size) for _ in order]):
                 return FalsifyResult("falsified", witness(vals), t + 1, seed)
         return FalsifyResult("unknown", None, trials, seed)
 

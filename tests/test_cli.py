@@ -515,6 +515,19 @@ def test_budget_overrides(tmp_path):
     assert out.returncode == 4
 
 
+def test_falsify_random_mode_honours_budget(tmp_path):
+    run("construct", "--p", "3", "--n", "2", "-o", "l32.ra", cwd=tmp_path)
+    random_mode = ("falsify", "l32.ra", "x1;x1 = x1", "--mode", "random")
+    out = run(*random_mode, "--trials", "3", "--budget", "2", cwd=tmp_path)
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr == "resource budget exceeded: random search asks for 3 trials, budget is 2\n"
+    # the default budget, 2^24, refuses before any of the trials is drawn
+    out = run(*random_mode, "--trials", str(2 ** 30), cwd=tmp_path)
+    assert out.returncode == 4 and "budget is 16777216" in out.stderr
+    out = run(*random_mode, "--trials", "2", "--budget", "2", cwd=tmp_path)
+    assert out.returncode == 0 and out.stdout.startswith("FALSIFIED: ")
+
+
 def test_json_output_is_deterministic(tmp_path):
     run("construct", "--p", "3", "--n", "2", "-o", "l32.ra", cwd=tmp_path)
     a = run("--json", "check-axioms", "l32.ra", cwd=tmp_path)

@@ -722,3 +722,167 @@ def test_falsify_budget_refused_before_tables(l32, monkeypatch):
 def test_falsify_rejects_negative_trials(l32):
     with pytest.raises(ValueError):
         falsify(parse_equation("x1 = x1"), l32, mode="random", trials=-5)
+
+
+# -- the atom rule -------------------------------------------------------------
+
+
+def test_atom_rule_syntactic_test():
+    joins = terms._preserves_joins
+    assert not joins(parse_term("x1;x1"))
+    assert not joins(parse_term("x1&e")) and not joins(parse_term("x1&x2"))
+    assert not joins(parse_term("-x1")) and not joins(parse_term("x2;-(x1;e)"))
+    eq = parse_equation("x1;(x2+x3) = x1;x2+x1;x3")  # x1 repeated under +
+    assert joins(eq.lhs) and joins(eq.rhs)
+    # variable-free subterms are constants: "-" and "&" over them are taken
+    assert joins(parse_term("(x1;-0)~+x2;(e&1)"))
+    assert joins(parse_term("x1;x2~;(x3+x3)"))
+
+
+def _additive_term(rng, names, depth):
+    """A random term that preserves joins in every variable: no "-" or
+    "&", and each ";" splits its variables between its operands."""
+    if depth == 0 or rng.random() < 0.25:
+        return Var(rng.choice(names)) if names and rng.random() < 0.8 else Const(rng.choice("01e"))
+    kind = rng.choice("~+;;")
+    if kind == "~":
+        return Conv(_additive_term(rng, names, depth - 1))
+    if kind == "+":
+        return Join(_additive_term(rng, names, depth - 1), _additive_term(rng, names, depth - 1))
+    shuffled = rng.sample(names, len(names))
+    cut = rng.randint(0, len(names))
+    return Comp(_additive_term(rng, shuffled[:cut], depth - 1),
+                _additive_term(rng, shuffled[cut:], depth - 1))
+
+
+def _any_term(rng, names, depth):
+    """A random term over every operation."""
+    if depth == 0 or rng.random() < 0.25:
+        return Var(rng.choice(names)) if rng.random() < 0.8 else Const(rng.choice("01e"))
+    kind = rng.choice("-~+&;")
+    if kind in "-~":
+        return {"-": Not, "~": Conv}[kind](_any_term(rng, names, depth - 1))
+    node = {"+": Join, "&": Meet, ";": Comp}[kind]
+    return node(_any_term(rng, names, depth - 1), _any_term(rng, names, depth - 1))
+
+
+def _rewrite(rng, t):
+    """t under laws of relation algebras that keep joins preserved: +
+    commutes, ; associates, u;v = (v~;u~)~, (u+v)~ = u~+v~, x = x;e and
+    x = x+0.  Valid on every L(p,n); the laws about ; and e need not hold
+    in a random table."""
+    if isinstance(t, Var):
+        return rng.choice([t, Comp(t, Const("e")), Join(t, Const("0"))])
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, Conv):
+        arg = _rewrite(rng, t.arg)
+        if isinstance(arg, Join) and rng.random() < 0.5:
+            return Join(Conv(arg.left), Conv(arg.right))
+        return Conv(arg)
+    left, right = _rewrite(rng, t.left), _rewrite(rng, t.right)
+    if isinstance(t, Join):
+        return Join(right, left) if rng.random() < 0.5 else Join(left, right)
+    roll = rng.random()
+    if roll < 0.3:
+        return Conv(Comp(Conv(right), Conv(left)))
+    if roll < 0.6 and isinstance(right, Comp):
+        return Comp(Comp(left, right.left), right.right)
+    return Comp(left, right)
+
+
+# L(3,0..2) have 32 to 128 elements, so the nested-loop oracle takes at
+# most two variables there; the random tables of 3 and 4 atoms take three
+_ATOM_RULE_ALGEBRAS = {
+    "L(3,0)": (lambda: build_lpn(3, 0), [1, 2]),
+    "L(3,1)": (lambda: build_lpn(3, 1), [1, 2]),
+    "L(3,2)": (lambda: build_lpn(3, 2), [1, 2]),
+    "noncommutative-3": (lambda: _random_table_algebra(3, 1), [1, 2, 3]),
+    "noncommutative-4": (lambda: _random_table_algebra(4, 2), [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ATOM_RULE_ALGEBRAS))
+def test_atom_rule_matches_oracles(name):
+    # 64 trials take the rule in random mode at (k+1)^m <= 64, which holds
+    # for every variable count on L(3,0..2) and the 3-atom table, and up
+    # to two variables on the 4-atom table
+    build, names = _ATOM_RULE_ALGEBRAS[name]
+    alg = build()
+    rng = random.Random(name)
+    seen = set()
+    for i in range(24):
+        if i % 3 == 0:
+            eq = Equation(_any_term(rng, names, 3), _any_term(rng, names, 3))
+        else:
+            lhs = _additive_term(rng, names, 3)
+            rhs = _rewrite(rng, lhs) if i % 3 == 1 else _additive_term(rng, names, 3)
+            eq = Equation(lhs, rhs)
+        additive = terms._preserves_joins(eq.lhs) and terms._preserves_joins(eq.rhs)
+        assert additive or i % 3 == 0
+        got = _outcome(falsify(eq, alg))
+        assert got == _nested_loop_oracle(eq, alg), print_equation(eq)
+        seed = rng.randrange(1 << 16)
+        random_got = _outcome(falsify(eq, alg, mode="random", seed=seed, trials=64))
+        assert random_got == _random_oracle(eq, alg, seed, 64), print_equation(eq)
+        seen.add((additive, got[0]))
+    assert {(True, "valid"), (True, "falsified")} <= seen
+
+
+def test_atom_rule_evaluates_at_most_the_atom_assignments(l32, monkeypatch):
+    # associativity on L(3,2): 8^3 assignments over 0 and the 7 atoms
+    # stand for the 128^3 a scan would evaluate
+    calls, run = [], terms._run
+
+    def counted(vals, steps):
+        calls.append(len(steps))
+        return run(vals, steps)
+
+    monkeypatch.setattr(terms, "_run", counted)
+    eq = parse_equation("x1;(x2;x3) = (x1;x2);x3")
+    assert _outcome(falsify(eq, l32)) == ("valid", None, 128 ** 3)
+    assert 0 < len(calls) <= 8 ** 3
+    calls.clear()
+    result = falsify(eq, l32, mode="random", seed=4, trials=8 ** 3)
+    assert _outcome(result) == ("unknown", None, 8 ** 3) and result.seed == 4
+    assert 0 < len(calls) <= 8 ** 3
+    # one trial short of the atom assignments, random mode draws them all
+    calls.clear()
+    assert falsify(eq, l32, mode="random", seed=4, trials=8 ** 3 - 1).tried == 8 ** 3 - 1
+    assert len(calls) == 8 ** 3 - 1
+
+
+def test_random_falsify_budget_refused_before_any_draw(l32, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("random search started over budget")
+
+    monkeypatch.setattr(terms.random, "Random", no_draws)
+    eq = parse_equation("x1;x1 = x1")
+    with pytest.raises(ResourceBudgetError, match="11 trials, budget is 10"):
+        falsify(eq, l32, mode="random", trials=11, budget=10)
+    with pytest.raises(ResourceBudgetError):
+        falsify(eq, l32, mode="random", trials=terms.DEFAULT_FALSIFY_BUDGET + 1)
+    # at the budget the additive law is decided on its 8 atom assignments
+    assert falsify(parse_equation("x1;e = x1"), l32, mode="random", trials=10, budget=10).tried == 10
+
+
+@pytest.mark.parametrize(
+    "build,text",
+    [
+        (lambda: build_lpn(3, 0), "-x1;1 = 1"),  # fails at x1 = 1 alone
+        (lambda: _random_table_algebra(3, 1), "(x1~&e)~ = x1&x1~"),
+        (_complex_algebra_s3, "x1;x1~+e = e"),  # atoms of Cm(S3) are functions
+    ],
+    ids=["complement", "meet", "repeated-comp"],
+)
+def test_atom_rule_refuses_laws_of_the_atoms_alone(build, text):
+    # each side breaks the rule in one way, and the law holds on every
+    # assignment over 0 and the atoms but not on all
+    alg, eq = build(), parse_equation(text)
+    points = [0] + [1 << a for a in range(alg.atom_count)]
+    for x1 in points:
+        assert _evaluate(eq.lhs, alg, {1: x1}) == _evaluate(eq.rhs, alg, {1: x1})
+    got = _outcome(falsify(eq, alg))
+    assert got[0] == "falsified" and got == _nested_loop_oracle(eq, alg)
+    random_got = _outcome(falsify(eq, alg, mode="random", seed=0, trials=200))
+    assert random_got[0] == "falsified" and random_got == _random_oracle(eq, alg, 0, 200)
