@@ -14,9 +14,9 @@ and at m = 2, where union-defect makes failure certain) and by
 --d/--k, montecarlo at m = 1 and at m = 2, both embed kinds, falsify
 FALSIFIED, VALID and random (UNKNOWN on L(3,2), and UNKNOWN and
 FALSIFIED on the 14-atom L(9,3)), falsify in both modes on equations
-whose sides preserve joins in every variable (VALID or UNKNOWN on
-L(3,2), and FALSIFIED with a first witness on the non-associative
-table), xi --explicit and --algebra-out, and
+whose sides preserve joins in every variable (VALID, UNKNOWN and
+FALSIFIED on L(3,2), and FALSIFIED on the non-associative table, whose
+first witness is an atom assignment), xi --explicit and --algebra-out, and
 outputs in a subdirectory so that the relative paths written into
 structure files are exercised.
 
