@@ -550,12 +550,14 @@ def _transpose_square(bits: int, d: int) -> int:
     return int("".join([s[v::d] for v in range(d)])[::-1], 2)
 
 
-def _square_product(a: int, b: int, d: int) -> int:
+def _square_product(a: int, b: int, d: int, stop: int | None = None) -> int:
     """Boolean product of two row-major d*d bitsets.
 
     (a >> v) & column keeps bit u*d for every u with (u,v) in a; times
     row v of b, that puts a copy of the row on each such row u, and the
-    copies sit in disjoint d-bit rows, so nothing carries.
+    copies sit in disjoint d-bit rows, so nothing carries.  The product
+    only grows with v, so when ``stop`` holds every bit it can reach, it
+    is returned as soon as it equals ``stop``.
     """
     if not a or not b:
         return 0
@@ -566,6 +568,8 @@ def _square_product(a: int, b: int, d: int) -> int:
         bv = b >> (v * d) & row
         if bv:
             out |= (a >> v & column) * bv
+            if out == stop:
+                break
     return out
 
 

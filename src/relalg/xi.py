@@ -52,11 +52,29 @@ product.  With R_i the class-i cross pairs as a row-major d*d bitset
 (bit (x,y) set iff class(x,y') = i) and C_i = R_i^T, W1(i) is
 R_i.C_i = theta(1'+A) on D and C_i.R_i = theta(1'+A) on D'; W14(i,j) is
 R_i.C_j = theta(A) and C_i.R_j = theta(A); W2(q,l) is A_q.R_l = full and
-R_l.A_q^T = full.  Each product is compared whole with its target; the
-lowest set bit of the difference is the first failing pair in x-major
-order, which fixes the certificate and the number of conditions counted
-as checked.  Equality of its verdict with verify_weak over seeded
-instances is an acceptance property of the package.
+R_l.A_q^T = full.  Each product is compared with its target; the lowest
+set bit of the difference is the first failing pair in x-major order,
+which fixes the certificate and the number of conditions counted as
+checked.  Two identities spare work without changing any of that:
+
+* Stop rule.  A product is a union over the middle points, so it only
+  grows as they are added.  When the target holds every pair the
+  product can reach, the product is complete once it equals the target,
+  and the remaining middle points are skipped.  W1 and W2 products can
+  reach the full square; a W14 product reaches no diagonal pair, since
+  no cross pair carries two classes, so its bound is the square off the
+  diagonal.  A target short of that bound gets the whole product.
+* W14 transpose.  R_j.C_i = (R_i.C_j)^T and C_j.R_i = (C_i.R_j)^T, and
+  instance (i,j) comes before (j,i) when i < j.  Instance (j,i) is
+  reached only if (i,j) passed, that is, only if both of its products
+  equalled theta(A), so both products of (j,i) are theta(A)^T.  That is
+  theta(A) itself: A is its own converse, and a labeling carries the
+  converse atom on every reversed pair (a power with n >= 2 stops at
+  its union defect first).  So (j,i) passes, and no product is formed
+  for it.
+
+Equality of its verdict with verify_weak over seeded instances is an
+acceptance property of the package.
 
 Bound calculus.  Over an additive theta (m = 1) UD holds, and for a
 random assignment the probability that some W1 or W2 witness is missing
@@ -88,7 +106,6 @@ inequality.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import permutations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -117,8 +134,8 @@ U64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# the low 64-bit word of every 128-bit lane, in lane order
-_LANE_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+# pairs PartitionRecipe._fill hashes per block of whole rows (128 bits each)
+_FILL_LANES = 1024
 
 
 def mix64(z: int) -> int:
@@ -136,7 +153,9 @@ class PartitionRecipe(ClassAssignment):
     """Seed-derived class assignment on D x D'.
 
     class_of hashes one pair; class_bits hashes every pair once, on first
-    use, into one row-major d*d bitset per class.
+    use, into one row-major d*d bitset per class (see _fill).  A class
+    index is kept in one byte there, so class_bits refuses n above 256;
+    no L(p,n) has more than 251 bridge classes.
     """
 
     def __init__(self, seed: int, n: int, d: int):
@@ -159,32 +178,68 @@ class PartitionRecipe(ClassAssignment):
         return self._bits[i - 1]
 
     def _fill(self) -> list[int]:
-        """Hash one row of D at a time: lane y of a packed int holds the
-        SplitMix64 state of (x, y') in the low 64 of its 128 bits, and
-        every shift and product is masked back to those low halves, so a
-        lane never spills into the next."""
+        """Hash a block of whole rows at a time: at most _FILL_LANES
+        pairs, or one row where a row is longer, so the packed ints stay
+        small at any d.
+
+        Lane j of a packed int holds pair x0*d + j of the block in the
+        low 64 of its 128 bits, and every shift and product is masked
+        back to those low halves, so a lane never spills into the next.
+        The SplitMix64 value v = h*2^32 + l of a lane is reduced mod n in
+        the lane: w = h*(2^32 mod n) + l < 2^32*n is congruent to v, and
+        with M = ceil(2^64 / n) the low 64 bits f of w*M give w mod n =
+        (f*n) >> 64, which is exact while w*(M*n - 2^64) < 2^64; here it
+        is below 2^32*n*n <= 2^48.  The residue lands in the low byte of
+        its lane; one bytes.translate per class turns the block's low
+        bytes into that class's bits.  Each class joins its blocks as a
+        binary counter does, two runs of 2^j blocks into one, so it holds
+        a few wide ints rather than one small int per block, and the
+        memory freed between blocks is not cut up by small ones.
+        """
         n, d = self.n, self.d
-        ones = sum(1 << (128 * y) for y in range(d))
+        if n > 256:
+            raise ValueError("class_bits needs at most 256 classes")
+        blocks = -(-d // max(1, _FILL_LANES // d))
+        rows = -(-d // blocks)  # the fewest blocks, evened out
+        lanes = rows * d
+        ones = int.from_bytes((b"\1" + bytes(15)) * lanes, "little")  # 1 in every lane
         low = ones * U64
-        index = sum((y + 1) << (128 * y) for y in range(d))  # x*d + y + 1 at x = 0
-        step = ones * d
-        salt = ones * self.seed
-        bits = [1 << y for y in range(d)]
-        by_x = []
-        for x in range(d):
-            z = (index * _GOLDEN & low) ^ salt
-            index += step
+        # lane j holds (j + 1) * golden, from the sum of (j + 1) * X^j, which
+        # is (lanes * X^lanes - ones) / (X - 1) at X = 2^128; each block
+        # steps every lane on by `lanes` pairs
+        e = ((lanes << 128 * lanes) - ones) // ((1 << 128) - 1) * _GOLDEN & low
+        step, salt = ones * (lanes * _GOLDEN & U64), ones * self.seed
+        unfold, magic = (1 << 32) - (1 << 32) % n, -(-(1 << 64) // n)
+        zeros = b"0" * 256
+        tables = [zeros[:i] + b"1" + zeros[i + 1 :] for i in range(n)]
+        # per class, runs of 2^j blocks joined as in binary counting
+        parts: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for x0 in range(0, d, rows):
+            z = e ^ salt
+            e = e + step & low
             z ^= z >> 30 & low
             z = z * _MIX1 & low
             z ^= z >> 27 & low
             z = z * _MIX2 & low
             z ^= z >> 31 & low
-            words = memoryview(z.to_bytes(16 * d, sys.byteorder)).cast("Q")
-            row = [0] * n
-            for bit, v in zip(bits, words[_LANE_WORDS]):
-                row[v % n] |= bit
-            by_x.append(row)
-        return [rows_to_bits(list(rows), d) for rows in zip(*by_x)]
+            w = z - (z >> 32 & low) * unfold
+            z = (w * magic & low) * n >> 64
+            # low bytes, last lane first, cut to the block's rows
+            digits = z.to_bytes(16 * lanes, "big")[15::16][-min(rows, d - x0) * d :]
+            for part, table in zip(parts, tables):
+                bits, width = int(digits.translate(table), 2), len(digits)
+                while part and part[-1][1] == width:
+                    below, _ = part.pop()
+                    bits, width = below | bits << width, 2 * width
+                part.append((bits, width))
+        out = []
+        for part in parts:
+            bits = 0
+            while part:
+                below, width = part.pop()
+                bits = below | bits << width
+            out.append(bits)
+        return out
 
 
 class ExplicitPartition(ClassAssignment):
@@ -265,11 +320,15 @@ class XiFastChecker:
     the exact condition set derived in the module docstring on the
     partition's class bitsets R_i and their transposes C_i: after the
     class-row and class-column scans (the rows of R_i and of C_i), each
-    condition family instance is one d x d boolean product compared
-    whole with its target, and the lowest set bit of their difference is
-    the first failing (x, y) in x-major order.  A union defect forms no
-    image; otherwise the d*d-bit relations held and the d^3 bits that
-    one product forms (d shifted copies of an image) are charged first.
+    condition family instance is one d x d boolean product compared with
+    its target, and the lowest set bit of their difference is the first
+    failing (x, y) in x-major order.  A product stops as soon as it
+    equals a target that holds all it can reach (top_stop, a_stop), and
+    the W14 instances (i, j) with i > j pass without a product, as the
+    transposes of (j, i) (the module docstring proves both).  A union
+    defect forms no image; otherwise the d*d-bit relations held and the
+    d^3 bits that one product forms (d shifted copies of an image) are
+    charged first.
     """
 
     def __init__(self, theta: LabeledStructure, n: int):
@@ -307,6 +366,11 @@ class XiFastChecker:
             self.top_bits = _image_bits(theta, top)
             self.a_bits = _image_bits(theta, top ^ e)
             self.full = full_bits(d, d)
+            # the W1 and W14 targets, as stops where they are all that a
+            # product can reach: everything, and everything off the diagonal
+            off_diagonal = self.full ^ ((1 << (d + 1) * d) - 1) // ((1 << d + 1) - 1)
+            self.top_stop = self.top_bits if self.top_bits == self.full else None
+            self.a_stop = self.a_bits if self.a_bits == off_diagonal else None
             # (A_q, A_q^T) for every slope atom a_q
             slopes = (_image_bits(theta, 1 << (1 + q)) for q in range(self.p + 1))
             self.atom_bits = [(aq, _transpose_square(aq, d)) for aq in slopes]
@@ -318,39 +382,44 @@ class XiFastChecker:
         return out
 
     def _families(self, r: list[int], c: list[int]):
-        """Every product instance in certificate order: (left, right,
-        target, condition, elements, point offset, detail template).
+        """Every product instance in certificate order: (product, target,
+        condition, elements, point offset, detail template), each product
+        formed only when the caller asks for its instance.
 
         r[i] holds R_i, the (x, y') pairs of class i+1 as a row-major
         d*d bitset, and c[i] its transpose C_i.  The templates take
         {what}, {x} and {y}.
         """
         d, top, a, full = self.d, self.top_bits, self.a_bits, self.full
+        top_stop, a_stop = self.top_stop, self.a_stop
         on_d, on_mirror, cross = (0, 0), (d, d), (0, d)
         t = [self._element(0, [i + 1]) for i in range(self.n)]
         # W1: common same-class neighbours realize exactly theta(1'+A)
         for i, ti in enumerate(t):
             what = f"{{what}} common class-{i + 1} neighbour"
-            yield r[i], c[i], top, "same-class-witness", (ti, ti), on_d, what
-            yield c[i], r[i], top, "same-class-witness", (ti, ti), on_mirror, what + " (mirror)"
+            w1 = top, "same-class-witness", (ti, ti)
+            yield _square_product(r[i], c[i], d, top_stop), *w1, on_d, what
+            yield _square_product(c[i], r[i], d, top_stop), *w1, on_mirror, what + " (mirror)"
         # W14: distinct-class common neighbours realize exactly theta(A)
         for i, j in permutations(range(self.n), 2):
             what = f"{{what}} common (class {i + 1}, class {j + 1}) neighbour"
-            yield r[i], c[j], a, "mixed-class-witness", (t[i], t[j]), on_d, what
-            yield c[i], r[j], a, "mixed-class-witness", (t[i], t[j]), on_mirror, (
-                what + " (mirror)"
-            )
+            w14 = a, "mixed-class-witness", (t[i], t[j])
+            if i > j:  # theta(A)^T = theta(A), as instance (j, i) passed
+                yield a, *w14, on_d, what
+                yield a, *w14, on_mirror, what + " (mirror)"
+            else:
+                yield _square_product(r[i], c[j], d, a_stop), *w14, on_d, what
+                yield _square_product(c[i], r[j], d, a_stop), *w14, on_mirror, what + " (mirror)"
         # W2: every cross pair reaches every class through every slope atom
         for q, (aq, aqt) in enumerate(self.atom_bits):
             sq = 1 << (1 + q)
             for l, tl in enumerate(t):
                 pair = "for cross pair ({x},{y}')"
-                yield aq, r[l], full, "slope-class-witness", (sq, tl), cross, (
-                    f"no slope-{q} step into class {l + 1} {pair}"
-                )
-                yield r[l], aqt, full, "slope-class-witness", (tl, sq), cross, (
-                    f"no class-{l + 1} step before slope {q} {pair}"
-                )
+                w2 = full, "slope-class-witness"
+                into = f"no slope-{q} step into class {l + 1} {pair}"
+                before = f"no class-{l + 1} step before slope {q} {pair}"
+                yield _square_product(aq, r[l], d, full), *w2, (sq, tl), cross, into
+                yield _square_product(r[l], aqt, d, full), *w2, (tl, sq), cross, before
 
     def check(self, partition: ClassAssignment) -> XiCheckReport:
         if partition.n != self.n or partition.d != self.d:
@@ -394,10 +463,10 @@ class XiFastChecker:
                 why = f"mirror point {y} has no class-{i + 1} cross edge"
                 return fail("class-column", (ti, ti), (d + y, d + y), why, 2 * d * i + d + y + 1)
 
-        # W1, W14, W2: one d x d product per instance, compared whole
+        # W1, W14, W2: one d x d product per instance, against its target
         checked = 2 * n * d
-        for left, right, target, condition, elements, (dx, dy), detail in self._families(r, c):
-            diff = _square_product(left, right, d) ^ target
+        for product, target, condition, elements, (dx, dy), detail in self._families(r, c):
+            diff = product ^ target
             if diff:
                 x, y = divmod(_low_bit(diff), d)
                 what = "missing" if target >> (x * d + y) & 1 else "forbidden"

@@ -8,6 +8,9 @@ Each one shares no code with the path it checks:
   against algebra.generate_subalgebra's partition refinement.
 * exact_bounds decides inequalities (1) and (2) of the xi bound calculus
   in exact rationals, against xi.eval_bounds's log-domain route.
+* whole_product_check forms every condition instance of the xi fast
+  checker whole, row by row with product_rows, against
+  xi.XiFastChecker.check's stopped and transposed products.
 
 The two helpers at the end build inputs: full_subalgebra and
 random_generators.
@@ -25,7 +28,15 @@ from relalg.algebra import (
     SubalgebraDescription,
 )
 from relalg.errors import ResourceBudgetError
-from relalg.structures import AtomLabeling, VerifyFailure, VerifyReport
+from relalg.structures import (
+    AtomLabeling,
+    ClassAssignment,
+    VerifyFailure,
+    VerifyReport,
+    bits_to_rows,
+    product_rows,
+)
+from relalg.xi import XiCertificate, XiCheckReport, XiFastChecker
 
 
 def network_check(structure: AtomLabeling) -> VerifyReport:
@@ -184,6 +195,66 @@ def exact_bounds(p: int, n: int, d: int, k: int) -> tuple[bool, bool, Fraction]:
     ineq2 = r2 > 4 * (p + 1) * n * d * d
     bound = Fraction(2 * d * (d - 1) * n * n) / r1 + Fraction(2 * (p + 1) * d * d * n) / r2
     return ineq1, ineq2, bound
+
+
+def whole_product_check(checker: XiFastChecker, partition: ClassAssignment) -> XiCheckReport:
+    """XiFastChecker.check on an inner structure with no union defect,
+    each instance's product formed over all d middle points: no stop, and
+    each W14 instance (i, j) formed for itself.  The first row where a
+    product differs from its target names the certificate, as in the
+    module docstring of xi; the inner images are the checker's own."""
+    d, n = checker.d, checker.n
+    t = [1 << (checker.p + 2 + i) for i in range(n)]
+    r = [bits_to_rows(partition.class_bits(i + 1), d) for i in range(n)]
+    c = [[sum((row >> y & 1) << x for x, row in enumerate(ri)) for y in range(d)] for ri in r]
+
+    def fail(condition, elements, point, detail, checked):
+        return XiCheckReport(False, XiCertificate(condition, elements, point, detail), checked)
+
+    for i in range(n):
+        if 0 in r[i]:
+            x = r[i].index(0)
+            why = f"point {x} has no class-{i + 1} cross edge"
+            return fail("class-row", (t[i], t[i]), (x, x), why, 2 * d * i + x + 1)
+        if 0 in c[i]:
+            y = c[i].index(0)
+            why = f"mirror point {y} has no class-{i + 1} cross edge"
+            return fail("class-column", (t[i], t[i]), (d + y, d + y), why, 2 * d * i + d + y + 1)
+    top, a = bits_to_rows(checker.top_bits, d), bits_to_rows(checker.a_bits, d)
+    full = [(1 << d) - 1] * d
+    instances = []
+    for i in range(n):
+        what = f"{{what}} common class-{i + 1} neighbour"
+        instances.append((r[i], c[i], top, "same-class-witness", (t[i], t[i]), (0, 0), what))
+        instances.append(
+            (c[i], r[i], top, "same-class-witness", (t[i], t[i]), (d, d), what + " (mirror)")
+        )
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                what = f"{{what}} common (class {i + 1}, class {j + 1}) neighbour"
+                w14 = a, "mixed-class-witness", (t[i], t[j])
+                instances.append((r[i], c[j], *w14, (0, 0), what))
+                instances.append((c[i], r[j], *w14, (d, d), what + " (mirror)"))
+    for q, (aq, aqt) in enumerate(checker.atom_bits):
+        sq, aq, aqt = 1 << (1 + q), bits_to_rows(aq, d), bits_to_rows(aqt, d)
+        for l in range(n):
+            pair = "for cross pair ({x},{y}')"
+            w2 = full, "slope-class-witness"
+            into = f"no slope-{q} step into class {l + 1} {pair}"
+            before = f"no class-{l + 1} step before slope {q} {pair}"
+            instances.append((aq, r[l], *w2, (sq, t[l]), (0, d), into))
+            instances.append((r[l], aqt, *w2, (t[l], sq), (0, d), before))
+    checked = 2 * n * d
+    for left, right, target, condition, elements, (dx, dy), detail in instances:
+        for x, (row, want) in enumerate(zip(product_rows(left, right), target)):
+            if row != want:
+                y = ((row ^ want) & -(row ^ want)).bit_length() - 1
+                what = "missing" if want >> y & 1 else "forbidden"
+                why = detail.format(what=what, x=x, y=y)
+                return fail(condition, elements, (dx + x, dy + y), why, checked + x * d + y + 1)
+        checked += d * d
+    return XiCheckReport(True, None, checked)
 
 
 def full_subalgebra(algebra: FiniteRelationAlgebra) -> SubalgebraDescription:

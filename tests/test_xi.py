@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from relalg.errors import ResourceBudgetError
 from relalg.structures import AtomLabeling, Xi, bits_to_rows, product_rows
 from relalg.xi import ExplicitPartition, PartitionRecipe, XiFastChecker, mix64
 
-from oracles import exact_bounds, network_check
+from oracles import exact_bounds, network_check, whole_product_check
 
 
 def mix64_reference(z):
@@ -60,23 +61,24 @@ def test_partition_recipe_golden_vector():
     assert [r.class_of(0, y) for y in range(9)] == [1, 2, 2, 2, 1, 1, 2, 2, 1]
 
 
-def test_partition_recipe_bitsets_agree_with_classes():
-    # the row-at-a-time lane hash against the per-pair definition, at the
-    # seed extremes, on one-point and one-lane bases and at d = 121
-    for seed in (0, 1, 7, 2**64 - 1):
-        for n in (1, 2, 3, 5):
-            for d in (1, 2, 9, 10, 121):
-                r = PartitionRecipe(seed, n, d)
-                table = [[r.class_of(x, y) for y in range(d)] for x in range(d)]
-                assert all(1 <= i <= n for row in table for i in row)
-                for i in range(1, n + 1):
-                    # bit x*d + y, written from the top bit down
-                    digits = "".join(
-                        "1" if table[x][y] == i else "0"
-                        for x in reversed(range(d))
-                        for y in reversed(range(d))
-                    )
-                    assert r.class_bits(i) == int(digits, 2), (seed, n, d, i)
+def test_partition_recipe_bitsets_agree_with_classes(monkeypatch):
+    # the block-of-rows lane hash against the per-pair definition, at the
+    # seed extremes and at the block edges: d = 1 and 2, the whole square
+    # in one block (d*d = 1,024 lanes, or 64) and just past it, where d*d
+    # is no multiple of the block, two rows per block and one (d = 32 and
+    # 33 under a 64-lane block), and d = 121
+    for lanes, sizes in ((xi._FILL_LANES, (1, 2, 32, 33, 121)), (64, (1, 2, 8, 9, 32, 33))):
+        monkeypatch.setattr(xi, "_FILL_LANES", lanes)
+        for seed in (0, 1, 7, 2**64 - 1):
+            for n in (1, 2, 3, 5, 7, 251):
+                for d in sizes:
+                    r = PartitionRecipe(seed, n, d)
+                    want = [0] * n
+                    for x in range(d):
+                        for y in range(d):
+                            want[r.class_of(x, y) - 1] |= 1 << (x * d + y)
+                    assert [r.class_bits(i) for i in range(1, n + 1)] == want, (lanes, seed, n, d)
+                    _assert_partitions_cross_pairs(r)
 
 
 def test_explicit_partition_matches_recipe():
@@ -128,6 +130,15 @@ def test_build_xi_validation(aff3, doubled3):
         build_xi(doubled3, 2, 1)  # inner must be over L(p,0)
     with pytest.raises(ValueError):
         build_xi(aff3, 2, PartitionRecipe(1, 3, 9))  # n mismatch
+    for seed, n in ((1, 0), (-1, 2), (2**64, 2)):
+        with pytest.raises(ValueError):
+            PartitionRecipe(seed, n, 9)
+    # a class index must fit a byte in the fill; no L(p,n) has that many
+    # classes, and build_xi names the atom limit, not the fill's
+    with pytest.raises(ValueError):
+        PartitionRecipe(1, 257, 9).class_bits(1)
+    with pytest.raises(ResourceBudgetError):
+        build_xi(aff3, 300, 0)
 
 
 def test_xi_n1_equals_doubling(aff3, doubled3):
@@ -168,6 +179,82 @@ def test_fast_checker_matches_generic_small_grid():
             fast = checker.check(part)
             generic = verify_weak(Xi(theta, n, part, checker.algebra))
             assert fast.ok == generic.ok, (p, n, m, seed)
+
+
+def _partial(q, keep, seed):
+    """affine q with each unordered edge kept with probability keep"""
+    rng = random.Random(seed)
+    s = build_affine(q)
+    kept = {(u, v): a for (u, v), a in s.labels.items() if u < v and rng.random() < keep}
+    return AtomLabeling(s.algebra, s.base_size, kept)
+
+
+def _relabeled(q, seed, count):
+    """affine q with count edges, and their converses, given another slope"""
+    rng = random.Random(seed)
+    s = build_affine(q)
+    labels = dict(s.labels)
+    for _ in range(count):
+        u, v = rng.choice(sorted(labels))
+        labels[u, v] = rng.choice([a for a in range(1, q + 2) if a != labels[u, v]])
+        del labels[v, u]
+    return AtomLabeling(s.algebra, s.base_size, labels)
+
+
+def _hexagon():
+    """L(3,0) on 6 points with the pairs x, y labeled whose difference
+    mod 6 is not 0 or 3, and two classes, class 1 where x + y mod 6 is
+    below 3: two points share a class-i neighbour exactly when their
+    difference is not 3, so W1 holds on a theta(1) short of the square,
+    and W14 runs to the end of its product"""
+    labels = {(x, y): 1 for x in range(6) for y in range(6) if (x - y) % 6 not in (0, 3)}
+    theta = AtomLabeling(build_affine(3).algebra, 6, labels)
+    classes = {(x, y): 1 if (x + y) % 6 < 3 else 2 for x in range(6) for y in range(6)}
+    return theta, ExplicitPartition(2, 6, classes)
+
+
+def test_fast_checker_matches_whole_product_reference():
+    # stopped products and W14 instances passed as transposes give the
+    # reports of products formed whole, on seeds reaching all six
+    # outcomes; the partial labelings leave theta(1) and theta(A) short
+    # of everything a product reaches, so their products run to the end
+    cases = [
+        (build_affine(3), (1, 2, 3), range(12)),
+        (build_affine(4), (2,), range(12)),
+        (build_affine(5), (1, 2), range(32)),
+        (build_affine(7), (2,), range(8)),
+        (_relabeled(3, 0, 2), (1, 2, 3), range(12)),
+        (_relabeled(5, 1, 4), (2,), range(32)),
+        (_partial(3, 0.9, 1), (1, 2, 3), range(12)),
+        (_partial(5, 0.98, 3), (2,), range(8)),
+    ]
+    outcomes, stops = set(), set()
+    for theta, ns, seeds in cases:
+        for n in ns:
+            checker = XiFastChecker(theta, n)
+            stops.add((checker.top_stop is None, checker.a_stop is None))
+            # what lets W14 instances (i, j) with i > j pass unformed
+            assert structures._transpose_square(checker.a_bits, theta.base_size) == checker.a_bits
+            for seed in seeds:
+                part = PartitionRecipe(seed, n, theta.base_size)
+                report = checker.check(part)
+                assert report == whole_product_check(checker, part), (n, seed)
+                outcomes.add(report.certificate.condition if report.certificate else "PASS")
+    theta, part = _hexagon()
+    checker = XiFastChecker(theta, 2)
+    report = checker.check(part)
+    assert report == whole_product_check(checker, part)
+    assert report.certificate.condition == "mixed-class-witness"
+    assert checker.a_stop is None
+    assert stops == {(False, False), (True, True)}
+    assert outcomes == {
+        "PASS",
+        "class-row",
+        "class-column",
+        "same-class-witness",
+        "mixed-class-witness",
+        "slope-class-witness",
+    }
 
 
 def test_generic_matches_network_oracle_on_flattened_xi():
