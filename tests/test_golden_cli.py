@@ -16,7 +16,10 @@ FALSIFIED, VALID and random (UNKNOWN on L(3,2), and UNKNOWN and
 FALSIFIED on the 14-atom L(9,3)), falsify in both modes on equations
 whose sides preserve joins in every variable (VALID, UNKNOWN and
 FALSIFIED on L(3,2), and FALSIFIED on the non-associative table, whose
-first witness is an atom assignment), xi --explicit and --algebra-out, and
+first witness is an atom assignment), exhaustive falsify on equations
+with "&" or "-" (Dedekind's law VALID on L(3,1) and L(3,2), and
+FALSIFIED on L(3,2) and on the non-associative table, one of them only
+after 130 full prefixes), xi --explicit and --algebra-out, and
 outputs in a subdirectory so that the relative paths written into
 structure files are exercised.
 
@@ -53,6 +56,9 @@ comp a a = e+b
 comp a b = a
 comp b b = a
 """
+
+# Dedekind's law, with "&" in every variable, so the atom rule cannot take it
+DEDEKIND = "(x1;x2)&x3 + (x1;(x2&(x1~;x3)))&x3 = (x1;(x2&(x1~;x3)))&x3"
 
 STEPS = [
     ["construct", "--p", "3", "--n", "2", "-o", "l32.ra"],
@@ -110,6 +116,12 @@ STEPS = [
      "--seed", "7", "--trials", "200"],
     ["falsify", "l93.ra", "x1;(x2&x3) = (x1;x2)&(x1;x3)", "--mode", "random",
      "--seed", "3", "--trials", "100"],
+    ["construct", "--p", "3", "--n", "1", "-o", "l31.ra"],
+    ["falsify", "l31.ra", DEDEKIND],
+    ["falsify", "l32.ra", DEDEKIND],
+    ["falsify", "l32.ra", "x1;(x2&x3) = (x1;x2)&(x1;x3)"],
+    ["falsify", "l32.ra", "(x1&-x2);x3 = x1;x3&-(x2;x3)"],
+    ["falsify", "nonassoc.ra", DEDEKIND],
     ["beta", "--m", "2^7"],
     ["beta", "--m", "1000"],
     ["beta", "--m", "2^100000"],
