@@ -281,6 +281,47 @@ class FiniteRelationAlgebra:
         for bits in range(self.top_mask + 1):
             yield Element(self, bits)
 
+    def twin_blocks(self) -> tuple[int, ...]:
+        """The atoms partitioned into blocks of twins, as masks in order
+        of their least atom.
+
+        Atoms a and b are twins when the transposition (a b) is an
+        automorphism: it maps identity atoms to identity atoms, commutes
+        with converse, and maps every table entry a';b' to the entry at
+        the swapped pair.  The automorphisms form a group, and (a c) =
+        (a b)(b c)(a b), so twinship is an equivalence and each atom is
+        tested against the least atom of each block.  On L(p,n) the
+        blocks are {1'}, the slopes and the bridges.
+        """
+        blocks: list[int] = []
+        for b in range(self.atom_count):
+            for i, block in enumerate(blocks):
+                if self._twins((block & -block).bit_length() - 1, b):
+                    blocks[i] |= 1 << b
+                    break
+            else:
+                blocks.append(1 << b)
+        return tuple(blocks)
+
+    def _twins(self, a: int, b: int) -> bool:
+        """Whether the transposition (a b) is an automorphism."""
+        k, comp, conv = self.atom_count, self.comp, self.converse
+        pair = 1 << a | 1 << b
+        swap = list(range(k))
+        swap[a], swap[b] = b, a
+
+        def move(mask: int) -> int:
+            return mask ^ pair if (mask >> a ^ mask >> b) & 1 else mask
+
+        return (
+            (a in self.identity_atoms) == (b in self.identity_atoms)
+            and all(conv[swap[x]] == swap[conv[x]] for x in range(k))
+            and all(
+                list(map(move, comp[x])) == [comp[swap[x]][y] for y in swap]
+                for x in range(k)
+            )
+        )
+
     def __repr__(self) -> str:
         return self.name
 

@@ -37,7 +37,7 @@ from itertools import cycle, product, repeat
 from operator import and_, lshift, or_, xor
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .algebra import Element, FiniteRelationAlgebra, Frozen
+from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
 from .errors import ParseError, ResourceBudgetError
 
 DEFAULT_FALSIFY_BUDGET = 1 << 24
@@ -274,23 +274,55 @@ def print_equation(eq: Equation) -> str:
 # -- structural info ---------------------------------------------------------
 
 
-def _nodes(*roots: Term) -> Iterator[Term]:
-    """Every node of the terms, parents before children."""
+def _children(t: Term) -> tuple[Term, ...]:
+    if isinstance(t, (Not, Conv)):
+        return (t.arg,)
+    if isinstance(t, (Join, Meet, Comp)):
+        return (t.left, t.right)
+    return ()
+
+
+def _nodes(*roots: Term) -> list[Term]:
+    """Every distinct node of the terms once, by identity, children before
+    parents.  A term built in code can share subterms, so its tree can be
+    exponentially larger than its distinct nodes; each walk here visits
+    the nodes, not the tree."""
+    seen: set[int] = set()
+    out: list[Term] = []
+
+    def visit(t: Term) -> None:
+        if id(t) not in seen:
+            seen.add(id(t))
+            for c in _children(t):
+                visit(c)
+            out.append(t)
+
     for t in roots:
-        yield t
-        if isinstance(t, (Not, Conv)):
-            yield from _nodes(t.arg)
-        elif isinstance(t, (Join, Meet, Comp)):
-            yield from _nodes(t.left, t.right)
+        visit(t)
+    return out
+
+
+def _variable_sets(*roots: Term) -> dict[int, frozenset[int]]:
+    """The variables of every distinct node of the terms, by node id."""
+    sets: dict[int, frozenset[int]] = {}
+    for t in _nodes(*roots):
+        below = (sets[id(c)] for c in _children(t))
+        sets[id(t)] = frozenset((t.index,)) if isinstance(t, Var) else frozenset().union(*below)
+    return sets
 
 
 def variables(t: Term | Equation) -> set[int]:
     roots = (t.lhs, t.rhs) if isinstance(t, Equation) else (t,)
-    return {s.index for s in _nodes(*roots) if isinstance(s, Var)}
+    sets = _variable_sets(*roots)
+    return set().union(*(sets[id(r)] for r in roots))
 
 
 def term_length(t: Term) -> int:
-    return sum(1 for _ in _nodes(t))
+    """Nodes of the tree, counted with repeats from each distinct node's count."""
+    counts: dict[int, int] = {}
+    for s in _nodes(t):
+        counts[id(s)] = 1 + sum(counts[id(c)] for c in _children(s))
+    return counts[id(t)]
 
 
 def equation_length(eq: Equation) -> int:
@@ -308,7 +340,9 @@ def equation_length(eq: Equation) -> int:
 # table-driven one per call, and eval_term calls the algebra's
 # compose_masks and converse_mask, which keep no state.  falsify decides
 # an equation whose sides preserve joins on {0} and the atoms alone (the
-# atom rule, below), through the same compiler and kernel.
+# atom rule, below), through the same compiler and kernel, and otherwise
+# scans one assignment prefix per orbit of the atom symmetries (the orbit
+# rule, below).
 
 # Entry limit of the composition tables of 16-bit masks.  The full 2^k x 2^k
 # table fits up to k = 10 atoms and the four 2^w x 2^w half tables, w =
@@ -459,6 +493,11 @@ class _Node(NamedTuple):
     vector: bool  # holds a list over the vector variable
 
 
+# one top node for every complement, so no id in _compile's memo is that
+# of a node that has died
+_TOP = Const("1")
+
+
 def _compile(
     roots: Sequence[Term],
     order: list[int],
@@ -487,7 +526,8 @@ def _compile(
     levels: list[list[tuple]] = [[] for _ in order]
     position = {v: i for i, v in enumerate(order)}
     constants = {"0": 0, "1": algebra.top_mask, "e": algebra.identity_mask}
-    memo: dict[Term, _Node] = {}
+    seen: dict[int, _Node] = {}  # by node id, so each distinct node compiles once
+    shared: dict = {}  # by class and operand slots, so equal subterms share a slot
 
     def add(fn, x: _Node, y: _Node, vector: bool) -> _Node:
         level = max(x.level, y.level)
@@ -500,39 +540,40 @@ def _compile(
         return _Node(slot, level, vector)
 
     def node(t: Term) -> _Node:
-        if t in memo:
-            return memo[t]
+        out = seen.get(id(t))
+        if out is None:
+            below = [node(c) for c in _children(t)]
+            key = (type(t), *(b.slot for b in below)) if below else t
+            out = shared.get(key)
+            if out is None:
+                out = shared[key] = make(t, *below)
+            seen[id(t)] = out
+        return out
+
+    def make(t: Term, x: _Node | None = None, y: _Node | None = None) -> _Node:
         if isinstance(t, Var):
             i = position[t.index]
-            out = _Node(i, -1, True) if i == inner else _Node(i, i, False)
-        elif isinstance(t, Const):
+            return _Node(i, -1, True) if i == inner else _Node(i, i, False)
+        if isinstance(t, Const):
             vals.append(constants[t.name])
-            out = _Node(len(vals) - 1, -1, False)
-        elif isinstance(t, Not):  # x xor top
-            x = node(t.arg)
-            out = add(_lift(xor, x.vector, False), x, node(Const("1")), x.vector)
-        elif isinstance(t, Conv):
-            x = node(t.arg)
+            return _Node(len(vals) - 1, -1, False)
+        if isinstance(t, Not):  # x xor top
+            return add(_lift(xor, x.vector, False), x, node(_TOP), x.vector)
+        if isinstance(t, Conv):
             conv = kernel.conv_all if x.vector else kernel.conv
-            out = add(lambda v, _: conv(v), x, x, x.vector)
-        elif isinstance(t, (Join, Meet)):
-            x, y = node(t.left), node(t.right)
+            return add(lambda v, _: conv(v), x, x, x.vector)
+        if isinstance(t, (Join, Meet)):
             op = or_ if isinstance(t, Join) else and_
-            out = add(_lift(op, x.vector, y.vector), x, y, x.vector or y.vector)
-        else:
-            x, y = node(t.left), node(t.right)
-            if x.vector and y.vector:
-                out = add(kernel.pair, x, y, True)
-            elif x.vector:  # x;c for each x: the column of c
-                column = add(lambda c, _: kernel.column(c), y, y, True)
-                out = column if x.slot == inner else add(_gather, column, x, True)
-            elif y.vector:  # c;y for each y: the row of c
-                row = add(lambda c, _: kernel.row(c), x, x, True)
-                out = row if y.slot == inner else add(_gather, row, y, True)
-            else:
-                out = add(kernel.comp, x, y, False)
-        memo[t] = out
-        return out
+            return add(_lift(op, x.vector, y.vector), x, y, x.vector or y.vector)
+        if x.vector and y.vector:
+            return add(kernel.pair, x, y, True)
+        if x.vector:  # x;c for each x: the column of c
+            column = add(lambda c, _: kernel.column(c), y, y, True)
+            return column if x.slot == inner else add(_gather, column, x, True)
+        if y.vector:  # c;y for each y: the row of c
+            row = add(lambda c, _: kernel.row(c), x, x, True)
+            return row if y.slot == inner else add(_gather, row, y, True)
+        return add(kernel.comp, x, y, False)
 
     slots = []
     for root in roots:
@@ -590,14 +631,40 @@ def eval_term(
 # exhaustive budget; neither is done, so every verdict stays the one the
 # full search gives.
 
+# The orbit rule.  A permutation of the atoms that fixes the identity
+# atoms, commutes with converse and maps each table entry a;b to the
+# entry at the permuted pair is an automorphism: it commutes with every
+# operation and fixes 0, 1 and e, so an equation has the same truth value
+# on an assignment and on its image.  Any two atoms of one twin block
+# (FiniteRelationAlgebra.twin_blocks) may be swapped, so every permutation
+# within the blocks is one, and each orbit of assignments under them
+# either falsifies throughout or nowhere.  Call x_i canonical when, in
+# each block of the partition that x_1..x_(i-1) refine (a block B splits
+# into B&x and B-x), its set bits sit on the lowest atoms.  The least
+# member of an orbit in scan order is canonical in every variable:
+# among masks with the same number of bits in each block the one on the
+# lowest atoms is least (compare the highest bit where two differ), and a
+# permutation within the refined blocks fixes x_1..x_(i-1), which are
+# unions of those blocks, so a smaller x_i would give a smaller member.
+# The exhaustive scan therefore walks only canonical prefixes
+# x_1..x_(m-1), in scan order, and keeps the last variable a vector of
+# every element.  The scan's first falsifier F is the least member of
+# its orbit, so its prefix is canonical, and no prefix before it holds a
+# falsifier: the walk stops at F with the same last value, and tried =
+# F's position in the full scan + 1, as before.  When no canonical prefix
+# holds one, no assignment does, so "valid" keeps tried = |A|^m.  A table
+# with no twins has one-atom blocks, where every value is canonical, so
+# the same walk is the full scan.  The budget still counts |A|^m.
+
 
 def _preserves_joins(t: Term) -> bool:
     """Whether t preserves nonempty joins in each of its variables, by
     the atom rule's syntactic test."""
+    sets = _variable_sets(t)
     for s in _nodes(t):
-        if isinstance(s, (Not, Meet)) and variables(s):
+        if isinstance(s, (Not, Meet)) and sets[id(s)]:
             return False
-        if isinstance(s, Comp) and variables(s.left) & variables(s.right):
+        if isinstance(s, Comp) and sets[id(s.left)] & sets[id(s.right)]:
             return False
     return True
 
@@ -606,7 +673,8 @@ class FalsifyResult(NamedTuple):
     """A verdict, its first witness, and in ``tried`` the assignments the
     verdict covers: the witness's position in the scan or draw order, or
     every assignment (exhaustive) or draw (random) when there is none.
-    Under the atom rule fewer are evaluated than ``tried`` counts."""
+    Under the atom rule and the orbit rule fewer are evaluated than
+    ``tried`` counts."""
 
     status: str  # "falsified" | "valid" | "unknown"
     assignment: dict[int, Element] | None
@@ -645,8 +713,11 @@ def falsify(
     draws seeded assignments and returns "unknown" if none falsifies; it
     refuses to start when ``trials`` exceeds the budget.  An equation
     whose sides preserve joins is first decided on {0} and the atoms (the
-    atom rule above); ``tried`` counts the assignments the verdict
-    covers, not those evaluated.  Both modes evaluate through a kernel
+    atom rule above).  Exhaustive mode evaluates only the assignments
+    whose prefix is the least of its orbit under the twin-atom swaps (the
+    orbit rule above), and returns the witness the full scan would find.
+    ``tried`` counts the assignments the verdict covers, not those
+    evaluated, and so does the budget.  Both modes evaluate through a kernel
     built once per call within _TABLE_ENTRIES, so memory is fixed before
     the search starts.
     """
@@ -696,7 +767,8 @@ def falsify(
         return FalsifyResult("unknown", None, trials, seed)
 
     # Exhaustive: the last variable is a vector, so each prefix of the
-    # others stands for `size` assignments, in scan order.
+    # others stands for `size` assignments, in scan order, and only the
+    # canonical prefixes are walked (the orbit rule).
     vals, levels, (lhs, rhs) = _compile(
         (eq.lhs, eq.rhs), order, algebra, kernel, vector=True
     )
@@ -705,18 +777,55 @@ def falsify(
             return FalsifyResult("falsified", {}, 1)
         return FalsifyResult("valid", None, 1)
     depth = len(order) - 1
-    for prefix, combo in enumerate(product(range(size), repeat=depth)):
-        # the odometer moved its last digit and each digit before it that wrapped
-        first = depth - 1
-        while first > 0 and combo[first] == 0:
-            first -= 1
-        for level in range(max(first, 0), depth):
-            vals[level] = combo[level]
+    for prefix, first in _canonical_prefixes(algebra.twin_blocks(), depth):
+        for level in range(first, depth):
+            vals[level] = prefix[level]
             _run(vals, levels[level])
         left, right = vals[lhs], vals[rhs]
         if left != right:
-            j = next(j for j in range(size) if left[j] != right[j])
-            return FalsifyResult(
-                "falsified", witness(combo + (j,)), prefix * size + j + 1
-            )
+            masks = prefix + [next(j for j in range(size) if left[j] != right[j])]
+            position = 0  # of the witness in the scan of all size^m assignments
+            for mask in masks:
+                position = position * size + mask
+            return FalsifyResult("falsified", witness(masks), position + 1)
     return FalsifyResult("valid", None, size ** len(order))
+
+
+def _canonical_prefixes(blocks: tuple[int, ...], depth: int) -> Iterator[tuple[list[int], int]]:
+    """(prefix, first) for each canonical prefix of ``depth`` values over
+    the twin ``blocks``, in scan order, with ``first`` the first position
+    that changed since the prefix before.  The list is reused, so read it
+    before the next step."""
+    if depth == 0:
+        yield [], 0
+        return
+    prefix = [0] * depth
+    stack = [(blocks, iter(_canonical_values(blocks)))]  # a partition and its values left
+    first = 0
+    while stack:
+        i = len(stack) - 1
+        partition, values = stack[i]
+        value = next(values, None)
+        if value is None:
+            stack.pop()
+            continue
+        prefix[i] = value
+        first = min(first, i)
+        if i + 1 < depth:
+            refined = tuple(part for b in partition for part in (b & value, b & ~value) if part)
+            stack.append((refined, iter(_canonical_values(refined))))
+        else:
+            yield prefix, first
+            first = i
+
+
+def _canonical_values(partition: tuple[int, ...]) -> list[int]:
+    """Every value whose bits in each block sit on its lowest atoms, in
+    increasing order: (s+1) choices for a block of s atoms."""
+    values = [0]
+    for block in partition:
+        lows = [0]
+        for a in iter_bits(block):
+            lows.append(lows[-1] | 1 << a)
+        values = [v | low for v in values for low in lows]
+    return sorted(values)

@@ -886,3 +886,203 @@ def test_atom_rule_refuses_laws_of_the_atoms_alone(build, text):
     assert got[0] == "falsified" and got == _nested_loop_oracle(eq, alg)
     random_got = _outcome(falsify(eq, alg, mode="random", seed=0, trials=200))
     assert random_got[0] == "falsified" and random_got == _random_oracle(eq, alg, 0, 200)
+
+
+# -- the orbit rule ------------------------------------------------------------
+
+
+def _swap_is_automorphism(alg, a, b):
+    """(a b) maps 1' to 1', commutes with converse and preserves a;b on
+    every element pair: an element-level check, sharing no code with
+    twin_blocks."""
+    def swap(mask):
+        bits = [mask >> i & 1 for i in range(alg.atom_count)]
+        bits[a], bits[b] = bits[b], bits[a]
+        return sum(bit << i for i, bit in enumerate(bits))
+
+    elements = range(alg.top_mask + 1)
+    return (
+        swap(alg.identity_mask) == alg.identity_mask
+        and all(swap(alg.converse_mask(x)) == alg.converse_mask(swap(x)) for x in elements)
+        and all(
+            swap(alg.compose_masks(x, y)) == alg.compose_masks(swap(x), swap(y))
+            for x in elements
+            for y in elements
+        )
+    )
+
+
+def _blocks_by_swaps(alg):
+    """The atoms grouped by automorphic transpositions with a smaller atom."""
+    blocks = []
+    for b in range(alg.atom_count):
+        home = next((i for i, block in enumerate(blocks)
+                     if _swap_is_automorphism(alg, (block & -block).bit_length() - 1, b)), None)
+        if home is None:
+            blocks.append(1 << b)
+        else:
+            blocks[home] |= 1 << b
+    return tuple(blocks)
+
+
+def _with_entry(alg, a, b, mask):
+    comp = [list(row) for row in alg.comp]
+    comp[a][b] = mask
+    return FiniteRelationAlgebra(alg.atom_names, alg.identity_atoms, alg.converse, comp)
+
+
+@pytest.mark.parametrize("p,n", [(3, 0), (3, 1), (3, 2), (4, 1), (5, 3), (9, 3)])
+def test_twin_blocks_of_lpn_are_identity_slopes_and_bridges(p, n):
+    alg = build_lpn(p, n)
+    slopes = "+".join(f"a{i}" for i in range(p + 1))
+    bridges = "+".join(f"t{j}" for j in range(1, n + 1))
+    expected = ["1'", slopes] + ([bridges] if n else [])
+    assert [alg.format_mask(b) for b in alg.twin_blocks()] == expected
+
+
+def test_twin_blocks_split_where_a_broken_entry_denies_a_swap():
+    l31, l32 = build_lpn(3, 1), build_lpn(3, 2)
+    # a1;a2 gains 1': (a0 a3) still fixes that entry, every other swap of
+    # slopes moves it
+    broken = _with_entry(l31, 2, 3, l31.comp[2][3] | 1)
+    names = [broken.format_mask(b) for b in broken.twin_blocks()]
+    assert names == ["1'", "a0+a3", "a1", "a2", "t1"]
+    # t1;t1 loses 1': the bridges split, the slopes stay together
+    broken = _with_entry(l32, 5, 5, l32.comp[5][5] & ~1)
+    names = [broken.format_mask(b) for b in broken.twin_blocks()]
+    assert names == ["1'", "a0+a1+a2+a3", "t1", "t2"]
+    # a0;a0 gains t1: a0 and each bridge lose their twins
+    broken = _with_entry(l32, 1, 1, l32.comp[1][1] | 1 << 5)
+    names = [broken.format_mask(b) for b in broken.twin_blocks()]
+    assert names == ["1'", "a0", "a1+a2+a3", "t1", "t2"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_lpn(3, 1),
+        lambda: _with_entry(build_lpn(3, 1), 2, 3, 0b1001),
+        lambda: _with_entry(build_lpn(3, 2), 6, 5, 0),
+        lambda: _random_table_algebra(4, 2),
+        _complex_algebra_s3,
+    ],
+    ids=["L(3,1)", "broken-slopes", "broken-bridges", "noncommutative-4", "Cm(S3)"],
+)
+def test_twin_blocks_match_element_level_swaps(build):
+    alg = build()
+    assert alg.twin_blocks() == _blocks_by_swaps(alg)
+
+
+def _valid_rewrite(rng, t):
+    """t under laws that hold in every table: Boolean laws, ; distributes
+    over + on the right, and converse permutes the atoms, so it commutes
+    with complement."""
+    if isinstance(t, (Var, Const)):
+        return Meet(t, Join(t, Var(1))) if rng.random() < 0.2 else t
+    if isinstance(t, Not):
+        arg = _valid_rewrite(rng, t.arg)
+        if isinstance(arg, Conv) and rng.random() < 0.5:
+            return Conv(Not(arg.arg))
+        return Not(arg)
+    if isinstance(t, Conv):
+        return Conv(_valid_rewrite(rng, t.arg))
+    left, right = _valid_rewrite(rng, t.left), _valid_rewrite(rng, t.right)
+    if isinstance(t, Meet):
+        return Not(Join(Not(left), Not(right))) if rng.random() < 0.5 else Meet(right, left)
+    if isinstance(t, Join):
+        return Join(right, left)
+    if isinstance(right, Join) and rng.random() < 0.7:
+        return Join(Comp(left, right.left), Comp(left, right.right))
+    return Comp(left, right)
+
+
+# the nested-loop oracle takes two variables on the 32- to 128-element
+# algebras and three on the random tables of 3 and 4 atoms, which have no
+# twins, so there the walk must be the scan
+_ORBIT_RULE_ALGEBRAS = {
+    "L(3,0)": (lambda: build_lpn(3, 0), [1, 2]),
+    "L(3,1)": (lambda: build_lpn(3, 1), [1, 2]),
+    "L(3,2)": (lambda: build_lpn(3, 2), [1, 2]),
+    "L(4,1)": (lambda: build_lpn(4, 1), [1, 2]),
+    "noncommutative-3": (lambda: _random_table_algebra(3, 1), [1, 2, 3]),
+    "noncommutative-4": (lambda: _random_table_algebra(4, 2), [1, 2, 3]),
+}
+
+# terms that vanish at x1 = 0, 1' and single slopes on L(p,n), so a law
+# they break is falsified only past prefixes that the orbit rule skips
+# (x1 = a0+a1 or t1, say)
+_LATE = ["x1;x1&-(x1+e)", "x1&-(x1;x1)", "x1;x2&-(x1+x2+e)", "x1~;x2&-(x2;x1~)"]
+
+
+@pytest.mark.parametrize("name", list(_ORBIT_RULE_ALGEBRAS))
+def test_orbit_rule_matches_nested_loop_oracle(name):
+    build, names = _ORBIT_RULE_ALGEBRAS[name]
+    alg = build()
+    rng = random.Random(name)
+    seen = set()
+    for i in range(16):
+        u, v = _any_term(rng, names, 2), _any_term(rng, names, 2)
+        lhs = Join(u, Not(v)) if i % 4 == 3 else Meet(u, v)
+        if i % 4 == 0:
+            eq = Equation(lhs, _any_term(rng, names, 3))
+        elif i % 4 == 2:
+            eq = Equation(Join(lhs, parse_term(_LATE[i // 4])), _valid_rewrite(rng, lhs))
+        else:
+            eq = Equation(lhs, _valid_rewrite(rng, lhs))
+        got = _outcome(falsify(eq, alg))
+        assert got == _nested_loop_oracle(eq, alg), print_equation(eq)
+        seen.add(got[0])
+    assert seen == {"valid", "falsified"}
+
+
+@pytest.mark.parametrize("p,n", [(3, 0), (3, 1)])
+@pytest.mark.parametrize("text", ["x1;x2&-(x1+x2+e) = x3&-x3", "x1;x2&-(x1+x2+e)&x3 = x3&-x3"])
+def test_orbit_rule_refines_the_blocks_by_each_variable(p, n, text):
+    # the first witness has x1 = a0 and x2 = a1, and x2 is canonical only
+    # in the blocks x1 refines: {a0} and {a1, a2, a3}
+    alg, eq = build_lpn(p, n), parse_equation(text)
+    got = _outcome(falsify(eq, alg))
+    assert got[0] == "falsified" and (got[1][1], got[1][2]) == (0b10, 0b100)
+    assert got == _nested_loop_oracle(eq, alg)
+
+
+def test_orbit_rule_runs_the_vector_level_once_per_canonical_prefix(monkeypatch):
+    # Dedekind's law on L(3,1): x1 takes 1' or not, t1 or not, and 0-4 of
+    # the slopes; x2 then takes its canonical values over the refined
+    # blocks, 35 slope choices over every x1, so 4 * 35 * 4 = 560 of the
+    # 64^2 prefixes, and the x1 level runs 2 * 5 * 2 = 20 times
+    calls, run = [], terms._run
+
+    def counted(vals, steps):
+        calls.append(id(steps))
+        return run(vals, steps)
+
+    monkeypatch.setattr(terms, "_run", counted)
+    eq = parse_equation("(x1;x2)&x3 + (x1;(x2&(x1~;x3)))&x3 = (x1;(x2&(x1~;x3)))&x3")
+    assert _outcome(falsify(eq, build_lpn(3, 1))) == ("valid", None, 64 ** 3)
+    assert sorted(map(calls.count, set(calls))) == [20, 560]
+
+
+def test_shared_subterms_are_walked_once():
+    # t = t+t over x1 at the depth limit: a tree of 2^150 - 1 nodes made
+    # of 150 distinct ones.  Printing it would not end, so every assertion
+    # reads a value, never the term.
+    l31 = build_lpn(3, 1)
+    t = Var(1)
+    for _ in range(MAX_TERM_DEPTH - 1):
+        t = Join(t, t)
+    inner = t.left  # one level below the limit
+    depth, found, length = t.depth, variables(t), equation_length(Equation(t, Var(2)))
+    assert (depth, found, length) == (MAX_TERM_DEPTH, {1}, 2 ** 150)
+    additive = [terms._preserves_joins(s) for s in (t, Meet(inner, inner), Not(inner))]
+    assert additive == [True, False, False]
+    a0 = l31.parse_element("a0")
+    value = eval_term(t, l31, {1: a0}).bits
+    assert value == a0.bits
+    # the atom rule decides t = x1; the scan decides the other two
+    outcomes = [
+        _outcome(falsify(Equation(lhs, Var(1)), l31)) for lhs in (t, Meet(inner, inner), Not(inner))
+    ]
+    assert outcomes == [("valid", None, 64), ("valid", None, 64), ("falsified", {1: 0}, 1)]
+    drawn = falsify(Equation(Var(1), t), l31, mode="random", trials=5).status
+    assert drawn == "unknown"
