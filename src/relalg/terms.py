@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from itertools import cycle, product, repeat
 from operator import and_, lshift, or_, xor
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
 from .errors import ParseError, ResourceBudgetError
@@ -777,46 +777,37 @@ def falsify(
             return FalsifyResult("falsified", {}, 1)
         return FalsifyResult("valid", None, 1)
     depth = len(order) - 1
-    for prefix, first in _canonical_prefixes(algebra.twin_blocks(), depth):
-        for level in range(first, depth):
-            vals[level] = prefix[level]
+    values_of: dict[tuple[int, ...], list[int]] = {}  # canonical values by partition
+
+    def first_falsifier(level: int, partition: tuple[int, ...]) -> int | None:
+        """The last value of the scan's first falsifier whose prefix
+        extends vals[:level], walking canonical values over the twin
+        blocks ``partition`` refines; None when there is none."""
+        if level == depth:
+            left, right = vals[lhs], vals[rhs]
+            return None if left == right else next(j for j in range(size) if left[j] != right[j])
+        values = values_of.get(partition)
+        if values is None:
+            values = values_of[partition] = _canonical_values(partition)
+        for value in values:
+            vals[level] = value
             _run(vals, levels[level])
-        left, right = vals[lhs], vals[rhs]
-        if left != right:
-            masks = prefix + [next(j for j in range(size) if left[j] != right[j])]
-            position = 0  # of the witness in the scan of all size^m assignments
-            for mask in masks:
-                position = position * size + mask
-            return FalsifyResult("falsified", witness(masks), position + 1)
-    return FalsifyResult("valid", None, size ** len(order))
+            refined = partition  # one atom per block refines no further
+            if level + 1 < depth and len(partition) < algebra.atom_count:
+                refined = tuple(part for b in partition for part in (b & value, b & ~value) if part)
+            j = first_falsifier(level + 1, refined)
+            if j is not None:
+                return j
+        return None
 
-
-def _canonical_prefixes(blocks: tuple[int, ...], depth: int) -> Iterator[tuple[list[int], int]]:
-    """(prefix, first) for each canonical prefix of ``depth`` values over
-    the twin ``blocks``, in scan order, with ``first`` the first position
-    that changed since the prefix before.  The list is reused, so read it
-    before the next step."""
-    if depth == 0:
-        yield [], 0
-        return
-    prefix = [0] * depth
-    stack = [(blocks, iter(_canonical_values(blocks)))]  # a partition and its values left
-    first = 0
-    while stack:
-        i = len(stack) - 1
-        partition, values = stack[i]
-        value = next(values, None)
-        if value is None:
-            stack.pop()
-            continue
-        prefix[i] = value
-        first = min(first, i)
-        if i + 1 < depth:
-            refined = tuple(part for b in partition for part in (b & value, b & ~value) if part)
-            stack.append((refined, iter(_canonical_values(refined))))
-        else:
-            yield prefix, first
-            first = i
+    j = first_falsifier(0, algebra.twin_blocks())
+    if j is None:
+        return FalsifyResult("valid", None, size ** len(order))
+    masks = vals[:depth] + [j]
+    position = 0  # of the witness in the scan of all size^m assignments
+    for mask in masks:
+        position = position * size + mask
+    return FalsifyResult("falsified", witness(masks), position + 1)
 
 
 def _canonical_values(partition: tuple[int, ...]) -> list[int]:

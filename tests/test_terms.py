@@ -957,6 +957,23 @@ def test_twin_blocks_split_where_a_broken_entry_denies_a_swap():
     assert names == ["1'", "a0", "a1+a2+a3", "t1", "t2"]
 
 
+def _with_converse_and_identity(alg, converse, identity_atoms):
+    return FiniteRelationAlgebra(alg.atom_names, identity_atoms, converse, alg.comp)
+
+
+def test_twin_blocks_split_where_converse_or_identity_denies_a_swap():
+    # same table as L(3,1); only the converse or the identity atoms change
+    l31 = build_lpn(3, 1)
+    paired = _with_converse_and_identity(l31, [0, 2, 1, 3, 4, 5], l31.identity_atoms)
+    names = [paired.format_mask(b) for b in paired.twin_blocks()]
+    assert names == ["1'", "a0+a1", "a2+a3", "t1"]
+    marked = _with_converse_and_identity(l31, l31.converse, [0, 1])
+    names = [marked.format_mask(b) for b in marked.twin_blocks()]
+    assert names == ["1'", "a0", "a1+a2+a3", "t1"]
+    for alg in (paired, marked):
+        assert alg.twin_blocks() == _blocks_by_swaps(alg)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -1043,6 +1060,22 @@ def test_orbit_rule_refines_the_blocks_by_each_variable(p, n, text):
     alg, eq = build_lpn(p, n), parse_equation(text)
     got = _outcome(falsify(eq, alg))
     assert got[0] == "falsified" and (got[1][1], got[1][2]) == (0b10, 0b100)
+    assert got == _nested_loop_oracle(eq, alg)
+
+
+def test_orbit_rule_refines_the_one_block_of_two_twins():
+    # a1;a2 gains 1', so a0 and a3 are the only twins.  The left side is
+    # x2 when x1 holds a slope and x2 is a single slope other than x1
+    # with no 1' in x2;W or W;x2, W the slopes outside x1 and x2: first
+    # x1 = a0, x2 = a3, which is canonical only once x1 splits {a0, a3}
+    l31 = build_lpn(3, 1)
+    alg = _with_entry(l31, 2, 3, l31.comp[2][3] | 1)
+    w = "-(x2+x1+e)"
+    eq = parse_equation(
+        f"x2&-(x1+e)&-(1;(e&(x2;{w}+{w};x2));1)&-(1;(x2;x2&-(x2+e));1)&1;(x1&-e);1 = x3&-x3"
+    )
+    got = _outcome(falsify(eq, alg))
+    assert got == ("falsified", {1: 0b10, 2: 0b10000, 3: 0}, 9217)
     assert got == _nested_loop_oracle(eq, alg)
 
 
