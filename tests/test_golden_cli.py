@@ -19,9 +19,10 @@ FALSIFIED on L(3,2), and FALSIFIED on the non-associative table, whose
 first witness is an atom assignment), exhaustive falsify on equations
 with "&" or "-" (Dedekind's law VALID on L(3,1) and L(3,2), and
 FALSIFIED on L(3,2) and on the non-associative table, one of them only
-after 130 full prefixes), xi --explicit and --algebra-out, and
-outputs in a subdirectory so that the relative paths written into
-structure files are exercised.
+after 130 full prefixes), exhaustive falsify on the one-atom table
+(FALSIFIED) and on a four-variable law with "&" on L(3,0) (VALID), xi
+--explicit and --algebra-out, and outputs in a subdirectory so that the
+relative paths written into structure files are exercised.
 
 Regenerate the fixture (only when an output change is deliberate):
 
@@ -57,8 +58,20 @@ comp a b = a
 comp b b = a
 """
 
+# the one-atom table: its elements are 0 and e
+ONE_ATOM_RA = """\
+ra v1
+atoms 1 e
+identity e
+symmetric true
+comp e e = e
+"""
+
 # Dedekind's law, with "&" in every variable, so the atom rule cannot take it
 DEDEKIND = "(x1;x2)&x3 + (x1;(x2&(x1~;x3)))&x3 = (x1;(x2&(x1~;x3)))&x3"
+
+# x1;(x2&x3);x4 <= (x1;x2;x4)&(x1;x3;x4), in four variables with "&"
+MONOTONE4 = "x1;(x2&x3);x4 + (x1;x2;x4)&(x1;x3;x4) = (x1;x2;x4)&(x1;x3;x4)"
 
 STEPS = [
     ["construct", "--p", "3", "--n", "2", "-o", "l32.ra"],
@@ -122,6 +135,9 @@ STEPS = [
     ["falsify", "l32.ra", "x1;(x2&x3) = (x1;x2)&(x1;x3)"],
     ["falsify", "l32.ra", "(x1&-x2);x3 = x1;x3&-(x2;x3)"],
     ["falsify", "nonassoc.ra", DEDEKIND],
+    ["falsify", "one.ra", "x1;-x2 = x2;x1"],
+    ["construct", "--p", "3", "--n", "0", "-o", "l30.ra"],
+    ["falsify", "l30.ra", MONOTONE4],
     ["beta", "--m", "2^7"],
     ["beta", "--m", "1000"],
     ["beta", "--m", "2^100000"],
@@ -158,6 +174,8 @@ def transcript(json_mode: bool) -> list:
             os.mkdir("sub")
             with open("nonassoc.ra", "w") as fh:
                 fh.write(NONASSOC_RA)
+            with open("one.ra", "w") as fh:
+                fh.write(ONE_ATOM_RA)
             prefix = ["--json"] if json_mode else []
             return [_run(prefix + step) for step in STEPS]
     finally:
