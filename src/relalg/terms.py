@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from itertools import cycle, product, repeat
-from operator import and_, lshift, or_, xor
+from operator import and_, or_, xor
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .algebra import Element, FiniteRelationAlgebra, Frozen, iter_bits
@@ -336,26 +336,27 @@ def equation_length(eq: Equation) -> int:
 # fn(vals[a], vals[b]), with slots 0..m-1 holding the variables in index
 # order.  Each step sits at the level of the last variable its subterm
 # uses, and a search reruns a level's steps only when that variable
-# changes.  Composition and converse come from a kernel: falsify builds a
-# table-driven one per call, and eval_term calls the algebra's
-# compose_masks and converse_mask, which keep no state.  falsify decides
+# changes.  Composition and converse come from a kernel: falsify builds
+# one per call, and eval_term calls the algebra's compose_masks and
+# converse_mask, which keep no state.  falsify decides
 # an equation whose sides preserve joins on {0} and the atoms alone (the
 # atom rule, below), through the same compiler and kernel, and otherwise
 # scans one assignment prefix per orbit of the atom symmetries (the orbit
 # rule, below).
 
-# Entry limit of the composition tables of 16-bit masks.  The full 2^k x 2^k
-# table fits up to k = 10 atoms and the four 2^w x 2^w half tables, w =
-# ceil(k/2), up to k = 16, where masks outgrow 16 bits; beyond that
-# falsify uses the atom-pair loop.
-_TABLE_ENTRIES = 1 << 20
+# Composition kernels.  falsify looks x;y up in half tables of 16-bit
+# masks for 1 to 16 atoms (_HalfTable) and runs the atom-pair loop
+# (_Direct) beyond, where masks outgrow 16 bits.  A full 2^k x 2^k table
+# would read a row in one slice, but its build grows as 4^k entries
+# against about 4 * 2^k here, and would be most of a short search from
+# about 7 atoms on.
 
 
 class _Direct:
     """comp(x, y) = x;y and conv(x) = x~ on masks, from the algebra's
     compose_masks and converse_mask with no table, extended to whole rows
-    and columns of the composition table and to vectors.  The table
-    kernels below replace comp and conv and the extensions they speed up."""
+    and columns of the composition table and to vectors.  _HalfTable
+    replaces comp and conv and the extensions it speeds up."""
 
     def __init__(self, algebra: FiniteRelationAlgebra):
         self.size = algebra.top_mask + 1
@@ -400,41 +401,19 @@ def _block(comp: Sequence[Sequence[int]]) -> Sequence[int]:
     return _or_table([_or_table([[m] for m in row]) for row in comp])
 
 
-class _Table(_Direct):
-    """The full table: table[x << k | y] = x;y."""
-
-    def __init__(self, algebra: FiniteRelationAlgebra):
-        self.size = algebra.top_mask + 1
-        self.k = algebra.atom_count
-        self.table = _block(algebra.comp)
-        self.view = memoryview(self.table)
-        self.conv = _or_table([[1 << c] for c in algebra.converse]).__getitem__
-
-    def comp(self, x: int, y: int) -> int:
-        return self.table[x << self.k | y]
-
-    def row(self, c: int) -> list[int]:
-        return self.view[c * self.size : (c + 1) * self.size].tolist()
-
-    def column(self, c: int) -> list[int]:
-        return self.view[c :: self.size].tolist()
-
-    def pair(self, xs: list[int], ys: list[int]) -> list[int]:
-        keys = map(or_, map(lshift, xs, repeat(self.k)), ys)
-        return list(map(self.table.__getitem__, keys))
-
-
 class _HalfTable(_Direct):
     """blocks[i][j][a << w | b] = (a << i*w);(b << j*w) over the low w =
-    ceil(k/2) atoms (i, j = 0) and the high ones, whose b side is padded
-    with empty atoms when k is odd.  x;y is the OR of four lookups, and a row or column of
-    the full table spreads two half vectors, each the OR of two slices."""
+    ceil(k/2) atoms (i, j = 0) and the high ones, padded with an empty
+    atom when k is odd.  x;y is the OR of four lookups, and a row or
+    column of the full table spreads two half vectors, each the OR of two
+    slices."""
 
     def __init__(self, algebra: FiniteRelationAlgebra):
         k, self.size = algebra.atom_count, algebra.top_mask + 1
         w = self.w = (k + 1) // 2
         m = self.m = (1 << w) - 1
-        rows = [row + (0,) * (2 * w - k) for row in algebra.comp]
+        pad = (0,) * (2 * w - k)  # the empty atom, when k is odd
+        rows = [row + pad for row in algebra.comp] + [(0,) * 2 * w] * len(pad)
         halves = (slice(0, w), slice(w, 2 * w))
         self.blocks = [[_block([r[j] for r in rows[i]]) for j in halves] for i in halves]
         (t00, t01), (t10, t11) = self.blocks
@@ -463,13 +442,8 @@ class _HalfTable(_Direct):
 
 
 def _kernel(algebra: FiniteRelationAlgebra) -> _Direct:
-    """The largest composition kernel whose tables fit _TABLE_ENTRIES."""
-    k = algebra.atom_count
-    if 1 << 2 * k <= _TABLE_ENTRIES:
-        return _Table(algebra)
-    if k <= 16 and 4 << 2 * ((k + 1) // 2) <= _TABLE_ENTRIES:
-        return _HalfTable(algebra)
-    return _Direct(algebra)
+    """Half tables while masks fit their 16-bit entries, else the atom-pair loop."""
+    return _HalfTable(algebra) if algebra.atom_count <= 16 else _Direct(algebra)
 
 
 def _lift(op: Callable[[int, int], int], xv: bool, yv: bool) -> Callable:
@@ -718,8 +692,8 @@ def falsify(
     orbit rule above), and returns the witness the full scan would find.
     ``tried`` counts the assignments the verdict covers, not those
     evaluated, and so does the budget.  Both modes evaluate through a kernel
-    built once per call within _TABLE_ENTRIES, so memory is fixed before
-    the search starts.
+    built once per call, of at most four tables of 2^16 entries, so memory
+    is fixed before the search starts.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -52,7 +52,11 @@ product.  With R_i the class-i cross pairs as a row-major d*d bitset
 (bit (x,y) set iff class(x,y') = i) and C_i = R_i^T, W1(i) is
 R_i.C_i = theta(1'+A) on D and C_i.R_i = theta(1'+A) on D'; W14(i,j) is
 R_i.C_j = theta(A) and C_i.R_j = theta(A); W2(q,l) is A_q.R_l = full and
-R_l.A_q^T = full.  Each product is compared with its target; the lowest
+R_l.A_q^T = full, with A_q the image of a_q.  A_q^T = A_q: a labeling
+carries the converse atom on every reversed pair, a slope atom of L(p,0)
+is its own converse, and a power's images are Kronecker products of
+such images, which keep that symmetry.  So R_l.A_q is formed in place
+of R_l.A_q^T.  Each product is compared with its target; the lowest
 set bit of the difference is the first failing pair in x-major order,
 which fixes the certificate and the number of conditions counted as
 checked.  Two identities spare work without changing any of that:
@@ -323,9 +327,10 @@ class XiFastChecker:
     condition family instance is one d x d boolean product compared with
     its target, and the lowest set bit of their difference is the first
     failing (x, y) in x-major order.  A product stops as soon as it
-    equals a target that holds all it can reach (top_stop, a_stop), and
-    the W14 instances (i, j) with i > j pass without a product, as the
-    transposes of (j, i) (the module docstring proves both).  A union
+    equals a target that holds all it can reach (top_stop, a_stop), the
+    W14 instances (i, j) with i > j pass without a product, as the
+    transposes of (j, i), and the second W2 product takes the slope image
+    A_q for its transpose (the module docstring proves all three).  A union
     defect forms no image; otherwise the d*d-bit relations held and the
     d^3 bits that one product forms (d shifted copies of an image) are
     charged first.
@@ -361,7 +366,7 @@ class XiFastChecker:
                 self.union_defect = (e, point)
         # a union defect fails every partition before any image is needed
         if self.union_defect is None:
-            _charge((2 * self.p + 2 * n + 5) * d * d, f"the xi checker on {d} points")
+            _charge((self.p + 2 * n + 4) * d * d, f"the xi checker on {d} points")
             _charge(d**3, f"each xi checker product on {d} points")
             self.top_bits = _image_bits(theta, top)
             self.a_bits = _image_bits(theta, top ^ e)
@@ -371,9 +376,8 @@ class XiFastChecker:
             off_diagonal = self.full ^ ((1 << (d + 1) * d) - 1) // ((1 << d + 1) - 1)
             self.top_stop = self.top_bits if self.top_bits == self.full else None
             self.a_stop = self.a_bits if self.a_bits == off_diagonal else None
-            # (A_q, A_q^T) for every slope atom a_q
-            slopes = (_image_bits(theta, 1 << (1 + q)) for q in range(self.p + 1))
-            self.atom_bits = [(aq, _transpose_square(aq, d)) for aq in slopes]
+            # A_q for every slope atom a_q, its own transpose
+            self.atom_bits = [_image_bits(theta, 1 << (1 + q)) for q in range(self.p + 1)]
 
     def _element(self, inner_mask: int, classes: Sequence[int]) -> int:
         out = inner_mask
@@ -411,7 +415,7 @@ class XiFastChecker:
                 yield _square_product(r[i], c[j], d, a_stop), *w14, on_d, what
                 yield _square_product(c[i], r[j], d, a_stop), *w14, on_mirror, what + " (mirror)"
         # W2: every cross pair reaches every class through every slope atom
-        for q, (aq, aqt) in enumerate(self.atom_bits):
+        for q, aq in enumerate(self.atom_bits):
             sq = 1 << (1 + q)
             for l, tl in enumerate(t):
                 pair = "for cross pair ({x},{y}')"
@@ -419,7 +423,7 @@ class XiFastChecker:
                 into = f"no slope-{q} step into class {l + 1} {pair}"
                 before = f"no class-{l + 1} step before slope {q} {pair}"
                 yield _square_product(aq, r[l], d, full), *w2, (sq, tl), cross, into
-                yield _square_product(r[l], aqt, d, full), *w2, (tl, sq), cross, before
+                yield _square_product(r[l], aq, d, full), *w2, (tl, sq), cross, before
 
     def check(self, partition: ClassAssignment) -> XiCheckReport:
         if partition.n != self.n or partition.d != self.d:

@@ -236,8 +236,9 @@ def whole_product_check(checker: XiFastChecker, partition: ClassAssignment) -> X
                 w14 = a, "mixed-class-witness", (t[i], t[j])
                 instances.append((r[i], c[j], *w14, (0, 0), what))
                 instances.append((c[i], r[j], *w14, (d, d), what + " (mirror)"))
-    for q, (aq, aqt) in enumerate(checker.atom_bits):
-        sq, aq, aqt = 1 << (1 + q), bits_to_rows(aq, d), bits_to_rows(aqt, d)
+    for q, bits in enumerate(checker.atom_bits):
+        sq, aq = 1 << (1 + q), bits_to_rows(bits, d)
+        aqt = [sum((row >> y & 1) << x for x, row in enumerate(aq)) for y in range(d)]
         for l in range(n):
             pair = "for cross pair ({x},{y}')"
             w2 = full, "slope-class-witness"

@@ -214,10 +214,11 @@ def _hexagon():
 
 
 def test_fast_checker_matches_whole_product_reference():
-    # stopped products and W14 instances passed as transposes give the
-    # reports of products formed whole, on seeds reaching all six
-    # outcomes; the partial labelings leave theta(1) and theta(A) short
-    # of everything a product reaches, so their products run to the end
+    # stopped products, W14 instances passed as transposes and W2 products
+    # by A_q for A_q^T give the reports of products formed whole, on seeds
+    # reaching all six outcomes; the partial labelings leave theta(1) and
+    # theta(A) short of everything a product reaches, so their products
+    # run to the end, and n = 1 over a power has no union defect
     cases = [
         (build_affine(3), (1, 2, 3), range(12)),
         (build_affine(4), (2,), range(12)),
@@ -227,6 +228,7 @@ def test_fast_checker_matches_whole_product_reference():
         (_relabeled(5, 1, 4), (2,), range(32)),
         (_partial(3, 0.9, 1), (1, 2, 3), range(12)),
         (_partial(5, 0.98, 3), (2,), range(8)),
+        (build_power(build_affine(3), 2), (1,), range(4)),
     ]
     outcomes, stops = set(), set()
     for theta, ns, seeds in cases:
@@ -234,7 +236,10 @@ def test_fast_checker_matches_whole_product_reference():
             checker = XiFastChecker(theta, n)
             stops.add((checker.top_stop is None, checker.a_stop is None))
             # what lets W14 instances (i, j) with i > j pass unformed
-            assert structures._transpose_square(checker.a_bits, theta.base_size) == checker.a_bits
+            # what lets W14 instances (i, j) with i > j pass unformed, and
+            # W2 multiply by A_q for A_q^T
+            for bits in [checker.a_bits] + checker.atom_bits:
+                assert structures._transpose_square(bits, theta.base_size) == bits
             for seed in seeds:
                 part = PartitionRecipe(seed, n, theta.base_size)
                 report = checker.check(part)
@@ -246,7 +251,7 @@ def test_fast_checker_matches_whole_product_reference():
     assert report == whole_product_check(checker, part)
     assert report.certificate.condition == "mixed-class-witness"
     assert checker.a_stop is None
-    assert stops == {(False, False), (True, True)}
+    assert stops == {(False, False), (False, True), (True, True)}  # the power's A is short
     assert outcomes == {
         "PASS",
         "class-row",
